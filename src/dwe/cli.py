@@ -101,7 +101,7 @@ def _year_span(c: corpus_mod.Corpus) -> tuple[int, int]:
 
 def write_transform_cfg(fits: dict[str, diststat.FittedTransform],
                         path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for scope in sorted(fits):
             f = fits[scope]
             s = f.spec
@@ -113,7 +113,7 @@ def write_transform_cfg(fits: dict[str, diststat.FittedTransform],
 
 def read_transform_cfg(path: str) -> dict[str, diststat.TransformSpec]:
     specs: dict[str, diststat.TransformSpec] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -159,7 +159,7 @@ def cmd_clean(args) -> int:
     report = {"input": len(rows), "kept": len(cleaned.records),
               "dropped": dict(cleaned.cleaning_report)}
     if args.report:
-        with open(args.report, "w") as fh:
+        with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
     _echo(f"kept {report['kept']}/{report['input']} records; dropped "
@@ -244,7 +244,7 @@ PANEL_SUMMARY_ORDER = ("_adjusted_r2", "_sigma2_country", "_sigma2_idio",
 
 def write_panel_csv(fit: panel_mod.PanelFit, path: str) -> None:
     import csv as _csv
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = _csv.writer(fh)
         w.writerow(("term", "coefficient", "std_error", "t_stat",
                     "p_value", "stars"))
@@ -344,7 +344,7 @@ class RunConfig:
 
 def load_run_config(path: str) -> RunConfig:
     """Parse `key = value` lines; unknown keys and missing files reject."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -441,7 +441,7 @@ def run_pipeline(config: RunConfig) -> int:
                 path = out / "corpus.csv"
                 corpus_mod.write_corpus_csv(rows, str(path))
                 skip_path = out / "harvest_skipped.txt"
-                with open(skip_path, "w") as fh:
+                with open(skip_path, "w", encoding="utf-8") as fh:
                     for name, reason in skipped:
                         fh.write(f"{name}\t{reason}\n")
                 record(stage, [str(path), str(skip_path)])
@@ -452,7 +452,7 @@ def run_pipeline(config: RunConfig) -> int:
                     [corpus_mod.raw_from_article(r.article)
                      for r in c.records], str(path))
                 rep_path = out / "cleaning_report.json"
-                with open(rep_path, "w") as fh:
+                with open(rep_path, "w", encoding="utf-8") as fh:
                     json.dump({"kept": len(c.records),
                                "dropped": dict(c.cleaning_report)},
                               fh, sort_keys=True, indent=2)
@@ -466,7 +466,8 @@ def run_pipeline(config: RunConfig) -> int:
                 rows = [{"scope": o.scope, "rud": o.rud}
                         for o in rud_obs()]
                 path = out / "normality.txt"
-                path.write_text(_normality_report(rows))
+                path.write_text(_normality_report(rows),
+                                encoding="utf-8")
                 record(stage, [str(path)])
             elif stage == "transform":
                 by_scope: dict[str, list[float]] = {}
@@ -534,7 +535,8 @@ def run_pipeline(config: RunConfig) -> int:
                                       all_countries=sorted(countries))
                 record(stage, [str(csv_path), str(geojson_path)])
     except (ValueError, OSError) as exc:
-        failed_marker.write_text(f"stage={current}\nerror={exc}\n")
+        failed_marker.write_text(f"stage={current}\nerror={exc}\n",
+                                 encoding="utf-8")
         report_stages.append({"name": current, "status": "failed",
                               "error": str(exc)})
         _write_run_report(out, config, report_stages)
@@ -549,7 +551,7 @@ def run_pipeline(config: RunConfig) -> int:
 def _write_run_report(out: Path, config: RunConfig, stages: list) -> None:
     report = {"config_sha256": config.sha256, "version": __version__,
               "stages": stages}
-    with open(out / "run_report.json", "w") as fh:
+    with open(out / "run_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
 

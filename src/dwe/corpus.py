@@ -299,7 +299,7 @@ def _parse_date(text: str) -> date | None:
 
 def write_corpus_csv(rows: Iterable[RawRecord], path: str) -> None:
     """Write rows in the fixed corpus CSV format (ISO dates, blank optionals)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
         for r in rows:
@@ -310,7 +310,7 @@ def write_corpus_csv(rows: Iterable[RawRecord], path: str) -> None:
 
 def read_corpus_csv(path: str) -> list[RawRecord]:
     """Read a corpus CSV; rejects a header that is not exactly CSV_COLUMNS."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != CSV_COLUMNS:
@@ -385,13 +385,13 @@ def parse_countries_cfg(text: str) -> dict[str, CountryProfile]:
 
 
 def read_countries_cfg(path: str) -> dict[str, CountryProfile]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_countries_cfg(fh.read())
 
 
 def write_countries_cfg(profiles: Mapping[str, CountryProfile],
                         path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for iso in sorted(profiles):
             p = profiles[iso]
             parts = [f"iso={p.iso}", f"continent={p.continent}",
@@ -410,5 +410,6 @@ def write_countries_cfg(profiles: Mapping[str, CountryProfile],
 
 def load_default_countries() -> dict[str, CountryProfile]:
     """The country table shipped with the package (editable starter data)."""
-    text = resources.files("dwe.data").joinpath("countries.cfg").read_text()
+    text = resources.files("dwe.data").joinpath("countries.cfg") \
+        .read_text(encoding="utf-8")
     return parse_countries_cfg(text)

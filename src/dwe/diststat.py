@@ -9,6 +9,9 @@ with S4 = sum((y-mean)^4), V = sum((y-mean)^2)/(n-1); kurtosis is reported
 in excess form (normal = 0).  The Jarque-Bera statistic built from these is
 JB = n (Skew^2/6 + Kurt^2/24), chi-square with 2 df under normality.
 
+One scale-normalized kernel computes both, for ``moments`` and for every
+candidate of the transform search.
+
 The dependent-variable transform is a two-step map: step 1 is either
 log10(y)+c or the power map (y^l1 - 1)/l1 applied to the raw ratio, step 2
 is always ((y*+1)^l2 - 1)/l2; both power maps hit ln at the zero-parameter
@@ -49,42 +52,52 @@ class TestResult:
     note: str = ""
 
 
-def _skewness(dev: np.ndarray, n: int, adjusted: bool) -> float:
-    m2 = float(np.mean(dev ** 2))
-    m3 = float(np.mean(dev ** 3))
-    g1 = m3 / m2 ** 1.5
-    if not adjusted:
-        return g1
-    return g1 * math.sqrt(n * (n - 1)) / (n - 2)
+def _moment_kernel(y: np.ndarray, adjusted: bool = True
+                   ) -> tuple[float, float, float] | None:
+    """(mean, skewness, excess kurtosis), or None when constant or not finite.
 
-
-def _excess_kurtosis(dev: np.ndarray, n: int) -> float:
-    s2 = float(np.sum(dev ** 2))
-    s4 = float(np.sum(dev ** 4))
+    Deviations are divided by their largest magnitude, so every power sum
+    lies in [0, n], clear of overflow and underflow; both ratios are
+    scale-free.
+    """
+    n = y.size
+    lo, hi = float(y.min()), float(y.max())
+    # a mean of values this small rounds in the subnormals; scaling them by
+    # a power of two is exact
+    e = math.frexp(max(-lo, hi))[1]
+    if e < -900:
+        y, lo, hi = np.ldexp(y, -e), math.ldexp(lo, -e), math.ldexp(hi, -e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(y.mean())
+        spread = max(hi - mean, mean - lo)
+    if not (spread > 0.0 and math.isfinite(spread)):
+        return None
+    dev = (y - mean) / spread
+    d2 = dev * dev
+    s2 = float(d2.sum())
+    s3 = float(d2 @ dev)
+    s4 = float(d2 @ d2)
+    skew = (s3 / n) / (s2 / n) ** 1.5
+    if adjusted:
+        skew *= math.sqrt(n * (n - 1)) / (n - 2)
     v = s2 / (n - 1)
-    lead = n * (n + 1) / ((n - 1) * (n - 2) * (n - 3))
-    return lead * s4 / (v * v) - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
+    kurt = (n * (n + 1) / ((n - 1) * (n - 2) * (n - 3))) * s4 / (v * v) \
+        - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
+    return (math.ldexp(mean, e) if e < -900 else mean), skew, kurt
 
 
 def moments(sample, adjusted: bool = True) -> MomentSummary:
-    """Sample moments; needs n >= 4 and non-zero variance."""
+    """Sample moments; needs n >= 4 finite values and non-zero variance."""
     y = np.asarray(sample, dtype=float)
     if y.ndim != 1:
         raise ValueError("sample must be one-dimensional")
     n = y.size
     if n < 4:
         raise ValueError(f"need at least 4 observations, got {n}")
-    mean = float(np.mean(y))
-    dev = y - mean
-    spread = float(np.max(np.abs(dev)))
-    if spread == 0.0:
-        raise ValueError("zero-variance sample")
-    # both ratios are scale-free; normalizing keeps tiny-spread samples
-    # away from intermediate underflow
-    dev = dev / spread
-    return MomentSummary(n=n, mean=mean,
-                         skewness=_skewness(dev, n, adjusted),
-                         excess_kurtosis=_excess_kurtosis(dev, n))
+    result = _moment_kernel(y, adjusted)
+    if result is None:
+        raise ValueError("zero-variance or non-finite sample")
+    return MomentSummary(n, *result)
 
 
 def chi_square_critical(df: int, alpha: float = 0.05) -> float:
@@ -159,41 +172,59 @@ class TransformSpec:
 IDENTITY_SPEC = TransformSpec(POWER, 1.0, 1.0)
 
 
+#: below this |l|, l*ln(x) underflows and the power map loses its digits;
+#: its l -> 0 limit ln(x) is then exact to rounding, as |l ln x| < 1e-304
+_LOG_LIMIT = float(np.finfo(float).tiny)
+
+
 def _step1_array(x: np.ndarray, family: str, param: float) -> np.ndarray:
     # expm1/log keeps (x^l - 1)/l accurate down to l -> 0, where the naive
     # power expression loses every significant digit
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if family == LOG10_SHIFT:
             return np.log10(x) + param
-        if param == 0.0:
+        if abs(param) < _LOG_LIMIT:
             return np.log(x)
         return np.expm1(param * np.log(x)) / param
 
 
 def _step2_array(y1: np.ndarray, power: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if power == 0.0:
+        if abs(power) < _LOG_LIMIT:
             return np.log1p(y1)
         return np.expm1(power * np.log1p(y1)) / power
+
+
+def apply_transform_steps_array(x, spec: TransformSpec
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """(y*, y**) for an array of ratios.
+
+    The first ratio outside the domain raises the error that
+    ``apply_transform_steps`` raises for it alone.
+    """
+    arr = np.asarray(x, dtype=float)
+    y1 = _step1_array(arr, spec.step1_family, spec.step1_param)
+    y2 = _step2_array(y1, spec.step2_power)
+    ok = (arr > 0.0) & np.isfinite(y1) & (y1 + 1.0 > 0.0) & np.isfinite(y2)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        rud, y = float(arr[i]), float(y1[i])
+        if not rud > 0.0:
+            raise ValueError(f"ratio must be positive, got {rud}")
+        if not math.isfinite(y):
+            raise ValueError(f"step 1 not finite at ratio {rud}")
+        if y + 1.0 <= 0.0:
+            raise ValueError(
+                f"step 2 domain: y*+1 = {y + 1.0:g} <= 0 at ratio {rud}")
+        raise ValueError(f"step 2 not finite at ratio {rud}")
+    return y1, y2
 
 
 def apply_transform_steps(rud: float, spec: TransformSpec
                           ) -> tuple[float, float]:
     """(y*, y**) for a single ratio value; domain failures raise."""
-    if not rud > 0.0:
-        raise ValueError(f"ratio must be positive, got {rud}")
-    y1 = float(_step1_array(np.asarray([rud], dtype=float),
-                            spec.step1_family, spec.step1_param)[0])
-    if not math.isfinite(y1):
-        raise ValueError(f"step 1 not finite at ratio {rud}")
-    if y1 + 1.0 <= 0.0:
-        raise ValueError(
-            f"step 2 domain: y*+1 = {y1 + 1.0:g} <= 0 at ratio {rud}")
-    y2 = float(_step2_array(np.asarray([y1], dtype=float),
-                            spec.step2_power)[0])
-    if not math.isfinite(y2):
-        raise ValueError(f"step 2 not finite at ratio {rud}")
-    return y1, y2
+    y1, y2 = apply_transform_steps_array([rud], spec)
+    return float(y1[0]), float(y2[0])
 
 
 def apply_transform(rud: float, spec: TransformSpec) -> float:
@@ -202,22 +233,8 @@ def apply_transform(rud: float, spec: TransformSpec) -> float:
 
 
 def apply_transform_array(x, spec: TransformSpec) -> np.ndarray:
-    """Vectorized y**; raises naming the first offending observation."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        i = int(np.argmax(arr <= 0.0))
-        raise ValueError(f"ratio must be positive, got {arr[i]} at index {i}")
-    y1 = _step1_array(arr, spec.step1_family, spec.step1_param)
-    bad = ~np.isfinite(y1) | (y1 + 1.0 <= 0.0)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"step 2 domain violated at index {i} (ratio {arr[i]})")
-    y2 = _step2_array(y1, spec.step2_power)
-    if not np.all(np.isfinite(y2)):
-        i = int(np.argmax(~np.isfinite(y2)))
-        raise ValueError(f"step 2 not finite at index {i} (ratio {arr[i]})")
-    return y2
+    """Vectorized y**; raises naming the first offending ratio."""
+    return apply_transform_steps_array(x, spec)[1]
 
 
 @dataclass(frozen=True)
@@ -256,32 +273,9 @@ class FittedTransform:
     step1_abs_skewness: float
 
 
-def _fast_skew_kurt(y: np.ndarray) -> tuple[float, float] | None:
-    """Adjusted (skewness, excess kurtosis), or None when degenerate."""
-    n = y.size
-    mean = y.mean()
-    dev = y - mean
-    s2 = float(np.dot(dev, dev))
-    if s2 <= 0.0 or not math.isfinite(s2):
-        return None
-    m2 = s2 / n
-    m3 = float(np.mean(dev ** 3))
-    s4 = float(np.sum(dev ** 4))
-    if not (math.isfinite(m3) and math.isfinite(s4)):
-        return None
-    skew = (m3 / m2 ** 1.5) * math.sqrt(n * (n - 1)) / (n - 2)
-    v = s2 / (n - 1)
-    kurt = (n * (n + 1) / ((n - 1) * (n - 2) * (n - 3))) * s4 / (v * v) \
-        - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
-    return skew, kurt
-
-
-def _jb_stat(y: np.ndarray) -> float | None:
-    sk = _fast_skew_kurt(y)
-    if sk is None:
-        return None
-    skew, kurt = sk
-    return y.size * (skew ** 2 / 6.0 + kurt ** 2 / 24.0)
+def _jb(m: tuple[float, float, float], n: int) -> float:
+    _, skew, kurt = m
+    return n * (skew ** 2 / 6.0 + kurt ** 2 / 24.0)
 
 
 def fit_transform_spec(sample, grid: TransformSearchGrid | None = None
@@ -289,74 +283,78 @@ def fit_transform_spec(sample, grid: TransformSearchGrid | None = None
     """Grid-search the two-step transform on a positive ratio sample.
 
     Stage 1 picks the step-1 family and parameter minimizing |skewness| of
-    y* (the log10-shift family's skewness does not depend on c, so its
-    representative is the smallest-|c| value whose shifted output admits a
-    second step).  Stage 2 picks the step-2 power minimizing the JB
+    y*.  The log10-shift family's skewness depends on neither c nor the
+    log's base, so it is scored on ln(y), the very number power 0 scores;
+    its representative is the smallest-|c| value whose shifted output
+    admits a second step.  Stage 2 picks the step-2 power minimizing the JB
     statistic of y**.  Ties break to the smallest |parameter|, then to the
-    log10-shift family.  Candidates whose y* is non-finite, degenerate, or
-    has min(y*)+1 <= 0 (no admissible second step) are skipped.  The result
-    never has a higher JB than the identity map (power 1, power 1).
+    log10-shift family; a step-2 tie keeps the first power in grid order.
+    Candidates whose y* is non-finite, degenerate, or has min(y*)+1 <= 0
+    (no admissible second step) are skipped.  The result never has a
+    higher JB than the identity map (power 1, power 1).
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 1:
         raise ValueError("sample must be one-dimensional")
-    if x.size < 4:
-        raise ValueError(f"need at least 4 observations, got {x.size}")
+    n = x.size
+    if n < 4:
+        raise ValueError(f"need at least 4 observations, got {n}")
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise ValueError("sample values must be positive and finite")
     grid = grid or TransformSearchGrid()
 
-    # (abs_skew, abs_param, family_rank, family, param, y_star)
-    candidates: list[tuple[float, float, int, str, float, np.ndarray]] = []
+    # (abs_skew, abs_param, family_rank, family, param)
+    candidates: list[tuple[float, float, int, str, float]] = []
 
-    log_y = np.log10(x)
+    ln_x = np.log(x)
+    log10_min = float(np.log10(x).min())
     feasible_c = [float(c) for c in grid.c_values()
-                  if float(log_y.min()) + float(c) + 1.0 > 0.0]
+                  if log10_min + float(c) + 1.0 > 0.0]
     if feasible_c:
-        sk = _fast_skew_kurt(log_y)
-        if sk is not None:
+        m = _moment_kernel(ln_x)
+        if m is not None:
             c_rep = min(feasible_c, key=lambda c: (abs(c), c))
-            candidates.append((abs(sk[0]), abs(c_rep), 0,
-                               LOG10_SHIFT, c_rep, log_y + c_rep))
+            candidates.append((abs(m[1]), abs(c_rep), 0, LOG10_SHIFT, c_rep))
 
-    for lam in grid.lam1_values():
-        lam = float(lam)
-        y1 = _step1_array(x, POWER, lam)
-        if not np.all(np.isfinite(y1)) or float(y1.min()) + 1.0 <= 0.0:
-            continue
-        sk = _fast_skew_kurt(y1)
-        if sk is None:
-            continue
-        candidates.append((abs(sk[0]), abs(lam), 1, POWER, lam, y1))
+    with np.errstate(over="ignore"):
+        for lam in grid.lam1_values():
+            lam = float(lam)
+            y1 = ln_x if lam == 0.0 else np.expm1(lam * ln_x) / lam
+            # a NaN or -inf fails the first test, +inf the second
+            if not (float(y1.min()) + 1.0 > 0.0
+                    and math.isfinite(float(y1.max()))):
+                continue
+            m = _moment_kernel(y1)
+            if m is not None:
+                candidates.append((abs(m[1]), abs(lam), 1, POWER, lam))
 
     if not candidates:
         raise ValueError("empty feasible grid for step 1")
 
-    best1 = min(candidates, key=lambda c: (c[0], c[1], c[2]))
-    step1_abs_skew, _, _, family, param, y1 = best1
+    step1_abs_skew, _, _, family, param = min(
+        candidates, key=lambda c: (c[0], c[1], c[2]))
+    log1p_y1 = np.log1p(_step1_array(x, family, param))
 
     best2: tuple[float, float, float] | None = None  # (jb, abs_lam2, lam2)
-    for lam2 in grid.lam2_values():
-        lam2 = float(lam2)
-        y2 = _step2_array(y1, lam2)
-        if not np.all(np.isfinite(y2)):
-            continue
-        jb = _jb_stat(y2)
-        if jb is None or not math.isfinite(jb):
-            continue
-        key = (jb, abs(lam2), lam2)
-        if best2 is None or key[:2] < best2[:2]:
-            best2 = key
+    with np.errstate(over="ignore"):
+        for lam2 in grid.lam2_values():
+            lam2 = float(lam2)
+            y2 = log1p_y1 if lam2 == 0.0 \
+                else np.expm1(lam2 * log1p_y1) / lam2
+            m = _moment_kernel(y2)
+            if m is None:
+                continue
+            jb = _jb(m, n)
+            if best2 is None or (jb, abs(lam2)) < best2[:2]:
+                best2 = (jb, abs(lam2), lam2)
     if best2 is None:
         raise ValueError("empty feasible grid for step 2")
 
-    spec = TransformSpec(family, param, best2[2])
-    jb_fit = best2[0]
-
-    identity_jb = _jb_stat(x - 1.0)
-    if identity_jb is not None and identity_jb < jb_fit:
-        return FittedTransform(spec=IDENTITY_SPEC, jb_statistic=identity_jb,
-                               step1_abs_skewness=abs(
-                                   _fast_skew_kurt(x - 1.0)[0]))
-    return FittedTransform(spec=spec, jb_statistic=jb_fit,
+    identity = _moment_kernel(x - 1.0)
+    if identity is not None and _jb(identity, n) < best2[0]:
+        return FittedTransform(spec=IDENTITY_SPEC,
+                               jb_statistic=_jb(identity, n),
+                               step1_abs_skewness=abs(identity[1]))
+    return FittedTransform(spec=TransformSpec(family, param, best2[2]),
+                           jb_statistic=best2[0],
                            step1_abs_skewness=step1_abs_skew)

@@ -314,7 +314,7 @@ def export_choropleth(entries: Sequence[LqEntry], breaks: ClassBreaks,
         skipped = []
         isos = sorted(by_iso)
 
-    with open(csv_path, "w", newline="") as fh:
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(("country", "lq", "class_index"))
         for iso in isos:
@@ -339,7 +339,7 @@ def export_choropleth(entries: Sequence[LqEntry], breaks: ClassBreaks,
         })
     doc = {"type": "FeatureCollection", "features": features,
            "skipped": skipped}
-    with open(geojson_path, "w") as fh:
+    with open(geojson_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
     return skipped

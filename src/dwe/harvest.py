@@ -498,7 +498,8 @@ def harvest_directory(directory: str, style: str, journal: str,
     article-card text.  Files are visited in sorted name order and ids are
     assigned sequentially from ``first_id``, so a rerun over the same tree
     is identical.  Returns (rows, skipped) where skipped pairs each failed
-    file with the reason.
+    file with the reason: a parse error, a file that is not UTF-8, or one
+    that cannot be read.
     """
     rows: list[RawRecord] = []
     skipped: list[tuple[str, str]] = []
@@ -513,10 +514,13 @@ def harvest_directory(directory: str, style: str, journal: str,
                                                lookup))
                 next_id += 1
             else:
-                for card in parse_article_cards(path.read_text()):
+                text = path.read_text(encoding="utf-8")
+                for card in parse_article_cards(text):
                     rows.append(card_to_raw_record(card, next_id, journal,
                                                    style, lookup))
                     next_id += 1
         except ValueError as exc:
             skipped.append((rel, str(exc)))
+        except OSError as exc:
+            skipped.append((rel, f"unreadable: {exc.strerror or exc}"))
     return rows, skipped

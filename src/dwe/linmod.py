@@ -565,7 +565,7 @@ class RollReport:
                    "stars", "marker", "n")
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(self.CSV_COLUMNS)
             for r in self.rows:
@@ -575,7 +575,7 @@ class RollReport:
 
     @classmethod
     def from_csv(cls, path: str) -> "RollReport":
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(header) != cls.CSV_COLUMNS:

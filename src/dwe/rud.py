@@ -141,7 +141,7 @@ RUD_CSV_COLUMNS = ("article_id", "scope", "year", "week", "weekday",
 
 
 def write_rud_csv(observations: Iterable[RudObservation], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(RUD_CSV_COLUMNS)
         for o in observations:
@@ -151,7 +151,7 @@ def write_rud_csv(observations: Iterable[RudObservation], path: str) -> None:
 
 def read_rud_csv(path: str) -> list[dict]:
     """Read back the numeric columns of a RUD CSV (no feature snapshot)."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != RUD_CSV_COLUMNS:
@@ -172,12 +172,12 @@ def attach_transform(observations: Iterable[RudObservation],
     """Return copies with y_star / y_star_star filled from ``spec``.
 
     ``spec`` is a diststat.TransformSpec; imported lazily to keep this module
-    free of the numerics stack.
+    free of the numerics stack.  A ratio outside the transform's domain
+    raises the ValueError of the first such observation.
     """
-    from .diststat import apply_transform_steps
+    from .diststat import apply_transform_steps_array
 
-    out = []
-    for o in observations:
-        y1, y2 = apply_transform_steps(o.rud, spec)
-        out.append(replace(o, y_star=y1, y_star_star=y2))
-    return out
+    observations = list(observations)
+    y1, y2 = apply_transform_steps_array([o.rud for o in observations], spec)
+    return [replace(o, y_star=a, y_star_star=b)
+            for o, a, b in zip(observations, y1.tolist(), y2.tolist())]

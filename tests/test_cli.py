@@ -1,6 +1,9 @@
 """End-to-end command-line behavior on small fixture corpora."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,6 +176,29 @@ class TestPipeline:
         assert all(s["status"] == "ok" for s in report["stages"])
         assert report["config_sha256"]
         assert not (out / "FAILED").exists()
+
+    def test_file_io_ignores_the_locale(self, tmp_path, corpus_csv):
+        # under warn_default_encoding, an open() that would fall back to
+        # the locale's encoding raises instead
+        arch = tmp_path / "arch"
+        arch.mkdir()
+        (arch / "batch1.txt").write_text(CARDS, encoding="utf-8")
+        cfg = self.write_config(
+            tmp_path, corpus_csv,
+            "clean, rud, normality, transform, regress, panel, lq",
+            extra="panel_from = 2005-01-01\npanel_to = 2006-12-31\n"
+                  "panel_top = 5\n")
+        src = str(Path(cli.__file__).parents[1])
+        for argv in (["pipeline", "--config", cfg],
+                     ["harvest", "--style", "physica-like", "--in", arch,
+                      "--journal", "testj", "--out", tmp_path / "h.csv"]):
+            proc = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding",
+                 "-W", "error::EncodingWarning", "-m", "dwe.cli",
+                 *map(str, argv)],
+                capture_output=True, text=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": src})
+            assert proc.returncode == 0, proc.stderr
 
     def test_byte_identical_reruns(self, tmp_path, corpus_csv):
         cfg = self.write_config(tmp_path, corpus_csv,

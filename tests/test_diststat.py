@@ -1,6 +1,8 @@
 """Moments, JB, chi-square, and the two-step transform search."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import scipy.stats
 from hypothesis import assume, given, settings, strategies as st
 
 from dwe import diststat
+from reference_transform_search import reference_fit
 
 # Published (skewness, excess kurtosis, N, statistic) check rows for the
 # JB formula; the statistic column carries the original 2-decimal rounding,
@@ -37,11 +40,15 @@ class TestMoments:
                     max_size=120))
     def test_matches_scipy_bias_corrected(self, xs):
         assume(len(set(xs)) > 1)
-        import warnings
+        # scipy's fourth powers of deviations below ~1e-77 go subnormal and
+        # lose digits; both statistics are scale-free, so a tiny sample
+        # reaches it scaled up by an exact power of two
+        e = math.frexp(max(abs(v) for v in xs))[1]
+        scaled = [math.ldexp(v, -e) for v in xs] if e < 0 else xs
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            ref_skew = scipy.stats.skew(xs, bias=False)
-            ref_kurt = scipy.stats.kurtosis(xs, bias=False, fisher=True)
+            ref_skew = scipy.stats.skew(scaled, bias=False)
+            ref_kurt = scipy.stats.kurtosis(scaled, bias=False, fisher=True)
         # the reference itself underflows on pathological spreads
         assume(math.isfinite(ref_skew) and math.isfinite(ref_kurt))
         m = diststat.moments(xs)
@@ -166,6 +173,17 @@ class TestApplyTransform:
             assume(False)
         assert (fa < fb) == (a < b)
 
+    @pytest.mark.parametrize("p1,p2", [(5e-324, 1.5), (1.5, -5e-324)])
+    def test_subnormal_power_takes_the_log_limit(self, p1, p2):
+        # l * ln(x) underflows, so (x^l - 1)/l computed as written is 0 for
+        # every x; the l -> 0 limit is exact to rounding instead
+        spec = diststat.TransformSpec("power", p1, p2)
+        limit = diststat.TransformSpec("power", p1 if abs(p1) > 1 else 0.0,
+                                       p2 if abs(p2) > 1 else 0.0)
+        for y in (0.5, 1.0, 2.0):
+            assert diststat.apply_transform(y, spec) \
+                == diststat.apply_transform(y, limit)
+
     def test_domain_error_names_value(self):
         spec = diststat.TransformSpec(step1_family="log10-shift",
                                       step1_param=-2.0, step2_power=1.0)
@@ -229,3 +247,153 @@ class TestFitTransform:
     def test_too_small_sample_rejected(self):
         with pytest.raises(ValueError):
             diststat.fit_transform_spec([1.0, 2.0, 3.0])
+
+
+def _exact_skew_kurt(xs):
+    """Adjusted skewness and excess kurtosis in exact rational arithmetic."""
+    fs = [Fraction(v) for v in xs]
+    n = len(fs)
+    mean = sum(fs) / n
+    dev = [f - mean for f in fs]
+    s2 = sum(d * d for d in dev)
+    s3 = sum(d ** 3 for d in dev)
+    s4 = sum(d ** 4 for d in dev)
+    g1 = math.sqrt((s3 / n) ** 2 / (s2 / n) ** 3) * (1 if s3 > 0 else -1)
+    kurt = Fraction(n * (n + 1), (n - 1) * (n - 2) * (n - 3)) \
+        * s4 / (s2 / (n - 1)) ** 2 \
+        - Fraction(3 * (n - 1) ** 2, (n - 2) * (n - 3))
+    return g1 * math.sqrt(n * (n - 1)) / (n - 2), float(kurt)
+
+
+class TestMomentKernel:
+    def test_huge_outlier_neither_warns_nor_overflows(self):
+        rng = np.random.default_rng(11)
+        x = np.append(np.exp(rng.normal(0.0, 0.5, size=200)), 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = diststat.moments(x)
+            _, skew, kurt = diststat._moment_kernel(x)
+            fit = diststat.fit_transform_spec(x)
+        # the search scores with the same kernel moments() reports
+        assert (skew, kurt) == (m.skewness, m.excess_kurtosis)
+        ref_skew, ref_kurt = _exact_skew_kurt(x)
+        assert m.skewness == pytest.approx(ref_skew, rel=1e-12)
+        assert m.excess_kurtosis == pytest.approx(ref_kurt, rel=1e-12)
+        assert math.isfinite(fit.jb_statistic)
+
+    @pytest.mark.parametrize("tiny", [5e-324, 4.0678178479046964e-79])
+    def test_tiny_sample_keeps_its_digits(self, tiny):
+        xs = [0.0, 0.0, 0.0, 0.0, tiny]
+        m = diststat.moments(xs)
+        ref_skew, ref_kurt = _exact_skew_kurt(xs)
+        assert m.skewness == pytest.approx(ref_skew, rel=1e-12)
+        assert m.excess_kurtosis == pytest.approx(ref_kurt, rel=1e-12)
+
+    def test_unadjusted_skewness_is_g1(self):
+        xs = [0.5, 1.0, 1.5, 4.0, 9.0]
+        adj = diststat.moments(xs)
+        raw = diststat.moments(xs, adjusted=False)
+        n = len(xs)
+        assert raw.skewness * math.sqrt(n * (n - 1)) / (n - 2) \
+            == pytest.approx(adj.skewness, rel=1e-14)
+        assert raw.excess_kurtosis == adj.excess_kurtosis
+
+    def test_non_finite_sample_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            diststat.moments([1.0, 2.0, 3.0, float("inf")])
+
+
+# Ratios on a 0.01 lattice in [0.01, 20], free and with repeats
+_lattice = st.integers(min_value=1, max_value=2000).map(lambda k: k / 100)
+_ratio_samples = st.one_of(
+    st.lists(_lattice, min_size=8, max_size=400),
+    st.lists(_lattice, min_size=2, max_size=12, unique=True).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=8,
+                              max_size=400)))
+
+
+def _reference(xs):
+    with np.errstate(all="ignore"):
+        return reference_fit(xs, log10_on_ln=True)
+
+
+class TestSearchMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(_ratio_samples)
+    def test_same_spec_and_jb(self, xs):
+        assume(len(set(xs)) > 1)
+        ref, margin = _reference(xs)
+        got = diststat.fit_transform_spec(xs)
+        if margin > 1e-9:
+            assert got.spec == ref.spec
+            # the two sum the same moments in another order; near JB = 0
+            # the few-ulp absolute error of each moment dominates
+            assert got.jb_statistic == pytest.approx(ref.jb_statistic,
+                                                     rel=1e-12, abs=1e-14)
+        else:
+            # Candidates within rounding of each other: a two-valued sample
+            # keeps its skewness and JB under every monotone map, and at
+            # the ends of the lambda1 grid all but the top values flatten
+            # together.  The last bits choose in either search, among
+            # candidates that score alike.
+            assert got.jb_statistic == pytest.approx(ref.jb_statistic,
+                                                     rel=1e-9)
+
+    def test_synthetic_corpus_ratios(self, synth_corpus):
+        from dwe import rud
+        xs = [o.rud for o in rud.build_rud_dataset(synth_corpus)]
+        ref, margin = _reference(xs)
+        got = diststat.fit_transform_spec(xs)
+        assert margin > 1e-9
+        assert got.spec == ref.spec
+        assert got.jb_statistic == pytest.approx(ref.jb_statistic, rel=1e-12)
+
+
+class TestTieBreaks:
+    # {1, 2, 1, 2}: every step-1 map sends 1 to 0, so y* is {0, v, 0, v} and
+    # the normalized deviations are exactly -1, 1, -1, 1 for every v; every
+    # candidate of both steps has |skew| = 0 and the same JB, bit for bit
+    SAMPLE = [1.0, 2.0, 1.0, 2.0]
+
+    def test_all_candidates_tie_exactly(self):
+        x = np.asarray(self.SAMPLE)
+        scores = {diststat._moment_kernel(diststat._step2_array(
+            diststat._step1_array(x, fam, p1), p2))[1:]
+            for fam, p1 in (("log10-shift", 0.0), ("power", 0.0),
+                            ("power", 2.5), ("power", -7.0))
+            for p2 in (-2.0, 0.0, 1.0, 3.0)}
+        assert len(scores) == 1
+        skew, kurt = scores.pop()
+        assert abs(skew) == 0.0
+        assert kurt == pytest.approx(-6.0, rel=1e-15)
+
+    def test_default_grid(self):
+        fit = diststat.fit_transform_spec(self.SAMPLE)
+        # step 1: |param| 0 for log10 c=0 and power l1=0; the log10 family
+        # ranks first.  Step 2: the smallest |l2| wins.
+        assert fit.spec == diststat.TransformSpec("log10-shift", 0.0, 0.0)
+        assert fit.jb_statistic == pytest.approx(6.0, rel=1e-15)
+
+    def test_log10_shift_and_power_zero_tie_exactly(self):
+        # their skewness is one number in exact arithmetic, so both are
+        # scored on ln(x) and the rule, not the last bit, picks the family
+        xs = [0.61, 1.15, 2.01, 2.67, 8.88, 9.97, 1.24, 2.24, 2.45, 3.4,
+              5.07, 3.8]
+        fit = diststat.fit_transform_spec(xs)
+        assert fit.spec.step1_family == "log10-shift"
+        assert fit.spec.step1_param == 0.0
+        assert fit.step1_abs_skewness == abs(
+            diststat._moment_kernel(np.log(xs))[1])
+        no_zero_c = diststat.TransformSearchGrid(c_min=0.05, c_max=0.1)
+        fit = diststat.fit_transform_spec(xs, no_zero_c)
+        assert (fit.spec.step1_family, fit.spec.step1_param) \
+            == ("power", 0.0)
+
+    def test_smaller_param_then_first_in_grid_order(self):
+        grid = diststat.TransformSearchGrid(c_min=0.05, c_max=0.1,
+                                            lam2_min=-0.5, lam2_max=0.5,
+                                            lam2_step=1.0)
+        fit = diststat.fit_transform_spec(self.SAMPLE, grid)
+        # step 1: power l1=0 (|param| 0) beats log10 c=0.05.  Step 2:
+        # -0.5 and 0.5 tie on (JB, |l2|), so the first in grid order stays.
+        assert fit.spec == diststat.TransformSpec("power", 0.0, -0.5)

@@ -1,6 +1,7 @@
 """History strings, page ranges, country resolution, JATS, card files."""
 
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -246,6 +247,35 @@ class TestHarvestDirectory:
         assert rows[0].received == date(2006, 8, 7)
         assert rows[1].country == "IT"
         assert len(skipped) == 1 and skipped[0][0] == "broken.xml"
+
+    def test_unreadable_file_is_skipped(self, tmp_path, country_table,
+                                        monkeypatch):
+        # the suite may run as root, which chmod cannot lock out
+        (tmp_path / "a.txt").write_text(CARDS, encoding="utf-8")
+        (tmp_path / "b.txt").write_text(CARDS, encoding="utf-8")
+        (tmp_path / "c.xml").write_text(JATS_OK, encoding="utf-8")
+        real_read_text = Path.read_text
+
+        def read_text(self, *args, **kwargs):
+            if self.name == "a.txt":
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", read_text)
+        lookup = harvest.build_name_lookup(country_table)
+        rows, skipped = harvest.harvest_directory(
+            str(tmp_path), "physica-like", "j", lookup)
+        assert skipped == [("a.txt", "unreadable: Permission denied")]
+        assert [r.id for r in rows] == [1, 2, 3]
+
+    def test_non_utf8_card_file_is_skipped(self, tmp_path, country_table):
+        (tmp_path / "a.txt").write_bytes(CARDS.encode("utf-8") + b"\xff\xfe")
+        (tmp_path / "b.txt").write_text(CARDS, encoding="utf-8")
+        lookup = harvest.build_name_lookup(country_table)
+        rows, skipped = harvest.harvest_directory(
+            str(tmp_path), "physica-like", "j", lookup)
+        assert [name for name, _ in skipped] == ["a.txt"]
+        assert len(rows) == 2
 
     def test_deterministic(self, tmp_path, country_table):
         (tmp_path / "x.txt").write_text(CARDS)

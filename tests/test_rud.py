@@ -1,6 +1,7 @@
 """Weekly concentration ratio: worked-example oracle and invariants."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -123,3 +124,35 @@ class TestCsv:
         for o in out:
             assert o.y_star is not None and o.y_star_star is not None
             assert math.isfinite(o.y_star_star)
+
+    @pytest.mark.parametrize("spec_args", [("power", 0.95, 0.55),
+                                           ("log10-shift", 0.2, 1.82),
+                                           ("power", 1.5, -0.5)])
+    def test_attach_transform_equals_per_value_steps(self, synth_corpus,
+                                                     spec_args):
+        from dwe import diststat
+        spec = diststat.TransformSpec(*spec_args)
+        obs = rud.build_rud_dataset(synth_corpus, rud.CONSOLIDATED)
+        out = rud.attach_transform(obs, spec)
+        assert [(o.y_star, o.y_star_star) for o in out] \
+            == [diststat.apply_transform_steps(o.rud, spec) for o in obs]
+        assert [replace(o, y_star=None, y_star_star=None)
+                for o in out] == obs
+
+    @pytest.mark.parametrize("bad,first", [((0.2, -1.0), 0.2),
+                                           ((-1.0, 0.2), -1.0),
+                                           ((float("nan"), 0.2), "nan")])
+    def test_attach_transform_raises_for_first_bad_ratio(self, sample_corpus,
+                                                         bad, first):
+        from dwe import diststat
+        # log10(r) - 0.7 + 1 <= 0 for r <= 0.5
+        spec = diststat.TransformSpec("log10-shift", -0.7, 0.5)
+        obs = rud.build_rud_dataset(sample_corpus, rud.CONSOLIDATED)
+        obs = [replace(o, rud=max(o.rud, 1.0)) for o in obs]
+        obs[3] = replace(obs[3], rud=bad[0])
+        obs[5] = replace(obs[5], rud=bad[1])
+        with pytest.raises(ValueError) as scalar:
+            diststat.apply_transform_steps(float(first), spec)
+        with pytest.raises(ValueError) as vector:
+            rud.attach_transform(obs, spec)
+        assert str(vector.value) == str(scalar.value)
