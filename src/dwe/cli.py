@@ -453,7 +453,8 @@ def run_pipeline(config: RunConfig) -> int:
                      for r in c.records], str(path))
                 rep_path = out / "cleaning_report.json"
                 with open(rep_path, "w", encoding="utf-8") as fh:
-                    json.dump({"kept": len(c.records),
+                    json.dump({"input": len(corpus_rows()),
+                               "kept": len(c.records),
                                "dropped": dict(c.cleaning_report)},
                               fh, sort_keys=True, indent=2)
                     fh.write("\n")
