@@ -1,16 +1,20 @@
 """Command-line interface.
 
-Subcommands cover the full path from archived files to analysis tables:
+Each stage is one entry of the ordered ``STAGES`` table: its name, the
+config keys it reads, the files it writes and one ``run(ctx)``.
 
     harvest    parse an archive directory into a corpus CSV
     clean      validate a corpus CSV, drop bad rows, write the report
     rud        per-article weekly ratios for a grouping scope
-    normality  moment/JB report over a ratio CSV
+    normality  moment/JB report over the ratios
     transform  fit the two-step normality transform per scope
     regress    OLS/robust model ladder over year windows
     panel      random-effects EGLS over the daily country panel
     lq         localization quotients, natural breaks, choropleth export
-    pipeline   run stages from a config file with one report
+
+``dwe pipeline --config run.cfg`` runs the configured stages in table
+order and writes one report; ``dwe <stage> ...`` runs one stage from
+flags whose destinations are its config keys and prints its summary.
 
 Outputs carry no timestamps; identical inputs and configuration produce
 byte-identical files.
@@ -19,6 +23,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -26,31 +31,10 @@ import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
+from typing import Callable, Mapping
 
 from . import __version__, corpus as corpus_mod, diststat, geo, harvest, \
     linmod, panel as panel_mod, rud as rud_mod
-
-
-def _echo(*parts) -> None:
-    print(*parts)
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-# -- shared loading helpers -------------------------------------------------
-
-def _load_countries(path: str | None):
-    if path is None or path == "builtin":
-        return corpus_mod.load_default_countries()
-    return corpus_mod.read_countries_cfg(path)
-
-
-def _load_clean_corpus(corpus_path: str, countries) -> corpus_mod.Corpus:
-    rows = corpus_mod.read_corpus_csv(corpus_path)
-    return corpus_mod.clean_corpus(rows, countries)
 
 
 def _parse_models(text: str) -> tuple[str, ...]:
@@ -97,7 +81,7 @@ def _year_span(c: corpus_mod.Corpus) -> tuple[int, int]:
     return (min(years), max(years))
 
 
-# -- transform spec cfg -----------------------------------------------------
+# -- output files -----------------------------------------------------------
 
 def write_transform_cfg(fits: dict[str, diststat.FittedTransform],
                         path: str) -> None:
@@ -134,56 +118,180 @@ def read_transform_cfg(path: str) -> dict[str, diststat.TransformSpec]:
     return specs
 
 
-# -- subcommands ------------------------------------------------------------
+def write_panel_csv(fit: panel_mod.PanelFit, path: str) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(("term", "coefficient", "std_error", "t_stat",
+                    "p_value", "stars"))
+        for j, term in enumerate(fit.columns):
+            w.writerow((term, repr(float(fit.coefficients[j])),
+                        repr(float(fit.standard_errors[j])),
+                        repr(float(fit.t_stats[j])),
+                        repr(float(fit.p_values[j])), fit.stars[j]))
+        summary = (("_adjusted_r2", fit.adjusted_r_squared),
+                   ("_sigma2_country", fit.sigma2_country),
+                   ("_sigma2_idio", fit.sigma2_idio),
+                   ("_rho_share", fit.rho_share),
+                   ("_rho_ratio", fit.rho_ratio),
+                   ("_n_cells", fit.n_cells),
+                   ("_n_countries", fit.n_countries),
+                   ("_clamped", int(fit.clamped)))
+        for key, value in summary:
+            w.writerow((key, repr(float(value)), "", "", "", ""))
+        for iso in sorted(fit.theta):
+            w.writerow((f"_theta_{iso}", repr(float(fit.theta[iso])),
+                        "", "", "", ""))
+        for name in fit.dropped_columns:
+            w.writerow((f"_dropped_{name}", "", "", "", "", ""))
 
-def cmd_harvest(args) -> int:
-    countries = _load_countries(args.countries)
-    lookup = harvest.build_name_lookup(countries)
+
+# -- run context ------------------------------------------------------------
+
+class RunContext:
+    """What the stages of one run share.
+
+    ``config`` maps config keys to their string values.  ``paths`` maps
+    each stage output file name to where it is written, or to None when
+    this run does not write it.  ``rud_csv`` and ``first_id`` are inputs
+    only the subcommands give.  The countries, corpus rows, cleaned corpus
+    and ratio observations load on first use and are kept for the later
+    stages.
+    """
+
+    def __init__(self, config: Mapping[str, str],
+                 paths: Mapping[str, str | None],
+                 rud_csv: str | None = None, first_id: int = 1) -> None:
+        self.config = config
+        self.paths = paths
+        self.rud_csv = rud_csv
+        self.first_id = first_id
+        self.corpus_rows: list[corpus_mod.RawRecord] | None = None
+        self.fitted_specs: dict[str, diststat.TransformSpec] | None = None
+        self._countries = None
+        self._cleaned: corpus_mod.Corpus | None = None
+        self._rud: list[rud_mod.RudObservation] | None = None
+
+    def get(self, key: str, default: str | None = None) -> str | None:
+        return self.config.get(key, default)
+
+    def need(self, stage: str, *keys: str) -> None:
+        for key in keys:
+            if not self.get(key):
+                raise ValueError(f"{stage} stage needs {key}")
+
+    @property
+    def countries(self):
+        if self._countries is None:
+            path = self.get("countries", "builtin")
+            self._countries = corpus_mod.load_default_countries() \
+                if path == "builtin" else corpus_mod.read_countries_cfg(path)
+        return self._countries
+
+    def rows(self) -> list[corpus_mod.RawRecord]:
+        """The corpus: a harvest stage's records, else the corpus file."""
+        if self.corpus_rows is None:
+            src = self.get("corpus")
+            if src is None:
+                raise ValueError("no corpus available: configure "
+                                 "`corpus` or a harvest stage")
+            self.corpus_rows = corpus_mod.read_corpus_csv(src)
+        return self.corpus_rows
+
+    def cleaned(self) -> corpus_mod.Corpus:
+        if self._cleaned is None:
+            countries = self.countries
+            self._cleaned = corpus_mod.clean_corpus(self.rows(), countries)
+        return self._cleaned
+
+    def rud(self) -> list[rud_mod.RudObservation]:
+        if self._rud is None:
+            self._rud = rud_mod.build_rud_dataset(
+                self.cleaned(), self.get("scope", rud_mod.CONSOLIDATED))
+        return self._rud
+
+    def ratios_by_scope(self) -> dict[str, list[float]]:
+        """The ratios grouped by scope, in scope order: from ``rud_csv``
+        when given, else from this run's observations."""
+        if self.rud_csv is not None:
+            rows = rud_mod.read_rud_csv(self.rud_csv)
+            if not rows:
+                raise ValueError(f"{self.rud_csv}: no observations")
+            pairs = ((row["scope"], row["rud"]) for row in rows)
+        else:
+            pairs = ((o.scope, o.rud) for o in self.rud())
+        by_scope: dict[str, list[float]] = {}
+        for scope, value in pairs:
+            by_scope.setdefault(scope, []).append(value)
+        return dict(sorted(by_scope.items()))
+
+    def transform_specs(self) -> dict[str, diststat.TransformSpec] | None:
+        """The configured transform.cfg, else the specs a transform stage
+        fitted in this run, else None (each scope fits its own)."""
+        tr = self.get("transform")
+        if not tr or tr == "fit":
+            return self.fitted_specs
+        return read_transform_cfg(tr)
+
+
+# -- stages -----------------------------------------------------------------
+# Each run(ctx) writes the files whose paths ctx gives and returns the
+# paths written and the summary the subcommand prints.
+
+StageResult = tuple[list[str], str]
+
+
+def _run_harvest(ctx: RunContext) -> StageResult:
+    ctx.need("harvest", "harvest_in", "harvest_style", "harvest_journal")
+    in_dir = ctx.get("harvest_in")
+    lookup = harvest.build_name_lookup(ctx.countries)
     rows, skipped = harvest.harvest_directory(
-        args.in_dir, args.style, args.journal, lookup,
-        first_id=args.first_id)
-    corpus_mod.write_corpus_csv(rows, args.out)
-    _echo(f"harvested {len(rows)} records from {args.in_dir} -> {args.out}")
-    for name, reason in skipped:
-        _echo(f"skipped {name}: {reason}")
-    return 0
+        in_dir, ctx.get("harvest_style"), ctx.get("harvest_journal"),
+        lookup, first_id=ctx.first_id)
+    ctx.corpus_rows = rows
+    out = ctx.paths["corpus.csv"]
+    corpus_mod.write_corpus_csv(rows, out)
+    written = [out]
+    skip_path = ctx.paths.get("harvest_skipped.txt")
+    if skip_path:
+        with open(skip_path, "w", encoding="utf-8") as fh:
+            for name, reason in skipped:
+                fh.write(f"{name}\t{reason}\n")
+        written.append(skip_path)
+    lines = [f"harvested {len(rows)} records from {in_dir} -> {out}"]
+    lines += [f"skipped {name}: {reason}" for name, reason in skipped]
+    return written, "\n".join(lines)
 
 
-def cmd_clean(args) -> int:
-    countries = _load_countries(args.countries)
-    rows = corpus_mod.read_corpus_csv(args.in_path)
-    cleaned = corpus_mod.clean_corpus(rows, countries)
+def _run_clean(ctx: RunContext) -> StageResult:
+    c = ctx.cleaned()
+    out = ctx.paths["cleaned.csv"]
     corpus_mod.write_corpus_csv(
-        [corpus_mod.raw_from_article(r.article) for r in cleaned.records],
-        args.out)
-    report = {"input": len(rows), "kept": len(cleaned.records),
-              "dropped": dict(cleaned.cleaning_report)}
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        [corpus_mod.raw_from_article(r.article) for r in c.records], out)
+    written = [out]
+    report = {"input": len(ctx.rows()), "kept": len(c.records),
+              "dropped": dict(c.cleaning_report)}
+    report_path = ctx.paths.get("cleaning_report.json")
+    if report_path:
+        with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    _echo(f"kept {report['kept']}/{report['input']} records; dropped "
-          + ", ".join(f"{k}={v}" for k, v in
-                      sorted(report["dropped"].items())))
-    return 0
+        written.append(report_path)
+    dropped = ", ".join(f"{k}={v}"
+                        for k, v in sorted(report["dropped"].items()))
+    return written, (f"kept {report['kept']}/{report['input']} records; "
+                     f"dropped {dropped}")
 
 
-def cmd_rud(args) -> int:
-    countries = _load_countries(args.countries)
-    c = _load_clean_corpus(args.in_path, countries)
-    observations = rud_mod.build_rud_dataset(c, args.scope)
-    rud_mod.write_rud_csv(observations, args.out)
-    _echo(f"wrote {len(observations)} ratio observations -> {args.out}")
-    return 0
+def _run_rud(ctx: RunContext) -> StageResult:
+    observations = ctx.rud()
+    out = ctx.paths["rud.csv"]
+    rud_mod.write_rud_csv(observations, out)
+    return [out], f"wrote {len(observations)} ratio observations -> {out}"
 
 
-def _normality_report(rows: list[dict]) -> str:
+def _run_normality(ctx: RunContext) -> StageResult:
     lines = []
-    by_scope: dict[str, list[float]] = {}
-    for row in rows:
-        by_scope.setdefault(row["scope"], []).append(row["rud"])
-    for scope in sorted(by_scope):
-        values = by_scope[scope]
+    for scope, values in ctx.ratios_by_scope().items():
         lines.append(f"scope={scope} n={len(values)}")
         for label, sample in (("raw", values),
                               ("log10", [math.log10(v) for v in values])):
@@ -194,131 +302,122 @@ def _normality_report(rows: list[dict]) -> str:
                 f"kurt={m.excess_kurtosis:.6f} jb={jb.statistic:.4f} "
                 f"crit={jb.critical_value} "
                 f"{'reject' if jb.reject_null else 'accept'}")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines)
+    out = ctx.paths.get("normality.txt")
+    if not out:
+        return [], text
+    Path(out).write_text(text + "\n", encoding="utf-8")
+    return [out], text
 
 
-def cmd_normality(args) -> int:
-    rows = rud_mod.read_rud_csv(args.test)
-    if not rows:
-        return _fail(f"{args.test}: no observations")
-    sys.stdout.write(_normality_report(rows))
-    return 0
-
-
-def cmd_transform(args) -> int:
-    rows = rud_mod.read_rud_csv(args.fit)
-    if not rows:
-        return _fail(f"{args.fit}: no observations")
-    by_scope: dict[str, list[float]] = {}
-    for row in rows:
-        by_scope.setdefault(row["scope"], []).append(row["rud"])
+def _run_transform(ctx: RunContext) -> StageResult:
     fits = {scope: diststat.fit_transform_spec(values)
-            for scope, values in sorted(by_scope.items())}
-    write_transform_cfg(fits, args.out)
-    for scope, f in sorted(fits.items()):
-        _echo(f"{scope}: {f.spec.describe()}  jb={f.jb_statistic:.4f}")
-    return 0
+            for scope, values in ctx.ratios_by_scope().items()}
+    ctx.fitted_specs = {scope: f.spec for scope, f in fits.items()}
+    out = ctx.paths["transform.cfg"]
+    write_transform_cfg(fits, out)
+    return [out], "\n".join(
+        f"{scope}: {f.spec.describe()}  jb={f.jb_statistic:.4f}"
+        for scope, f in fits.items())
 
 
-def cmd_regress(args) -> int:
-    countries = _load_countries(args.countries)
-    c = _load_clean_corpus(args.in_path, countries)
-    models = _parse_models(args.models)
-    windows = _parse_windows(args.windows, _year_span(c))
-    specs = None
-    if args.transform and args.transform != "fit":
-        specs = read_transform_cfg(args.transform)
-    scopes = None if args.scope == "all" else [args.scope]
+def _run_regress(ctx: RunContext) -> StageResult:
+    c = ctx.cleaned()
+    models = _parse_models(ctx.get("models", "M1..M9"))
+    windows = _parse_windows(ctx.get("windows", "default"), _year_span(c))
+    specs = ctx.transform_specs()
+    scope = ctx.get("scope", "all")
     report = linmod.roll_window_run(
-        c, windows=windows, model_ids=models, method=args.method,
-        scopes=scopes, transform_specs=specs)
-    report.to_csv(args.out)
-    _echo(f"wrote {len(report.rows)} result rows -> {args.out}")
-    return 0
+        c, windows=windows, model_ids=models,
+        method=ctx.get("method", "ols"),
+        scopes=None if scope == "all" else [scope], transform_specs=specs)
+    out = ctx.paths["regress.csv"]
+    report.to_csv(out)
+    return [out], f"wrote {len(report.rows)} result rows -> {out}"
 
 
-PANEL_SUMMARY_ORDER = ("_adjusted_r2", "_sigma2_country", "_sigma2_idio",
-                       "_rho_share", "_rho_ratio", "_n_cells",
-                       "_n_countries", "_clamped")
-
-
-def write_panel_csv(fit: panel_mod.PanelFit, path: str) -> None:
-    import csv as _csv
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh)
-        w.writerow(("term", "coefficient", "std_error", "t_stat",
-                    "p_value", "stars"))
-        for j, term in enumerate(fit.columns):
-            w.writerow((term, repr(float(fit.coefficients[j])),
-                        repr(float(fit.standard_errors[j])),
-                        repr(float(fit.t_stats[j])),
-                        repr(float(fit.p_values[j])), fit.stars[j]))
-        summary = {
-            "_adjusted_r2": fit.adjusted_r_squared,
-            "_sigma2_country": fit.sigma2_country,
-            "_sigma2_idio": fit.sigma2_idio,
-            "_rho_share": fit.rho_share,
-            "_rho_ratio": fit.rho_ratio,
-            "_n_cells": fit.n_cells,
-            "_n_countries": fit.n_countries,
-            "_clamped": int(fit.clamped),
-        }
-        for key in PANEL_SUMMARY_ORDER:
-            w.writerow((key, repr(float(summary[key])), "", "", "", ""))
-        for iso in sorted(fit.theta):
-            w.writerow((f"_theta_{iso}", repr(float(fit.theta[iso])),
-                        "", "", "", ""))
-        for name in fit.dropped_columns:
-            w.writerow((f"_dropped_{name}", "", "", "", "", ""))
-
-
-def cmd_panel(args) -> int:
-    countries = _load_countries(args.countries)
-    c = _load_clean_corpus(args.in_path, countries)
+def _run_panel(ctx: RunContext) -> StageResult:
+    c = ctx.cleaned()
+    ctx.need("panel", "panel_from", "panel_to")
     data = panel_mod.build_panel(
-        c, start=date.fromisoformat(args.from_date),
-        end=date.fromisoformat(args.to_date), top_n=args.top,
-        scope=args.scope)
-    fit = panel_mod.re_egls_fit(data, weighted=args.weighted,
-                                weight_mode=args.weight_mode,
-                                trend_base=args.trend_base)
-    write_panel_csv(fit, args.out)
-    _echo(f"panel: {fit.n_cells} cells, {fit.n_countries} countries, "
-          f"rho_share={fit.rho_share:.6f}"
-          + (" (country variance clamped to 0)" if fit.clamped else ""))
-    _echo(f"wrote -> {args.out}")
-    return 0
+        c, start=date.fromisoformat(ctx.get("panel_from")),
+        end=date.fromisoformat(ctx.get("panel_to")),
+        top_n=int(ctx.get("panel_top", "11")),
+        scope=ctx.get("scope", rud_mod.CONSOLIDATED))
+    fit = panel_mod.re_egls_fit(
+        data, weighted=ctx.get("panel_weighted", "false").lower() == "true",
+        weight_mode=ctx.get("panel_weight_mode", "multiply"),
+        trend_base=ctx.get("trend_base", "log10"))
+    out = ctx.paths["panel.csv"]
+    write_panel_csv(fit, out)
+    clamped = " (country variance clamped to 0)" if fit.clamped else ""
+    return [out], (f"panel: {fit.n_cells} cells, {fit.n_countries} "
+                   f"countries, rho_share={fit.rho_share:.6f}{clamped}\n"
+                   f"wrote -> {out}")
 
 
-def cmd_lq(args) -> int:
-    countries = _load_countries(args.countries)
-    c = _load_clean_corpus(args.in_path, countries)
-    selection = geo.parse_selection(args.select)
-    entries = geo.localization_quotient(c, selection)
-    breaks = geo.jenks_breaks([e.lq for e in entries], args.classes)
-    skipped = geo.export_choropleth(entries, breaks, args.out, args.geojson,
-                                    all_countries=sorted(countries))
-    _echo(f"{len(entries)} countries classified into {args.classes} "
-          f"classes -> {args.out}, {args.geojson}")
+def _run_lq(ctx: RunContext) -> StageResult:
+    c = ctx.cleaned()
+    ctx.need("lq", "select")
+    entries = geo.localization_quotient(
+        c, geo.parse_selection(ctx.get("select")))
+    classes = int(ctx.get("classes", "5"))
+    breaks = geo.jenks_breaks([e.lq for e in entries], classes)
+    csv_path, geojson_path = ctx.paths["lq.csv"], ctx.paths["lq.geojson"]
+    skipped = geo.export_choropleth(entries, breaks, csv_path, geojson_path,
+                                    all_countries=sorted(ctx.countries))
+    summary = (f"{len(entries)} countries classified into {classes} "
+               f"classes -> {csv_path}, {geojson_path}")
     if skipped:
-        _echo("skipped (not joinable): " + ", ".join(skipped))
-    return 0
+        summary += "\nskipped (not joinable): " + ", ".join(skipped)
+    return [csv_path, geojson_path], summary
+
+
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    keys: tuple[str, ...]     # config keys read, through ctx included
+    outputs: tuple[str, ...]  # files written, as named in out_dir
+    run: Callable[[RunContext], StageResult]
+
+
+_CORPUS_KEYS = ("corpus", "countries")
+
+STAGES: tuple[Stage, ...] = (
+    Stage("harvest", ("harvest_in", "harvest_style", "harvest_journal",
+                      "countries"),
+          ("corpus.csv", "harvest_skipped.txt"), _run_harvest),
+    Stage("clean", _CORPUS_KEYS, ("cleaned.csv", "cleaning_report.json"),
+          _run_clean),
+    Stage("rud", _CORPUS_KEYS + ("scope",), ("rud.csv",), _run_rud),
+    Stage("normality", _CORPUS_KEYS + ("scope",), ("normality.txt",),
+          _run_normality),
+    Stage("transform", _CORPUS_KEYS + ("scope",), ("transform.cfg",),
+          _run_transform),
+    Stage("regress", _CORPUS_KEYS + ("scope", "models", "method", "windows",
+                                     "transform"),
+          ("regress.csv",), _run_regress),
+    Stage("panel", _CORPUS_KEYS + ("scope", "panel_from", "panel_to",
+                                   "panel_top", "panel_weighted",
+                                   "panel_weight_mode", "trend_base"),
+          ("panel.csv",), _run_panel),
+    Stage("lq", _CORPUS_KEYS + ("select", "classes"),
+          ("lq.csv", "lq.geojson"), _run_lq),
+)
+
+STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
+
+KNOWN_KEYS = {"stages", "out_dir"}.union(*(s.keys for s in STAGES))
+
+#: keys naming an input file, with the value that names none
+FILE_KEYS = {"corpus": None, "harvest_in": None, "countries": "builtin",
+             "transform": "fit"}
 
 
 # -- pipeline ---------------------------------------------------------------
 
-STAGE_ORDER = ("harvest", "clean", "rud", "normality", "transform",
-               "regress", "panel", "lq")
-
-KNOWN_KEYS = {
-    "stages", "out_dir", "corpus", "countries",
-    "harvest_in", "harvest_style", "harvest_journal",
-    "scope", "models", "method", "windows", "transform",
-    "panel_top", "panel_from", "panel_to", "panel_weighted",
-    "panel_weight_mode", "trend_base", "select", "classes", "seed",
-}
-
-FILE_KEYS = ("corpus", "harvest_in")
+def _stage_names(value: str) -> list[str]:
+    return [s.strip() for s in value.split(",") if s.strip()]
 
 
 @dataclass(frozen=True)
@@ -334,16 +433,17 @@ class RunConfig:
 
     @property
     def stages(self) -> tuple[str, ...]:
-        value = self.raw.get("stages", "")
-        names = tuple(s.strip() for s in value.split(",") if s.strip())
-        return tuple(sorted(names, key=STAGE_ORDER.index))
+        """The configured stage names in table order."""
+        names = _stage_names(self.raw.get("stages", ""))
+        return tuple(s.name for s in STAGES if s.name in names)
 
     def get(self, key: str, default=None):
         return self.raw.get(key, default)
 
 
 def load_run_config(path: str) -> RunConfig:
-    """Parse `key = value` lines; unknown keys and missing files reject."""
+    """Parse `key = value` lines; unknown keys and stages, repeated keys
+    and stages, and missing files reject."""
     text = Path(path).read_text(encoding="utf-8")
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -359,28 +459,23 @@ def load_run_config(path: str) -> RunConfig:
         if key in raw:
             raise ValueError(f"{path} line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
-    config = RunConfig(raw=raw, text=text)
-    for stage in config.stages:
-        if stage not in STAGE_ORDER:
+    names = _stage_names(raw.get("stages", ""))
+    for i, stage in enumerate(names):
+        if stage not in STAGE_BY_NAME:
             raise ValueError(f"{path}: unknown stage {stage!r}")
-    if "seed" in raw:
-        int(raw["seed"])  # must parse
-    for key in FILE_KEYS:
-        if key in raw and not Path(raw[key]).exists():
-            raise ValueError(f"{path}: {key} file not found: {raw[key]}")
-    cc = raw.get("countries")
-    if cc and cc != "builtin" and not Path(cc).exists():
-        raise ValueError(f"{path}: countries file not found: {cc}")
-    tr = raw.get("transform")
-    if tr and tr != "fit" and not Path(tr).exists():
-        raise ValueError(f"{path}: transform file not found: {tr}")
-    return config
+        if stage in names[:i]:
+            raise ValueError(f"{path}: duplicate stage {stage!r}")
+    for key, no_file in FILE_KEYS.items():
+        value = raw.get(key)
+        if value and value != no_file and not Path(value).exists():
+            raise ValueError(f"{path}: {key} file not found: {value}")
+    return RunConfig(raw=raw, text=text)
 
 
 def run_pipeline(config: RunConfig) -> int:
     stages = config.stages
     if not stages:
-        _echo("no stages configured; nothing to do")
+        print("no stages configured; nothing to do")
         return 0
     out_dir = config.get("out_dir")
     if not out_dir:
@@ -391,161 +486,26 @@ def run_pipeline(config: RunConfig) -> int:
     if failed_marker.exists():
         failed_marker.unlink()
 
-    countries = _load_countries(config.get("countries"))
+    ctx = RunContext(config.raw, {name: str(out / name) for s in STAGES
+                                  for name in s.outputs})
+    ctx.countries  # a bad country table fails before any stage runs
     report_stages = []
-    outputs_of_stage: dict[str, list[str]] = {}
-    state: dict = {"corpus_rows": None, "corpus": None, "rud": None,
-                   "transform": None}
-
-    def record(stage: str, outputs: list[str]) -> None:
-        outputs_of_stage[stage] = outputs
-        report_stages.append({"name": stage, "status": "ok",
-                              "outputs": [str(Path(o).name)
-                                          for o in outputs]})
-
-    def corpus_rows():
-        if state["corpus_rows"] is None:
-            src = config.get("corpus")
-            if src is None:
-                raise ValueError("no corpus available: configure "
-                                 "`corpus` or a harvest stage")
-            state["corpus_rows"] = corpus_mod.read_corpus_csv(src)
-        return state["corpus_rows"]
-
-    def cleaned():
-        if state["corpus"] is None:
-            state["corpus"] = corpus_mod.clean_corpus(corpus_rows(),
-                                                      countries)
-        return state["corpus"]
-
-    def rud_obs():
-        if state["rud"] is None:
-            state["rud"] = rud_mod.build_rud_dataset(
-                cleaned(), config.get("scope", rud_mod.CONSOLIDATED))
-        return state["rud"]
-
-    current = None
-    try:
-        for stage in stages:
-            current = stage
-            if stage == "harvest":
-                for key in ("harvest_in", "harvest_style",
-                            "harvest_journal"):
-                    if not config.get(key):
-                        raise ValueError(f"harvest stage needs {key}")
-                lookup = harvest.build_name_lookup(countries)
-                rows, skipped = harvest.harvest_directory(
-                    config.get("harvest_in"), config.get("harvest_style"),
-                    config.get("harvest_journal"), lookup)
-                state["corpus_rows"] = rows
-                path = out / "corpus.csv"
-                corpus_mod.write_corpus_csv(rows, str(path))
-                skip_path = out / "harvest_skipped.txt"
-                with open(skip_path, "w", encoding="utf-8") as fh:
-                    for name, reason in skipped:
-                        fh.write(f"{name}\t{reason}\n")
-                record(stage, [str(path), str(skip_path)])
-            elif stage == "clean":
-                c = cleaned()
-                path = out / "cleaned.csv"
-                corpus_mod.write_corpus_csv(
-                    [corpus_mod.raw_from_article(r.article)
-                     for r in c.records], str(path))
-                rep_path = out / "cleaning_report.json"
-                with open(rep_path, "w", encoding="utf-8") as fh:
-                    json.dump({"input": len(corpus_rows()),
-                               "kept": len(c.records),
-                               "dropped": dict(c.cleaning_report)},
-                              fh, sort_keys=True, indent=2)
-                    fh.write("\n")
-                record(stage, [str(path), str(rep_path)])
-            elif stage == "rud":
-                path = out / "rud.csv"
-                rud_mod.write_rud_csv(rud_obs(), str(path))
-                record(stage, [str(path)])
-            elif stage == "normality":
-                rows = [{"scope": o.scope, "rud": o.rud}
-                        for o in rud_obs()]
-                path = out / "normality.txt"
-                path.write_text(_normality_report(rows),
-                                encoding="utf-8")
-                record(stage, [str(path)])
-            elif stage == "transform":
-                by_scope: dict[str, list[float]] = {}
-                for o in rud_obs():
-                    by_scope.setdefault(o.scope, []).append(o.rud)
-                fits = {s: diststat.fit_transform_spec(v)
-                        for s, v in sorted(by_scope.items())}
-                state["transform"] = {s: f.spec for s, f in fits.items()}
-                path = out / "transform.cfg"
-                write_transform_cfg(fits, str(path))
-                record(stage, [str(path)])
-            elif stage == "regress":
-                c = cleaned()
-                models = _parse_models(config.get("models", "M1..M9"))
-                windows = _parse_windows(config.get("windows", "default"),
-                                         _year_span(c))
-                tr = config.get("transform")
-                specs = None
-                if tr and tr != "fit":
-                    specs = read_transform_cfg(tr)
-                elif state["transform"] is not None:
-                    specs = state["transform"]
-                scope_cfg = config.get("scope", "all")
-                scopes = None if scope_cfg == "all" else [scope_cfg]
-                result = linmod.roll_window_run(
-                    c, windows=windows, model_ids=models,
-                    method=config.get("method", "ols"), scopes=scopes,
-                    transform_specs=specs)
-                path = out / "regress.csv"
-                result.to_csv(str(path))
-                record(stage, [str(path)])
-            elif stage == "panel":
-                c = cleaned()
-                for key in ("panel_from", "panel_to"):
-                    if not config.get(key):
-                        raise ValueError(f"panel stage needs {key}")
-                data = panel_mod.build_panel(
-                    c, start=date.fromisoformat(config.get("panel_from")),
-                    end=date.fromisoformat(config.get("panel_to")),
-                    top_n=int(config.get("panel_top", "11")),
-                    scope=config.get("scope", rud_mod.CONSOLIDATED))
-                fit = panel_mod.re_egls_fit(
-                    data,
-                    weighted=config.get("panel_weighted",
-                                        "false").lower() == "true",
-                    weight_mode=config.get("panel_weight_mode", "multiply"),
-                    trend_base=config.get("trend_base", "log10"))
-                path = out / "panel.csv"
-                write_panel_csv(fit, str(path))
-                record(stage, [str(path)])
-            elif stage == "lq":
-                c = cleaned()
-                select = config.get("select")
-                if not select:
-                    raise ValueError("lq stage needs select")
-                entries = geo.localization_quotient(
-                    c, geo.parse_selection(select))
-                breaks = geo.jenks_breaks(
-                    [e.lq for e in entries],
-                    int(config.get("classes", "5")))
-                csv_path = out / "lq.csv"
-                geojson_path = out / "lq.geojson"
-                geo.export_choropleth(entries, breaks, str(csv_path),
-                                      str(geojson_path),
-                                      all_countries=sorted(countries))
-                record(stage, [str(csv_path), str(geojson_path)])
-    except (ValueError, OSError) as exc:
-        failed_marker.write_text(f"stage={current}\nerror={exc}\n",
-                                 encoding="utf-8")
-        report_stages.append({"name": current, "status": "failed",
-                              "error": str(exc)})
-        _write_run_report(out, config, report_stages)
-        print(f"error: stage {current} failed: {exc}", file=sys.stderr)
-        return 1
+    for name in stages:
+        try:
+            outputs, _ = STAGE_BY_NAME[name].run(ctx)
+        except (ValueError, OSError) as exc:
+            failed_marker.write_text(f"stage={name}\nerror={exc}\n",
+                                     encoding="utf-8")
+            report_stages.append({"name": name, "status": "failed",
+                                  "error": str(exc)})
+            _write_run_report(out, config, report_stages)
+            print(f"error: stage {name} failed: {exc}", file=sys.stderr)
+            return 1
+        report_stages.append({"name": name, "status": "ok",
+                              "outputs": [Path(o).name for o in outputs]})
 
     _write_run_report(out, config, report_stages)
-    _echo(f"pipeline complete: {', '.join(stages)} -> {out_dir}")
+    print(f"pipeline complete: {', '.join(stages)} -> {out_dir}")
     return 0
 
 
@@ -557,9 +517,23 @@ def _write_run_report(out: Path, config: RunConfig, stages: list) -> None:
         fh.write("\n")
 
 
-def cmd_pipeline(args) -> int:
-    config = load_run_config(args.config)
-    return run_pipeline(config)
+def cmd_stage(args) -> int:
+    """Run one stage from its subcommand's arguments.
+
+    The argparse destinations named after the stage's config keys become
+    its config; ``args.outputs`` gives, per stage output file, the
+    destination holding its path (None: the subcommand does not write
+    it).  The stage's summary goes to stdout.
+    """
+    stage = STAGE_BY_NAME[args.command]
+    config = {key: str(getattr(args, key)) for key in stage.keys
+              if getattr(args, key, None) is not None}
+    paths = {name: getattr(args, dest) if dest else None
+             for name, dest in zip(stage.outputs, args.outputs)}
+    ctx = RunContext(config, paths, rud_csv=getattr(args, "rud_csv", None),
+                     first_id=getattr(args, "first_id", 1))
+    print(stage.run(ctx)[1])
+    return 0
 
 
 # -- argument wiring --------------------------------------------------------
@@ -571,77 +545,71 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("harvest", help="parse an archive directory")
-    p.add_argument("--style", required=True, choices=harvest.HISTORY_STYLES)
-    p.add_argument("--in", dest="in_dir", required=True)
-    p.add_argument("--out", required=True)
+    def stage_parser(name: str, help: str, outputs: tuple,
+                     reads_corpus: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=cmd_stage, outputs=outputs)
+        if reads_corpus:
+            p.add_argument("--in", dest="corpus", required=True)
+            p.add_argument("--countries", default="builtin")
+        if "out" in outputs:
+            p.add_argument("--out", required=True)
+        return p
+
+    p = stage_parser("harvest", "parse an archive directory", ("out", None),
+                     reads_corpus=False)
+    p.add_argument("--style", dest="harvest_style", required=True,
+                   choices=harvest.HISTORY_STYLES)
+    p.add_argument("--in", dest="harvest_in", required=True)
     p.add_argument("--countries", default="builtin")
-    p.add_argument("--journal", required=True)
+    p.add_argument("--journal", dest="harvest_journal", required=True)
     p.add_argument("--first-id", type=int, default=1)
-    p.set_defaults(func=cmd_harvest)
 
-    p = sub.add_parser("clean", help="validate and filter a corpus CSV")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--countries", default="builtin")
-    p.add_argument("--out", required=True)
+    p = stage_parser("clean", "validate and filter a corpus CSV",
+                     ("out", "report"))
     p.add_argument("--report")
-    p.set_defaults(func=cmd_clean)
 
-    p = sub.add_parser("rud", help="weekly concentration ratios")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--countries", default="builtin")
+    p = stage_parser("rud", "weekly concentration ratios", ("out",))
     p.add_argument("--scope", default=rud_mod.CONSOLIDATED,
                    choices=("journal", rud_mod.CONSOLIDATED))
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rud)
 
-    p = sub.add_parser("normality", help="moment and JB report")
-    p.add_argument("--test", required=True)
-    p.set_defaults(func=cmd_normality)
+    p = stage_parser("normality", "moment and JB report", (None,),
+                     reads_corpus=False)
+    p.add_argument("--test", dest="rud_csv", required=True)
 
-    p = sub.add_parser("transform", help="fit the normality transform")
-    p.add_argument("--fit", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_transform)
+    p = stage_parser("transform", "fit the normality transform", ("out",),
+                     reads_corpus=False)
+    p.add_argument("--fit", dest="rud_csv", required=True)
 
-    p = sub.add_parser("regress", help="model ladder over year windows")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--countries", default="builtin")
+    p = stage_parser("regress", "model ladder over year windows", ("out",))
     p.add_argument("--scope", default="all")
     p.add_argument("--models", default="M1..M9")
     p.add_argument("--method", default="ols", choices=("ols", "rls"))
     p.add_argument("--windows", default="default")
     p.add_argument("--transform", default="fit")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_regress)
 
-    p = sub.add_parser("panel", help="daily country panel EGLS")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--countries", default="builtin")
+    p = stage_parser("panel", "daily country panel EGLS", ("out",))
     p.add_argument("--scope", default=rud_mod.CONSOLIDATED)
-    p.add_argument("--top", type=int, default=11)
-    p.add_argument("--from", dest="from_date", required=True)
-    p.add_argument("--to", dest="to_date", required=True)
-    p.add_argument("--weighted", action="store_true")
-    p.add_argument("--weight-mode", default="multiply",
-                   choices=("multiply", "wls"))
+    p.add_argument("--top", dest="panel_top", type=int, default=11)
+    p.add_argument("--from", dest="panel_from", required=True)
+    p.add_argument("--to", dest="panel_to", required=True)
+    p.add_argument("--weighted", dest="panel_weighted",
+                   action="store_true")
+    p.add_argument("--weight-mode", dest="panel_weight_mode",
+                   default="multiply", choices=("multiply", "wls"))
     p.add_argument("--trend-base", default="log10",
                    choices=("log10", "ln"))
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_panel)
 
-    p = sub.add_parser("lq", help="localization quotients and breaks")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--countries", default="builtin")
+    p = stage_parser("lq", "localization quotients and breaks",
+                     ("out", "geojson"))
     p.add_argument("--select", required=True)
     p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--out", required=True)
     p.add_argument("--geojson", required=True)
-    p.set_defaults(func=cmd_lq)
 
     p = sub.add_parser("pipeline", help="run stages from a config file")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(
+        func=lambda args: run_pipeline(load_run_config(args.config)))
 
     return parser
 
@@ -652,7 +620,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

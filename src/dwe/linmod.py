@@ -25,21 +25,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import linalg as _sla
 from scipy import stats as _sps
 
 from .corpus import Corpus
-from .diststat import (MomentSummary, TestResult, TransformSpec,
-                       chi_square_critical, fit_transform_spec, jarque_bera,
-                       moments)
+from .diststat import (TestResult, TransformSpec, chi_square_critical,
+                       fit_transform_spec, jarque_bera, moments)
+from .lsq import (CONST, classical_inference, drop_degenerate_columns,
+                  qr_solve, t_inference)
 from .rud import CONSOLIDATED, RudObservation, attach_transform, \
     build_rud_dataset
-
-CONST = "const"
 
 WEEKDAY_TERMS = ("monday", "tuesday", "wednesday", "thursday", "weekend")
 SEASON_TERMS = ("spring", "summer", "fall")
@@ -135,22 +133,6 @@ class DesignMatrix:
         return self.X.shape[1]
 
 
-def _drop_dependent(X: np.ndarray, columns: list[str]
-                    ) -> tuple[np.ndarray, list[str], list[str]]:
-    """Remove exactly collinear columns (pivoted-QR rank reveal)."""
-    if X.shape[1] == 0:
-        return X, columns, []
-    _, R, piv = _sla.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank == X.shape[1]:
-        return X, columns, []
-    keep = sorted(piv[:rank])
-    dropped = [columns[i] for i in sorted(piv[rank:])]
-    return X[:, keep], [columns[i] for i in keep], dropped
-
-
 def build_design(observations: Sequence[RudObservation],
                  spec: ModelSpec) -> DesignMatrix:
     """Assemble y** and the model's columns.
@@ -183,24 +165,9 @@ def build_design(observations: Sequence[RudObservation],
         yvals.append(o.y_star_star)
     if not rows:
         raise ValueError(f"no usable observations for model {spec.model_id}")
-    X = np.asarray(rows, dtype=float)
     y = np.asarray(yvals, dtype=float)
-    columns = list(spec.terms)
-
-    dropped: list[str] = []
-    keep_idx = []
-    for j, name in enumerate(columns):
-        col = X[:, j]
-        if name != CONST and float(col.max()) == float(col.min()):
-            dropped.append(name)
-        else:
-            keep_idx.append(j)
-    X = X[:, keep_idx]
-    columns = [columns[j] for j in keep_idx]
-
-    X, columns, dep = _drop_dependent(X, columns)
-    dropped.extend(dep)
-
+    X, columns, dropped = drop_degenerate_columns(
+        np.asarray(rows, dtype=float), spec.terms)
     if X.shape[0] <= X.shape[1]:
         raise ValueError(
             f"{X.shape[0]} rows for {X.shape[1]} columns in "
@@ -208,16 +175,6 @@ def build_design(observations: Sequence[RudObservation],
     return DesignMatrix(y=y, X=X, columns=tuple(columns),
                         dropped_columns=tuple(dropped),
                         n_dropped_rows=n_dropped_rows)
-
-
-def _stars(p: float) -> str:
-    if p <= 0.01:
-        return "***"
-    if p <= 0.05:
-        return "**"
-    if p <= 0.10:
-        return "*"
-    return ""
 
 
 @dataclass(frozen=True)
@@ -233,7 +190,6 @@ class FitResult:
     adjusted_r_squared: float
     f_stat: float
     f_p_value: float
-    f_significant_1pct: bool
     n: int
     df_resid: int
     residuals: np.ndarray
@@ -248,50 +204,20 @@ class FitResult:
         return float(self.coefficients[self.columns.index(term)])
 
 
-def _qr_solve(X: np.ndarray, y: np.ndarray,
-              columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(beta, (X'X)^-1) via QR; raises naming dependent columns."""
-    Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    tol = max(X.shape) * np.finfo(float).eps * (diag.max() if diag.size
-                                                else 0.0)
-    if diag.size and diag.min() <= tol:
-        _, _, piv = _sla.qr(X, mode="economic", pivoting=True)
-        rank = int(np.sum(diag > tol))
-        dependent = [columns[i] for i in sorted(piv[rank:])]
-        raise ValueError(f"design is rank deficient; dependent columns: "
-                         f"{', '.join(dependent)}")
-    beta = _sla.solve_triangular(R, Q.T @ y)
-    r_inv = _sla.solve_triangular(R, np.eye(R.shape[0]))
-    return beta, r_inv @ r_inv.T
+def ols_fit(design: DesignMatrix) -> FitResult:
+    """Classical least squares with conventional t/F inference.
 
-
-def ols_fit(design: DesignMatrix, f_alpha: float = 0.01) -> FitResult:
-    """Classical least squares with conventional t/F inference."""
+    R-squared is centred when the design has a constant column and
+    uncentred otherwise; a constant dependent variable raises.
+    """
     X, y = design.X, design.y
     n, p = X.shape
-    beta, xtx_inv = _qr_solve(X, y, design.columns)
-    fitted = X @ beta
-    resid = y - fitted
-    rss = float(resid @ resid)
-    df = n - p
-    if df > 0:
-        sigma2 = rss / df
-        se = np.sqrt(np.maximum(sigma2 * np.diag(xtx_inv), 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-        pvals = 2.0 * _sps.t.sf(np.abs(t), df)
-    else:
-        # saturated design: coefficients are exact, inference undefined
-        se = np.full(p, math.nan)
-        t = np.full(p, math.nan)
-        pvals = np.full(p, math.nan)
-    tss = float(np.sum((y - y.mean()) ** 2)) if CONST in design.columns \
-        else float(y @ y)
-    if tss <= 0.0:
+    beta, xtx_inv = qr_solve(X, y, design.columns)
+    inf = classical_inference(X, y, beta, xtx_inv,
+                              centered=CONST in design.columns)
+    if inf.tss <= 0.0:
         raise ValueError("constant dependent variable")
-    r2 = 1.0 - rss / tss
-    adj = 1.0 - (1.0 - r2) * (n - 1) / df if df > 0 else math.nan
+    r2, df = inf.r_squared, inf.df_resid
     if p > 1 and df > 0:
         f_stat = (r2 / (p - 1)) / ((1.0 - r2) / df) if r2 < 1.0 else math.inf
         f_p = float(_sps.f.sf(f_stat, p - 1, df))
@@ -299,13 +225,11 @@ def ols_fit(design: DesignMatrix, f_alpha: float = 0.01) -> FitResult:
         f_stat, f_p = math.nan, math.nan
     return FitResult(
         method="ols", columns=design.columns, coefficients=beta,
-        standard_errors=se, t_stats=t, p_values=pvals,
-        stars=tuple(_stars(pv) for pv in pvals),
-        r_squared=r2, adjusted_r_squared=adj,
+        standard_errors=inf.standard_errors, t_stats=inf.t_stats,
+        p_values=inf.p_values, stars=inf.stars,
+        r_squared=r2, adjusted_r_squared=inf.adjusted_r_squared,
         f_stat=f_stat, f_p_value=f_p,
-        f_significant_1pct=bool(f_p <= f_alpha) if not math.isnan(f_p)
-        else False,
-        n=n, df_resid=df, residuals=resid, fitted=fitted,
+        n=n, df_resid=df, residuals=inf.residuals, fitted=inf.fitted,
         dropped_columns=design.dropped_columns,
         n_dropped_rows=design.n_dropped_rows)
 
@@ -338,7 +262,8 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C,
     """
     X, y = design.X, design.y
     n, p = X.shape
-    beta, _ = _qr_solve(X, y, design.columns)
+    # the OLS start; its (X'X)^-1 also serves the final covariance
+    beta, xtx_inv = qr_solve(X, y, design.columns)
     w = np.ones(n)
     scale = 1.0
     converged = False
@@ -359,7 +284,7 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C,
                 f"every observation lies beyond c={c} scale units; "
                 "robust fit impossible")
         sw = np.sqrt(w)
-        beta_new, _ = _qr_solve(X * sw[:, None], y * sw, design.columns)
+        beta_new, _ = qr_solve(X * sw[:, None], y * sw, design.columns)
         delta = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
         if delta < tol:
@@ -377,7 +302,6 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C,
         ui = u[inside] / c
         dpsi[inside] = (1.0 - ui ** 2) * (1.0 - 5.0 * ui ** 2)
         mean_dpsi = float(np.mean(dpsi))
-        _, xtx_inv = _qr_solve(X, y, design.columns)
         if mean_dpsi > 0.0:
             kappa = (float(np.sum(psi ** 2)) / df) * scale ** 2 \
                 / mean_dpsi ** 2
@@ -386,9 +310,7 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C,
             se = np.full(p, math.nan)
     else:
         se = np.zeros(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    pvals = 2.0 * _sps.norm.sf(np.abs(t))
+    t, pvals, marks = t_inference(beta, se)
 
     wsum = float(w.sum())
     if wsum > 0.0:
@@ -406,24 +328,13 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C,
         f_stat, f_p = math.nan, math.nan
     return FitResult(
         method="rls", columns=design.columns, coefficients=beta,
-        standard_errors=se, t_stats=t, p_values=pvals,
-        stars=tuple(_stars(pv) for pv in pvals),
+        standard_errors=se, t_stats=t, p_values=pvals, stars=marks,
         r_squared=r2, adjusted_r_squared=adj,
         f_stat=f_stat, f_p_value=f_p,
-        f_significant_1pct=bool(f_p <= 0.01) if not math.isnan(f_p)
-        else False,
         n=n, df_resid=df, residuals=resid, fitted=X @ beta,
         converged=converged, iterations=iterations, weights=w,
         dropped_columns=design.dropped_columns,
         n_dropped_rows=design.n_dropped_rows)
-
-
-def fit_model(design: DesignMatrix, method: str = "ols", **kw) -> FitResult:
-    if method == "ols":
-        return ols_fit(design, **kw)
-    if method == "rls":
-        return rls_fit(design, **kw)
-    raise ValueError(f"unknown method {method!r}")
 
 
 # -- diagnostics ------------------------------------------------------------
@@ -472,19 +383,24 @@ def _dedupe_columns(cols: list[np.ndarray], labels: list[str]
     return kept, kept_labels, dropped_any
 
 
-def breusch_pagan(design: DesignMatrix, fit: FitResult,
-                  alpha: float = 0.05) -> TestResult:
-    """n R^2 of the squared-residual auxiliary regression on the design."""
-    e2 = fit.residuals ** 2
-    X = design.X if CONST in design.columns else np.hstack(
-        [np.ones((design.n, 1)), design.X])
-    p_aux = X.shape[1]
-    stat = design.n * _aux_r_squared(e2, X)
-    df = p_aux - 1
+def _lm_test(e2: np.ndarray, X: np.ndarray, alpha: float,
+             note: str = "") -> TestResult:
+    """n R^2 of the auxiliary regression of e2 on X, against chi^2 with
+    one degree of freedom per non-constant column of X."""
+    stat = X.shape[0] * _aux_r_squared(e2, X)
+    df = X.shape[1] - 1
     crit = chi_square_critical(df, alpha)
     return TestResult(statistic=stat, df=df, critical_value=crit,
                       p_value=float(_sps.chi2.sf(stat, df)), alpha=alpha,
-                      reject_null=stat > crit)
+                      reject_null=stat > crit, note=note)
+
+
+def breusch_pagan(design: DesignMatrix, fit: FitResult,
+                  alpha: float = 0.05) -> TestResult:
+    """n R^2 of the squared-residual auxiliary regression on the design."""
+    X = design.X if CONST in design.columns else np.hstack(
+        [np.ones((design.n, 1)), design.X])
+    return _lm_test(fit.residuals ** 2, X, alpha)
 
 
 def white_test(design: DesignMatrix, fit: FitResult,
@@ -494,7 +410,6 @@ def white_test(design: DesignMatrix, fit: FitResult,
     Dummy squares duplicate their levels and are removed, as are any other
     duplicated or constant auxiliary columns; the note records this.
     """
-    e2 = fit.residuals ** 2
     base = [(design.X[:, j], design.columns[j])
             for j in range(design.p) if design.columns[j] != CONST]
     cols = [c for c, _ in base]
@@ -509,18 +424,12 @@ def white_test(design: DesignMatrix, fit: FitResult,
     kept, kept_labels, dropped = _dedupe_columns(cols, labels)
     X = np.hstack([np.ones((design.n, 1))]
                   + [k[:, None] for k in kept])
-    X, kept_labels, dep = _drop_dependent(X, [CONST] + kept_labels)
-    dropped = dropped or bool(dep)
-    df = X.shape[1] - 1
-    if df < 1:
+    X, kept_labels, dep = drop_degenerate_columns(X, [CONST] + kept_labels)
+    if X.shape[1] < 2:
         raise ValueError("no auxiliary regressors for the White test")
-    stat = design.n * _aux_r_squared(e2, X)
-    crit = chi_square_critical(df, alpha)
-    return TestResult(statistic=stat, df=df, critical_value=crit,
-                      p_value=float(_sps.chi2.sf(stat, df)), alpha=alpha,
-                      reject_null=stat > crit,
-                      note="duplicated auxiliary columns dropped"
-                      if dropped else "")
+    return _lm_test(fit.residuals ** 2, X, alpha,
+                    note="duplicated auxiliary columns dropped"
+                    if dropped or dep else "")
 
 
 def residual_jb(fit: FitResult, alpha: float = 0.05) -> TestResult:
@@ -661,10 +570,12 @@ def roll_window_run(corpus: Corpus,
                 try:
                     design = build_design(in_window,
                                           standard_model(model_id, method))
-                    fit = fit_model(design, method)
-                    if method == "rls" and not fit.converged \
-                            and fallback_to_ols:
+                    if method == "ols":
                         fit = ols_fit(design)
+                    else:
+                        fit = rls_fit(design)
+                        if not fit.converged and fallback_to_ols:
+                            fit = ols_fit(design)
                 except ValueError as exc:
                     rows.append(RollRow(scope=scope, window=label,
                                         model_id=model_id, term="",

@@ -1,0 +1,124 @@
+"""Least-squares core shared by the model ladder and the country panel:
+the QR solve, the degenerate-column drop and the classical inference."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+from scipy import linalg as _sla
+from scipy import stats as _sps
+
+CONST = "const"
+
+
+def qr_solve(X: np.ndarray, y: np.ndarray,
+             columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, (X'X)^-1) via QR; raises naming dependent columns."""
+    Q, R = np.linalg.qr(X)
+    diag = np.abs(np.diag(R))
+    tol = max(X.shape) * np.finfo(float).eps * (diag.max() if diag.size
+                                                else 0.0)
+    if diag.size and diag.min() <= tol:
+        _, _, piv = _sla.qr(X, mode="economic", pivoting=True)
+        rank = int(np.sum(diag > tol))
+        dependent = [columns[i] for i in sorted(piv[rank:])]
+        raise ValueError(f"design is rank deficient; dependent columns: "
+                         f"{', '.join(dependent)}")
+    beta = _sla.solve_triangular(R, Q.T @ y)
+    r_inv = _sla.solve_triangular(R, np.eye(R.shape[0]))
+    return beta, r_inv @ r_inv.T
+
+
+def drop_degenerate_columns(X: np.ndarray, columns: Sequence[str]
+                            ) -> tuple[np.ndarray, list[str], list[str]]:
+    """Remove zero-variance columns (all but ``const``), then exactly
+    collinear ones (pivoted-QR rank reveal).
+
+    Returns the kept matrix, its column names and the dropped names, the
+    zero-variance ones first.
+    """
+    flat = [name != CONST and float(X[:, j].max()) == float(X[:, j].min())
+            for j, name in enumerate(columns)]
+    keep = [j for j, is_flat in enumerate(flat) if not is_flat]
+    dropped = [name for name, is_flat in zip(columns, flat) if is_flat]
+    X = X[:, keep]
+    columns = [columns[j] for j in keep]
+    if X.shape[1] == 0:
+        return X, columns, dropped
+    _, R, piv = _sla.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+    rank = int(np.sum(diag > tol))
+    if rank == X.shape[1]:
+        return X, columns, dropped
+    keep = sorted(piv[:rank])
+    dropped.extend(columns[i] for i in sorted(piv[rank:]))
+    return X[:, keep], [columns[i] for i in keep], dropped
+
+
+def stars(p: float) -> str:
+    if p <= 0.01:
+        return "***"
+    if p <= 0.05:
+        return "**"
+    if p <= 0.10:
+        return "*"
+    return ""
+
+
+def t_inference(beta: np.ndarray, se: np.ndarray, df: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """t = beta/se (a zero se gives a signed infinity), two-sided p-values
+    from Student's t on ``df`` degrees of freedom, or from the normal
+    distribution when ``df`` is None, and their stars."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(se > 0, beta / se, np.inf * np.sign(beta))
+    a = np.abs(t)
+    pvals = 2.0 * (_sps.norm.sf(a) if df is None else _sps.t.sf(a, df))
+    return t, pvals, tuple(stars(pv) for pv in pvals)
+
+
+@dataclass(frozen=True)
+class Inference:
+    """Classical inference of one least-squares fit."""
+
+    fitted: np.ndarray
+    residuals: np.ndarray
+    standard_errors: np.ndarray
+    t_stats: np.ndarray
+    p_values: np.ndarray
+    stars: tuple[str, ...]
+    tss: float
+    r_squared: float           # NaN when tss is not positive
+    adjusted_r_squared: float  # NaN as well on a saturated design
+    df_resid: int
+
+
+def classical_inference(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
+                        xtx_inv: np.ndarray, centered: bool) -> Inference:
+    """se = sqrt(s^2 diag((X'X)^-1)) with s^2 = RSS/(n - p), t-based
+    p-values, and R^2 against the centred total sum of squares, or the
+    uncentred one when ``centered`` is false.  A saturated design (n = p)
+    has exact coefficients and NaN inference."""
+    n, p = X.shape
+    fitted = X @ beta
+    resid = y - fitted
+    rss = float(resid @ resid)
+    df = n - p
+    if df > 0:
+        se = np.sqrt(np.maximum(rss / df * np.diag(xtx_inv), 0.0))
+        t, pvals, marks = t_inference(beta, se, df)
+    else:
+        se = np.full(p, math.nan)
+        t = np.full(p, math.nan)
+        pvals = np.full(p, math.nan)
+        marks = ("",) * p
+    tss = float(np.sum((y - y.mean()) ** 2)) if centered else float(y @ y)
+    r2 = 1.0 - rss / tss if tss > 0 else math.nan
+    adj = 1.0 - (1.0 - r2) * (n - 1) / df if df > 0 else math.nan
+    return Inference(fitted=fitted, residuals=resid, standard_errors=se,
+                     t_stats=t, p_values=pvals, stars=marks, tss=tss,
+                     r_squared=r2, adjusted_r_squared=adj, df_resid=df)

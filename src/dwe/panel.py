@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date, timedelta
-from typing import Mapping, Sequence
+from datetime import date
+from typing import Mapping
 
 import numpy as np
-from scipy import stats as _sps
 
 from .corpus import (Corpus, classify_weekend, derive_season,
                      derive_weekday, in_christmas_window)
-from .linmod import CONST, _drop_dependent, _qr_solve, _stars
+from .lsq import CONST, classical_inference, drop_degenerate_columns, \
+    qr_solve
 from .rud import CONSOLIDATED, build_rud_dataset
 
 #: panel column order; trend always last.
@@ -165,7 +165,6 @@ class PanelFit:
     clamped: bool
     dropped_columns: tuple[str, ...]
     n_dropped_rows: int
-    stationarity_note: str = ""
 
     def coefficient(self, term: str) -> float:
         return float(self.coefficients[self.columns.index(term)])
@@ -199,31 +198,19 @@ def re_egls_fit(panel: PanelData, weighted: bool = False,
     X = np.asarray(rows, dtype=float)
     y = np.asarray(yvals, dtype=float)
     n_ct = np.asarray(sizes, dtype=float)
-    labels = list(PANEL_COLUMNS)
 
     if weighted:
         if weight_mode == "multiply":
             y = y * n_ct
             for name in CONTINUOUS_COLUMNS:
-                j = labels.index(name)
+                j = PANEL_COLUMNS.index(name)
                 X[:, j] = X[:, j] * n_ct
         else:
             sw = np.sqrt(n_ct)
             y = y * sw
             X = X * sw[:, None]
 
-    keep = []
-    dropped: list[str] = []
-    for j, name in enumerate(labels):
-        col = X[:, j]
-        if name != CONST and float(col.max()) == float(col.min()):
-            dropped.append(name)
-        else:
-            keep.append(j)
-    X = X[:, keep]
-    labels = [labels[j] for j in keep]
-    X, labels, dep = _drop_dependent(X, labels)
-    dropped.extend(dep)
+    X, labels, dropped = drop_degenerate_columns(X, PANEL_COLUMNS)
 
     M, p = X.shape
     codes = sorted(set(groups))
@@ -235,7 +222,7 @@ def re_egls_fit(panel: PanelData, weighted: bool = False,
         raise ValueError(f"{M} cells cannot support {p} columns "
                          f"and {N} country means")
 
-    beta_pooled, _ = _qr_solve(X, y, labels)
+    beta_pooled, _ = qr_solve(X, y, labels)
     resid = y - X @ beta_pooled
 
     group_mean_resid = np.bincount(g, weights=resid, minlength=N) / T_c
@@ -276,26 +263,16 @@ def re_egls_fit(panel: PanelData, weighted: bool = False,
     y_t = y - theta_by_code[g] * ybar[g]
     X_t = X - theta_by_code[g][:, None] * Xbar[g]
 
-    beta, xtx_inv = _qr_solve(X_t, y_t, labels)
-    fitted = X_t @ beta
-    e = y_t - fitted
-    rss = float(e @ e)
-    df = M - p
-    sigma2 = rss / df
-    se = np.sqrt(np.maximum(sigma2 * np.diag(xtx_inv), 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    pvals = 2.0 * _sps.t.sf(np.abs(t), df)
-    tss = float(np.sum((y_t - y_t.mean()) ** 2))
-    r2 = 1.0 - rss / tss if tss > 0 else math.nan
-    adj = 1.0 - (1.0 - r2) * (M - 1) / df if not math.isnan(r2) else math.nan
+    # R^2 is always centred, and a constant transformed outcome gives NaN
+    beta, xtx_inv = qr_solve(X_t, y_t, labels)
+    inf = classical_inference(X_t, y_t, beta, xtx_inv, centered=True)
 
     denom = sigma2_country + sigma2_idio
     return PanelFit(
-        columns=tuple(labels), coefficients=beta, standard_errors=se,
-        t_stats=t, p_values=pvals,
-        stars=tuple(_stars(pv) for pv in pvals),
-        adjusted_r_squared=adj,
+        columns=tuple(labels), coefficients=beta,
+        standard_errors=inf.standard_errors, t_stats=inf.t_stats,
+        p_values=inf.p_values, stars=inf.stars,
+        adjusted_r_squared=inf.adjusted_r_squared,
         sigma2_country=sigma2_country, sigma2_idio=sigma2_idio,
         rho_share=sigma2_country / denom if denom > 0 else math.nan,
         rho_ratio=(sigma2_country / sigma2_idio if sigma2_idio > 0

@@ -240,3 +240,47 @@ class TestPipeline:
         assert run(["pipeline", "--config", good]) == 0
         assert not (tmp_path / "out" / "FAILED").exists()
         assert (tmp_path / "out" / "panel.csv").exists()
+
+
+class TestStageNames:
+    def test_unknown_stage_named(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stages = clean, wat\n")
+        with pytest.raises(ValueError, match="unknown stage 'wat'"):
+            cli.load_run_config(str(cfg))
+
+    def test_unknown_stage_exits_2_with_its_name(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stages = clean, wat\n")
+        assert run(["pipeline", "--config", cfg]) == 2
+        assert "unknown stage 'wat'" in capsys.readouterr().err
+
+    def test_duplicate_stage_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stages = clean, rud, clean\n")
+        with pytest.raises(ValueError, match="duplicate stage 'clean'"):
+            cli.load_run_config(str(cfg))
+
+    def test_seed_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stages = clean\nseed = 1\n")
+        with pytest.raises(ValueError, match="unknown key 'seed'"):
+            cli.load_run_config(str(cfg))
+
+
+@pytest.mark.parametrize("stage", cli.STAGES, ids=lambda s: s.name)
+class TestStageTable:
+    def test_subcommand_help(self, stage, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([stage.name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: dwe {stage.name}")
+
+    def test_declared_keys_accepted(self, stage, tmp_path):
+        # every file-valued key gets a path that exists
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"stages = {stage.name}\n" + "".join(
+            f"{key} = {cfg}\n" for key in stage.keys))
+        config = cli.load_run_config(str(cfg))
+        assert config.stages == (stage.name,)
+        assert set(stage.keys) <= set(config.raw)

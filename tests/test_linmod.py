@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import design_from_arrays, make_planted
-from dwe import linmod
+from dwe import linmod, lsq
 from dwe.linmod import DesignMatrix
 
 
@@ -56,10 +56,10 @@ class TestOls:
             linmod.ols_fit(design)
 
     def test_stars_thresholds(self):
-        assert linmod._stars(0.005) == "***"
-        assert linmod._stars(0.03) == "**"
-        assert linmod._stars(0.08) == "*"
-        assert linmod._stars(0.2) == ""
+        assert lsq.stars(0.005) == "***"
+        assert lsq.stars(0.03) == "**"
+        assert lsq.stars(0.08) == "*"
+        assert lsq.stars(0.2) == ""
 
 
 class TestBisquare:
