@@ -121,7 +121,7 @@ def golden_outputs(work: Path) -> dict[str, str]:
             cfg_path.write_text(text, encoding="utf-8")
             hashes[f"{case}/stdout"] = _sha(
                 _run(["pipeline", "--config", str(cfg_path)]))
-            out = Path(text.split("out_dir = ")[1].split("\n")[0])
+            out = Path(cli.load_run_config(str(cfg_path)).get("out_dir"))
             for path in sorted(out.iterdir()):
                 hashes[f"{case}/{path.name}"] = _sha(path.read_bytes())
         for name, argv in SUBCOMMANDS:
