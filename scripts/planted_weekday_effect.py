@@ -11,8 +11,6 @@ coefficient; the printout makes the whole chain inspectable at a glance.
 
 import argparse
 
-import numpy as np
-
 from dwe import diststat, linmod, rud, synth
 
 
@@ -31,8 +29,7 @@ def main(argv=None) -> int:
     print(f"corpus: {len(corpus.records)} articles, "
           f"{cfg.start_year}-{cfg.end_year}, seed {cfg.seed}")
 
-    observations = rud.build_rud_dataset(corpus)
-    sample = np.asarray([o.rud for o in observations])
+    sample = rud.build_rud_dataset(corpus).rud
     raw = diststat.jarque_bera(diststat.moments(sample))
     fitted = diststat.fit_transform_spec(sample)
     print(f"raw RUD:      skew {diststat.moments(sample).skewness:8.4f}  "

@@ -75,10 +75,10 @@ def _parse_windows(text: str, years_present: tuple[int, int]
 
 
 def _year_span(c: corpus_mod.Corpus) -> tuple[int, int]:
-    years = [r.features.year for r in c.records]
-    if not years:
+    years = c.columns.year
+    if not years.size:
         raise ValueError("empty corpus")
-    return (min(years), max(years))
+    return (int(years.min()), int(years.max()))
 
 
 # -- output files -----------------------------------------------------------
@@ -154,8 +154,8 @@ class RunContext:
     each stage output file name to where it is written, or to None when
     this run does not write it.  ``rud_csv`` and ``first_id`` are inputs
     only the subcommands give.  The countries, corpus rows, cleaned corpus
-    and ratio observations load on first use and are kept for the later
-    stages.
+    and the RUD table of each grouping load on first use and are kept for
+    the later stages.
     """
 
     def __init__(self, config: Mapping[str, str],
@@ -169,7 +169,7 @@ class RunContext:
         self.fitted_specs: dict[str, diststat.TransformSpec] | None = None
         self._countries = None
         self._cleaned: corpus_mod.Corpus | None = None
-        self._rud: list[rud_mod.RudObservation] | None = None
+        self.rud_tables: dict[str, rud_mod.RudTable] = {}
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.config.get(key, default)
@@ -203,11 +203,13 @@ class RunContext:
             self._cleaned = corpus_mod.clean_corpus(self.rows(), countries)
         return self._cleaned
 
-    def rud(self) -> list[rud_mod.RudObservation]:
-        if self._rud is None:
-            self._rud = rud_mod.build_rud_dataset(
-                self.cleaned(), self.get("scope", rud_mod.CONSOLIDATED))
-        return self._rud
+    def rud(self) -> rud_mod.RudTable:
+        """The RUD table under the configured scope."""
+        scope = self.get("scope", rud_mod.CONSOLIDATED)
+        if scope not in self.rud_tables:
+            self.rud_tables[scope] = rud_mod.build_rud_dataset(
+                self.cleaned(), scope)
+        return self.rud_tables[scope]
 
     def ratios_by_scope(self) -> dict[str, list[float]]:
         """The ratios grouped by scope, in scope order: from ``rud_csv``
@@ -216,13 +218,12 @@ class RunContext:
             rows = rud_mod.read_rud_csv(self.rud_csv)
             if not rows:
                 raise ValueError(f"{self.rud_csv}: no observations")
-            pairs = ((row["scope"], row["rud"]) for row in rows)
-        else:
-            pairs = ((o.scope, o.rud) for o in self.rud())
-        by_scope: dict[str, list[float]] = {}
-        for scope, value in pairs:
-            by_scope.setdefault(scope, []).append(value)
-        return dict(sorted(by_scope.items()))
+            by_scope: dict[str, list[float]] = {}
+            for row in rows:
+                by_scope.setdefault(row["scope"], []).append(row["rud"])
+            return dict(sorted(by_scope.items()))
+        return {scope: table.rud.tolist()
+                for scope, table in self.rud().by_scope().items()}
 
     def transform_specs(self) -> dict[str, diststat.TransformSpec] | None:
         """The configured transform.cfg, else the specs a transform stage
@@ -327,10 +328,12 @@ def _run_regress(ctx: RunContext) -> StageResult:
     windows = _parse_windows(ctx.get("windows", "default"), _year_span(c))
     specs = ctx.transform_specs()
     scope = ctx.get("scope", "all")
+    scopes = None if scope == "all" else list(c.journals()) \
+        if scope == "journal" else [scope]
     report = linmod.roll_window_run(
         c, windows=windows, model_ids=models,
-        method=ctx.get("method", "ols"),
-        scopes=None if scope == "all" else [scope], transform_specs=specs)
+        method=ctx.get("method", "ols"), scopes=scopes,
+        transform_specs=specs, rud_tables=ctx.rud_tables)
     out = ctx.paths["regress.csv"]
     report.to_csv(out)
     return [out], f"wrote {len(report.rows)} result rows -> {out}"
@@ -343,7 +346,7 @@ def _run_panel(ctx: RunContext) -> StageResult:
         c, start=date.fromisoformat(ctx.get("panel_from")),
         end=date.fromisoformat(ctx.get("panel_to")),
         top_n=int(ctx.get("panel_top", "11")),
-        scope=ctx.get("scope", rud_mod.CONSOLIDATED))
+        scope=ctx.get("scope", rud_mod.CONSOLIDATED), ratios=ctx.rud())
     fit = panel_mod.re_egls_fit(
         data, weighted=ctx.get("panel_weighted", "false").lower() == "true",
         weight_mode=ctx.get("panel_weight_mode", "multiply"),

@@ -18,10 +18,13 @@ from __future__ import annotations
 import csv
 import math
 import shlex
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 from importlib import resources
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 MONDAY, TUESDAY, WEDNESDAY, THURSDAY, FRIDAY, SATURDAY, SUNDAY = range(1, 8)
 
@@ -224,6 +227,69 @@ class CorpusRecord:
 
 
 @dataclass(frozen=True)
+class FeatureColumns:
+    """The derived features of a set of records as numpy columns.
+
+    Row i describes ``records[i]``; the records are in article-id order.
+    Categories are coded: ``journal`` indexes ``journals`` (sorted),
+    ``season`` indexes SEASONS and ``continent`` CONTINENTS.  The log
+    covariates are the records' own ``math.log10`` values, NaN where the
+    LTO is absent.
+    """
+
+    records: tuple[CorpusRecord, ...]
+    article_id: np.ndarray
+    journals: tuple[str, ...]
+    journal: np.ndarray
+    year: np.ndarray
+    week_number: np.ndarray
+    weekday: np.ndarray
+    season: np.ndarray
+    continent: np.ndarray
+    is_weekend: np.ndarray
+    is_christmas: np.ndarray
+    log10_authors: np.ndarray
+    log10_hdi: np.ndarray
+    log10_lto: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+
+def feature_columns(records: Sequence[CorpusRecord]) -> FeatureColumns:
+    """Gather the records' features into columns, in article-id order."""
+    records = tuple(sorted(records, key=lambda r: r.article.id))
+    feats = [r.features for r in records]
+    n = len(records)
+    journals = tuple(sorted({r.article.journal for r in records}))
+    journal_code = {name: k for k, name in enumerate(journals)}
+    season_code = {name: k for k, name in enumerate(SEASONS)}
+    continent_code = {name: k for k, name in enumerate(CONTINENTS)}
+
+    def column(values, dtype) -> np.ndarray:
+        return np.fromiter(values, dtype=dtype, count=n)
+
+    return FeatureColumns(
+        records=records,
+        article_id=column((r.article.id for r in records), np.int64),
+        journals=journals,
+        journal=column((journal_code[r.article.journal] for r in records),
+                       np.int64),
+        year=column((f.year for f in feats), np.int64),
+        week_number=column((f.week_number for f in feats), np.int64),
+        weekday=column((f.weekday for f in feats), np.int64),
+        season=column((season_code[f.season] for f in feats), np.int64),
+        continent=column((continent_code[f.continent] for f in feats),
+                         np.int64),
+        is_weekend=column((f.is_weekend for f in feats), bool),
+        is_christmas=column((f.is_christmas for f in feats), bool),
+        log10_authors=column((f.log10_authors for f in feats), float),
+        log10_hdi=column((f.log10_hdi for f in feats), float),
+        log10_lto=column((math.nan if f.log10_lto is None else f.log10_lto
+                          for f in feats), float))
+
+
+@dataclass(frozen=True)
 class Corpus:
     """Cleaned records with their features, the country table, and the
     counts of rows dropped during cleaning keyed by reason."""
@@ -236,7 +302,12 @@ class Corpus:
         return len(self.records)
 
     def journals(self) -> tuple[str, ...]:
-        return tuple(sorted({r.article.journal for r in self.records}))
+        return self.columns.journals
+
+    @cached_property
+    def columns(self) -> FeatureColumns:
+        """The records' features as columns, derived on first use."""
+        return feature_columns(self.records)
 
 
 #: cleaning drop reasons, in report order.

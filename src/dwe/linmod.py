@@ -31,12 +31,12 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import stats as _sps
 
-from .corpus import Corpus
+from .corpus import CONTINENTS, SEASONS, Corpus, FeatureColumns
 from .diststat import (TestResult, TransformSpec, chi_square_critical,
                        fit_transform_spec, jarque_bera, moments)
 from .lsq import (CONST, classical_inference, drop_degenerate_columns,
                   qr_solve, t_inference)
-from .rud import CONSOLIDATED, RudObservation, attach_transform, \
+from .rud import CONSOLIDATED, RudTable, attach_transform, \
     build_rud_dataset
 
 WEEKDAY_TERMS = ("monday", "tuesday", "wednesday", "thursday", "weekend")
@@ -87,33 +87,27 @@ def standard_model(model_id: str, method: str = "ols") -> ModelSpec:
                      method=method)
 
 
-def _term_value(term: str, o: RudObservation) -> float | None:
-    f = o.features
-    if term == CONST:
-        return 1.0
-    if term == "monday":
-        return float(f.weekday == 1)
-    if term == "tuesday":
-        return float(f.weekday == 2)
-    if term == "wednesday":
-        return float(f.weekday == 3)
-    if term == "thursday":
-        return float(f.weekday == 4)
-    if term == "weekend":
-        return float(f.is_weekend)
-    if term in SEASON_TERMS:
-        return float(f.season == term)
-    if term in CONTINENT_TERMS:
-        return float(f.continent == term)
-    if term == "christmas":
-        return float(f.is_christmas)
-    if term == "log10_authors":
-        return f.log10_authors
-    if term == "log10_hdi":
-        return f.log10_hdi
-    if term == "log10_lto":
-        return f.log10_lto  # may be None -> listwise drop
-    raise ValueError(f"unknown term {term!r}")
+#: every term a model may use, in the column order of the superset matrix
+DESIGN_TERMS = MODEL_TERMS["M9"]
+
+
+def superset_matrix(cols: FeatureColumns) -> np.ndarray:
+    """One row per article and one float column per DESIGN_TERMS.
+
+    Dummies are 1.0/0.0, the log covariates are the articles' own values,
+    and an absent LTO is NaN.
+    """
+    values = {CONST: np.ones(len(cols)), "weekend": cols.is_weekend,
+              "christmas": cols.is_christmas,
+              "log10_authors": cols.log10_authors,
+              "log10_hdi": cols.log10_hdi, "log10_lto": cols.log10_lto}
+    for day, term in enumerate(WEEKDAY_TERMS[:4], start=1):
+        values[term] = cols.weekday == day
+    for term in SEASON_TERMS:
+        values[term] = cols.season == SEASONS.index(term)
+    for term in CONTINENT_TERMS:
+        values[term] = cols.continent == CONTINENTS.index(term)
+    return np.column_stack([values[t] for t in DESIGN_TERMS]).astype(float)
 
 
 @dataclass(frozen=True)
@@ -133,46 +127,34 @@ class DesignMatrix:
         return self.X.shape[1]
 
 
-def build_design(observations: Sequence[RudObservation],
+def build_design(features: np.ndarray, y: np.ndarray,
                  spec: ModelSpec) -> DesignMatrix:
     """Assemble y** and the model's columns.
 
+    ``features`` holds rows of the superset matrix (see
+    ``superset_matrix``) and ``y`` the transformed ratios of those rows.
     Rows missing a required covariate (absent LTO) are listwise-dropped.
     Zero-variance columns (a category with no members in the data) and
     exactly collinear columns are removed and reported, never silently
     zero-padded.  Requires more rows than surviving columns.
     """
-    rows: list[list[float]] = []
-    yvals: list[float] = []
-    n_dropped_rows = 0
-    for o in observations:
-        if o.y_star_star is None:
-            raise ValueError(
-                f"observation {o.article_id} has no transformed value; "
-                "apply a transform spec first")
-        vals = []
-        missing = False
-        for term in spec.terms:
-            v = _term_value(term, o)
-            if v is None:
-                missing = True
-                break
-            vals.append(v)
-        if missing:
-            n_dropped_rows += 1
-            continue
-        rows.append(vals)
-        yvals.append(o.y_star_star)
-    if not rows:
+    for term in spec.terms:
+        if term not in DESIGN_TERMS:
+            raise ValueError(f"unknown term {term!r}")
+    X = features[:, [DESIGN_TERMS.index(t) for t in spec.terms]]
+    complete = ~np.isnan(X).any(axis=1)
+    n_dropped_rows = int(complete.size - np.count_nonzero(complete))
+    if n_dropped_rows:
+        X, y = X[complete], y[complete]
+    if not X.shape[0]:
         raise ValueError(f"no usable observations for model {spec.model_id}")
-    y = np.asarray(yvals, dtype=float)
-    X, columns, dropped = drop_degenerate_columns(
-        np.asarray(rows, dtype=float), spec.terms)
+    X, columns, dropped = drop_degenerate_columns(X, spec.terms)
     if X.shape[0] <= X.shape[1]:
         raise ValueError(
             f"{X.shape[0]} rows for {X.shape[1]} columns in "
             f"model {spec.model_id}")
-    return DesignMatrix(y=y, X=X, columns=tuple(columns),
+    return DesignMatrix(y=np.ascontiguousarray(y, dtype=float), X=X,
+                        columns=tuple(columns),
                         dropped_columns=tuple(dropped),
                         n_dropped_rows=n_dropped_rows)
 
@@ -368,16 +350,24 @@ def vif(design: DesignMatrix) -> dict[str, float]:
 
 def _dedupe_columns(cols: list[np.ndarray], labels: list[str]
                     ) -> tuple[list[np.ndarray], list[str], bool]:
+    """Drop constant columns and repeats of an earlier kept column.
+
+    Columns are looked up by the hash of their bytes, with -0.0 folded
+    into 0.0 as ``==`` does, and a hit is confirmed by comparing values.
+    """
     kept: list[np.ndarray] = []
     kept_labels: list[str] = []
+    by_hash: dict[int, list[int]] = {}
     dropped_any = False
     for col, label in zip(cols, labels):
         if float(col.max()) == float(col.min()):
             dropped_any = True
             continue
-        if any(np.array_equal(col, k) for k in kept):
+        same = by_hash.setdefault(hash((col + 0.0).tobytes()), [])
+        if any(np.array_equal(col, kept[i]) for i in same):
             dropped_any = True
             continue
+        same.append(len(kept))
         kept.append(col)
         kept_labels.append(label)
     return kept, kept_labels, dropped_any
@@ -403,13 +393,10 @@ def breusch_pagan(design: DesignMatrix, fit: FitResult,
     return _lm_test(fit.residuals ** 2, X, alpha)
 
 
-def white_test(design: DesignMatrix, fit: FitResult,
-               alpha: float = 0.05) -> TestResult:
-    """Auxiliary regression on levels, squares, and cross products.
-
-    Dummy squares duplicate their levels and are removed, as are any other
-    duplicated or constant auxiliary columns; the note records this.
-    """
+def _white_columns(design: DesignMatrix
+                   ) -> tuple[list[np.ndarray], list[str]]:
+    """The White auxiliary columns and labels: the non-constant levels,
+    their squares, then their pairwise products."""
     base = [(design.X[:, j], design.columns[j])
             for j in range(design.p) if design.columns[j] != CONST]
     cols = [c for c, _ in base]
@@ -421,7 +408,17 @@ def white_test(design: DesignMatrix, fit: FitResult,
         for j in range(i + 1, len(base)):
             cols.append(base[i][0] * base[j][0])
             labels.append(f"{base[i][1]}*{base[j][1]}")
-    kept, kept_labels, dropped = _dedupe_columns(cols, labels)
+    return cols, labels
+
+
+def white_test(design: DesignMatrix, fit: FitResult,
+               alpha: float = 0.05) -> TestResult:
+    """Auxiliary regression on levels, squares, and cross products.
+
+    Dummy squares duplicate their levels and are removed, as are any other
+    duplicated or constant auxiliary columns; the note records this.
+    """
+    kept, kept_labels, dropped = _dedupe_columns(*_white_columns(design))
     X = np.hstack([np.ones((design.n, 1))]
                   + [k[:, None] for k in kept])
     X, kept_labels, dep = drop_degenerate_columns(X, [CONST] + kept_labels)
@@ -518,7 +515,9 @@ def roll_window_run(corpus: Corpus,
                     scopes: Sequence[str] | None = None,
                     transform_specs: Mapping[str, TransformSpec]
                     | None = None,
-                    fallback_to_ols: bool = True) -> RollReport:
+                    fallback_to_ols: bool = True,
+                    rud_tables: Mapping[str, RudTable] | None = None
+                    ) -> RollReport:
     """Fit every model per (scope, window) and tabulate the coefficients.
 
     Scopes default to the consolidated flow plus each journal.  The
@@ -527,27 +526,37 @@ def roll_window_run(corpus: Corpus,
     marked "?"; an empty window leaves a single n=0 marker row per model;
     a failed fit leaves a "failed: ..." marker row.  A non-converged robust
     fit falls back to OLS when ``fallback_to_ols``.
+
+    ``rud_tables`` maps a grouping ("consolidated", "journal") to the
+    corpus's RUD table under it; a grouping the scopes need and the map
+    lacks is built here.  The superset matrix is built once; a window is a
+    row mask over a scope's rows and a model a column slice.
     """
     _validate_windows(windows)
-    per_journal = build_rud_dataset(corpus, "journal")
-    datasets: dict[str, list[RudObservation]] = {CONSOLIDATED:
-                                                 build_rud_dataset(corpus)}
-    for o in per_journal:
-        datasets.setdefault(o.scope, []).append(o)
+    journals = corpus.journals()
     if scopes is None:
-        scopes = [CONSOLIDATED] + [s for s in sorted(datasets)
-                                   if s != CONSOLIDATED]
+        scopes = [CONSOLIDATED] + list(journals)
+    for scope in scopes:
+        if scope != CONSOLIDATED and scope not in journals:
+            raise ValueError(f"unknown scope {scope!r}")
+    tables = dict(rud_tables or {})
+    for grouping in sorted({CONSOLIDATED if s == CONSOLIDATED else "journal"
+                            for s in scopes}):
+        if grouping not in tables:
+            tables[grouping] = build_rud_dataset(corpus, grouping)
+    per_journal = tables["journal"].by_scope() if "journal" in tables \
+        else {}
+    features = superset_matrix(corpus.columns)
     rows: list[RollRow] = []
     for scope in scopes:
-        if scope not in datasets:
-            raise ValueError(f"unknown scope {scope!r}")
-        observations = datasets[scope]
+        table = tables[CONSOLIDATED] if scope == CONSOLIDATED \
+            else per_journal[scope]
         try:
             if transform_specs and scope in transform_specs:
                 spec = transform_specs[scope]
             else:
-                spec = fit_transform_spec([o.rud for o in observations]).spec
-            observations = attach_transform(observations, spec)
+                spec = fit_transform_spec(table.rud).spec
+            _, y_scope = attach_transform(table, spec)
         except ValueError as exc:
             for y0, y1 in windows:
                 for model_id in model_ids:
@@ -556,19 +565,21 @@ def roll_window_run(corpus: Corpus,
                         term="", coefficient=None, stars="",
                         marker=f"failed: {exc}", n=0))
             continue
+        x_scope = features[table.row]
+        year = table.year
         for y0, y1 in windows:
             label = f"{y0}-{y1}"
-            in_window = [o for o in observations
-                         if y0 <= o.features.year <= y1]
+            in_window = (year >= y0) & (year <= y1)
+            x_window, y_window = x_scope[in_window], y_scope[in_window]
             for model_id in model_ids:
-                if not in_window:
+                if not y_window.size:
                     rows.append(RollRow(scope=scope, window=label,
                                         model_id=model_id, term="",
                                         coefficient=None, stars="",
                                         marker="empty", n=0))
                     continue
                 try:
-                    design = build_design(in_window,
+                    design = build_design(x_window, y_window,
                                           standard_model(model_id, method))
                     if method == "ols":
                         fit = ols_fit(design)

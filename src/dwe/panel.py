@@ -36,7 +36,7 @@ from .corpus import (Corpus, classify_weekend, derive_season,
                      derive_weekday, in_christmas_window)
 from .lsq import CONST, classical_inference, drop_degenerate_columns, \
     qr_solve
-from .rud import CONSOLIDATED, build_rud_dataset
+from .rud import CONSOLIDATED, RudTable, build_rud_dataset
 
 #: panel column order; trend always last.
 PANEL_COLUMNS = (CONST, "monday", "tuesday", "wednesday", "thursday",
@@ -75,18 +75,20 @@ class PanelData:
 
 
 def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
-                scope: str = CONSOLIDATED) -> PanelData:
+                scope: str = CONSOLIDATED,
+                ratios: RudTable | None = None) -> PanelData:
     """Aggregate per-article ratios into (country, day) cells.
 
     Ratios are computed over the full corpus first (an article's week group
     is its journal's whole flow, not the panel subset), then restricted to
     the day range and the top_n countries by article count inside it.
-    Cells exist only for populated (country, day) pairs.
+    Cells exist only for populated (country, day) pairs.  ``ratios`` is
+    the corpus's RUD table under ``scope`` when the caller has it.
     """
     if end < start:
         raise ValueError(f"range ends before it starts: {start}..{end}")
-    observations = build_rud_dataset(corpus, scope)
-    in_range = [o for o in observations if start <= o.received <= end]
+    if ratios is None:
+        ratios = build_rud_dataset(corpus, scope)
     counts: dict[str, int] = {}
     for rec in corpus.records:
         if start <= rec.article.received <= end:
@@ -100,13 +102,13 @@ def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
     top = ranked[:top_n]
     top_set = set(top)
 
-    country_of = {rec.article.id: rec.article.country
-                  for rec in corpus.records}
+    records = ratios.columns.records
     grouped: dict[tuple[str, date], list] = {}
-    for o in in_range:
-        iso = country_of[o.article_id]
-        if iso in top_set:
-            grouped.setdefault((iso, o.received), []).append(o)
+    for r, value in zip(ratios.row.tolist(), ratios.rud.tolist()):
+        article = records[r].article
+        if start <= article.received <= end and article.country in top_set:
+            grouped.setdefault((article.country, article.received),
+                               []).append((value, records[r].features))
 
     cells = []
     for (iso, day), obs in sorted(grouped.items()):
@@ -117,9 +119,9 @@ def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
             t=(day - start).days + 1,
             day=day,
             n_ct=len(obs),
-            y=float(np.mean([math.log10(o.rud) for o in obs])),
+            y=float(np.mean([math.log10(value) for value, _ in obs])),
             mean_log10_authors=float(np.mean(
-                [o.features.log10_authors for o in obs])),
+                [f.log10_authors for _, f in obs])),
             weekday=derive_weekday(day),
             season=derive_season(day),
             is_weekend=classify_weekend(day, profile),

@@ -8,6 +8,14 @@ on weekday k, one of n_k that week, gets the ratio
     RUD = n_k / UD = 7 * n_k / N
 
 so RUD > 1 marks days receiving more than a uniform week would put there.
+
+The ratios are columnar.  ``build_rud_dataset`` reads the corpus's feature
+columns (``Corpus.columns``, one row per article in article-id order),
+numbers the distinct (scope, year, week) keys with ``np.unique``, counts N
+and n_k with ``bincount`` and returns a RudTable: numpy columns that index
+back into the feature columns, so the regression designs and the panel
+read the same rows without a per-article object.  ``WeekGroup`` and
+``rud_for_day`` state the formula for a single week.
 """
 
 from __future__ import annotations
@@ -15,9 +23,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from datetime import date
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator
 
-from .corpus import Corpus, CorpusRecord, DerivedFeatures
+import numpy as np
+
+from .corpus import Corpus, CorpusRecord, FeatureColumns, feature_columns
+from .diststat import apply_transform_steps_array
 
 CONSOLIDATED = "consolidated"
 
@@ -68,11 +79,7 @@ def rud_for_day(group: WeekGroup, weekday: int) -> float:
 
 @dataclass(frozen=True)
 class RudObservation:
-    """One article's ratio with its feature snapshot.
-
-    ``y_star`` / ``y_star_star`` hold the one- and two-step normality
-    transforms once a transform spec has been applied; they stay None before.
-    """
+    """One row of a RudTable: an article's ratio and its week cell."""
 
     article_id: int
     scope: str
@@ -84,9 +91,77 @@ class RudObservation:
     day_count: int
     week_total: int
     rud: float
-    features: DerivedFeatures
-    y_star: float | None = None
-    y_star_star: float | None = None
+
+
+@dataclass(frozen=True)
+class RudTable:
+    """Per-article ratios under one grouping scope ("journal" or
+    "consolidated"), as numpy columns.
+
+    Row i is the article at position ``row[i]`` of ``columns``, the
+    corpus's feature columns, and its scope label is ``labels[scope[i]]``.
+    A full table has a row for every article, in article-id order.
+    Iterating gives one RudObservation per row.
+    """
+
+    labels: tuple[str, ...]
+    columns: FeatureColumns
+    row: np.ndarray
+    scope: np.ndarray
+    day_count: np.ndarray
+    week_total: np.ndarray
+    rud: np.ndarray
+
+    def __len__(self) -> int:
+        return self.row.size
+
+    @property
+    def year(self) -> np.ndarray:
+        return self.columns.year[self.row]
+
+    def by_scope(self) -> dict[str, "RudTable"]:
+        """One table per scope label that has rows, in label order; each
+        keeps its rows in order."""
+        tables = {}
+        for k, label in enumerate(self.labels):
+            rows = self.scope == k
+            if rows.any():
+                tables[label] = replace(
+                    self, row=self.row[rows], scope=self.scope[rows],
+                    day_count=self.day_count[rows],
+                    week_total=self.week_total[rows], rud=self.rud[rows])
+        return tables
+
+    def __iter__(self) -> Iterator[RudObservation]:
+        cols, row = self.columns, self.row
+        for r, k, year, week, weekday, n_k, n, value in zip(
+                row.tolist(), self.scope.tolist(), cols.year[row].tolist(),
+                cols.week_number[row].tolist(), cols.weekday[row].tolist(),
+                self.day_count.tolist(), self.week_total.tolist(),
+                self.rud.tolist()):
+            article = cols.records[r].article
+            yield RudObservation(
+                article_id=article.id, scope=self.labels[k],
+                journal=article.journal, received=article.received,
+                year=year, week_number=week, weekday=weekday, day_count=n_k,
+                week_total=n, rud=value)
+
+
+def _week_cells(cols: FeatureColumns, scope: str
+                ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray,
+                           np.ndarray]:
+    """Scope labels, each row's scope code, the distinct week-cell keys
+    in (scope, year, week) order and each row's cell index into them."""
+    if scope == "journal":
+        labels, code = cols.journals, cols.journal
+    elif scope == CONSOLIDATED:
+        labels, code = (CONSOLIDATED,), np.zeros(len(cols), dtype=np.int64)
+    else:
+        raise ValueError(f"unknown scope {scope!r}")
+    # years are 1..9999 and week numbers 1..54
+    keys, cell = np.unique((code * 10_000 + cols.year) * 64
+                           + cols.week_number, return_inverse=True)
+    return labels, code, keys, cell.reshape(-1)
 
 
 def build_week_groups(records: Iterable[CorpusRecord],
@@ -96,57 +171,54 @@ def build_week_groups(records: Iterable[CorpusRecord],
     ``scope`` is "journal" (one group key per journal) or "consolidated"
     (all journals pooled under the single scope label "consolidated").
     """
-    if scope not in ("journal", CONSOLIDATED):
-        raise ValueError(f"unknown scope {scope!r}")
-    counts: dict[tuple[str, int, int], list[int]] = {}
-    for rec in records:
-        label = rec.article.journal if scope == "journal" else CONSOLIDATED
-        key = (label, rec.features.year, rec.features.week_number)
-        day_counts = counts.setdefault(key, [0] * 7)
-        day_counts[rec.features.weekday - 1] += 1
-    return {key: WeekGroup(scope=key[0], year=key[1], week_number=key[2],
-                           day_counts=tuple(dc))
-            for key, dc in counts.items()}
+    cols = feature_columns(list(records))
+    labels, _, keys, cell = _week_cells(cols, scope)
+    counts = np.bincount(cell * 7 + cols.weekday - 1,
+                         minlength=7 * keys.size).reshape(keys.size, 7)
+    groups = {}
+    for key, day_counts in zip(keys.tolist(), counts.tolist()):
+        scope_year, week = divmod(key, 64)
+        code, year = divmod(scope_year, 10_000)
+        groups[(labels[code], year, week)] = WeekGroup(
+            scope=labels[code], year=year, week_number=week,
+            day_counts=tuple(day_counts))
+    return groups
 
 
 def build_rud_dataset(corpus: Corpus, scope: str = CONSOLIDATED
-                      ) -> list[RudObservation]:
-    """Per-article RUD observations under the given grouping scope.
+                      ) -> RudTable:
+    """Per-article RUD under the given grouping scope, in article-id order.
 
-    Output is sorted by article id, so repeated runs over the same corpus
-    are byte-identical downstream.
+    Week cells are the distinct (scope, year, week) keys; ``bincount``
+    gives each cell's total N and each (cell, weekday) count n_k, and
+    RUD = n_k / (N / 7.0).
     """
-    groups = build_week_groups(corpus.records, scope)
-    observations = []
-    for rec in sorted(corpus.records, key=lambda r: r.article.id):
-        label = rec.article.journal if scope == "journal" else CONSOLIDATED
-        group = groups[(label, rec.features.year, rec.features.week_number)]
-        observations.append(RudObservation(
-            article_id=rec.article.id,
-            scope=label,
-            journal=rec.article.journal,
-            received=rec.article.received,
-            year=rec.features.year,
-            week_number=rec.features.week_number,
-            weekday=rec.features.weekday,
-            day_count=group.day_counts[rec.features.weekday - 1],
-            week_total=group.total,
-            rud=rud_for_day(group, rec.features.weekday),
-            features=rec.features))
-    return observations
+    cols = corpus.columns
+    labels, code, _, cell = _week_cells(cols, scope)
+    day = cell * 7 + cols.weekday - 1
+    week_total = np.bincount(cell)[cell]
+    day_count = np.bincount(day)[day]
+    return RudTable(labels=labels, columns=cols, row=np.arange(len(cols)),
+                    scope=code, day_count=day_count, week_total=week_total,
+                    rud=day_count / (week_total / 7.0))
 
 
 RUD_CSV_COLUMNS = ("article_id", "scope", "year", "week", "weekday",
                    "n_k", "N", "rud")
 
 
-def write_rud_csv(observations: Iterable[RudObservation], path: str) -> None:
+def write_rud_csv(table: RudTable, path: str) -> None:
+    cols = table.columns
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(RUD_CSV_COLUMNS)
-        for o in observations:
-            w.writerow([o.article_id, o.scope, o.year, o.week_number,
-                        o.weekday, o.day_count, o.week_total, repr(o.rud)])
+        w.writerows(zip(cols.article_id[table.row].tolist(),
+                        [table.labels[k] for k in table.scope.tolist()],
+                        table.year.tolist(),
+                        cols.week_number[table.row].tolist(),
+                        cols.weekday[table.row].tolist(),
+                        table.day_count.tolist(), table.week_total.tolist(),
+                        map(repr, table.rud.tolist())))
 
 
 def read_rud_csv(path: str) -> list[dict]:
@@ -167,17 +239,11 @@ def read_rud_csv(path: str) -> list[dict]:
     return rows
 
 
-def attach_transform(observations: Iterable[RudObservation],
-                     spec) -> list[RudObservation]:
-    """Return copies with y_star / y_star_star filled from ``spec``.
+def attach_transform(table: RudTable, spec
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """y* and y** of every ratio under ``spec``, in row order.
 
-    ``spec`` is a diststat.TransformSpec; imported lazily to keep this module
-    free of the numerics stack.  A ratio outside the transform's domain
-    raises the ValueError of the first such observation.
+    ``spec`` is a diststat.TransformSpec.  A ratio outside the transform's
+    domain raises the ValueError of the first such row.
     """
-    from .diststat import apply_transform_steps_array
-
-    observations = list(observations)
-    y1, y2 = apply_transform_steps_array([o.rud for o in observations], spec)
-    return [replace(o, y_star=a, y_star_star=b)
-            for o, a, b in zip(observations, y1.tolist(), y2.tolist())]
+    return apply_transform_steps_array(table.rud, spec)

@@ -210,6 +210,32 @@ class TestPipeline:
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
 
+    def test_journal_scope_through_regress(self, tmp_path, corpus_csv):
+        # rud and transform write per-journal ratios and specs, and
+        # regress runs every journal under those specs
+        def regress_rows(out, **keys):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in {
+                "out_dir": out, "corpus": corpus_csv, "models": "M1, M9",
+                "windows": "2005-2005, 2006-2006", **keys}.items()))
+            assert run(["pipeline", "--config", cfg]) == 0
+            lines = (out / "regress.csv").read_text().splitlines()[1:]
+            return [ln.split(",") for ln in lines]
+
+        out = tmp_path / "journal"
+        rows = regress_rows(out, stages="rud, transform, regress",
+                            scope="journal")
+        assert {r[0] for r in rows} == {"aaa", "bbb"}
+        assert not any(r[6].startswith("failed") for r in rows)
+        specs = cli.read_transform_cfg(str(out / "transform.cfg"))
+        assert sorted(specs) == ["aaa", "bbb"]
+        rud_scopes = {ln.split(",")[1] for ln in
+                      (out / "rud.csv").read_text().splitlines()[1:]}
+        assert rud_scopes == {"aaa", "bbb"}
+        every = regress_rows(tmp_path / "all", stages="regress",
+                             transform=out / "transform.cfg")
+        assert [r for r in every if r[0] != "consolidated"] == rows
+
     def test_no_stages_is_noop(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# nothing\n")

@@ -225,8 +225,10 @@ class TestModelLadder:
     def test_build_design_on_corpus(self, synth_corpus):
         from dwe import diststat, rud
         obs = rud.build_rud_dataset(synth_corpus, rud.CONSOLIDATED)
-        obs = rud.attach_transform(obs, diststat.IDENTITY_SPEC)
-        design = linmod.build_design(obs, linmod.standard_model("M9"))
+        _, y = rud.attach_transform(obs, diststat.IDENTITY_SPEC)
+        design = linmod.build_design(
+            linmod.superset_matrix(synth_corpus.columns), y,
+            linmod.standard_model("M9"))
         assert design.n > 0
         assert design.columns[0] == "const"
         # weekday dummies present
