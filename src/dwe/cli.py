@@ -154,8 +154,8 @@ class RunContext:
     each stage output file name to where it is written, or to None when
     this run does not write it.  ``rud_csv`` and ``first_id`` are inputs
     only the subcommands give.  The countries, corpus rows, cleaned corpus
-    and the RUD table of each grouping load on first use and are kept for
-    the later stages.
+    and the RUD table load on first use and are kept for the later
+    stages.
     """
 
     def __init__(self, config: Mapping[str, str],
@@ -169,7 +169,7 @@ class RunContext:
         self.fitted_specs: dict[str, diststat.TransformSpec] | None = None
         self._countries = None
         self._cleaned: corpus_mod.Corpus | None = None
-        self.rud_tables: dict[str, rud_mod.RudTable] = {}
+        self._rud: rud_mod.RudTable | None = None
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.config.get(key, default)
@@ -204,12 +204,10 @@ class RunContext:
         return self._cleaned
 
     def rud(self) -> rud_mod.RudTable:
-        """The RUD table under the configured scope."""
-        scope = self.get("scope", rud_mod.CONSOLIDATED)
-        if scope not in self.rud_tables:
-            self.rud_tables[scope] = rud_mod.build_rud_dataset(
-                self.cleaned(), scope)
-        return self.rud_tables[scope]
+        if self._rud is None:
+            self._rud = rud_mod.build_rud_dataset(
+                self.cleaned(), self.get("scope", rud_mod.CONSOLIDATED))
+        return self._rud
 
     def ratios_by_scope(self) -> dict[str, list[float]]:
         """The ratios grouped by scope, in scope order: from ``rud_csv``
@@ -333,7 +331,7 @@ def _run_regress(ctx: RunContext) -> StageResult:
     report = linmod.roll_window_run(
         c, windows=windows, model_ids=models,
         method=ctx.get("method", "ols"), scopes=scopes,
-        transform_specs=specs, rud_tables=ctx.rud_tables)
+        transform_specs=specs)
     out = ctx.paths["regress.csv"]
     report.to_csv(out)
     return [out], f"wrote {len(report.rows)} result rows -> {out}"
@@ -346,7 +344,7 @@ def _run_panel(ctx: RunContext) -> StageResult:
         c, start=date.fromisoformat(ctx.get("panel_from")),
         end=date.fromisoformat(ctx.get("panel_to")),
         top_n=int(ctx.get("panel_top", "11")),
-        scope=ctx.get("scope", rud_mod.CONSOLIDATED), ratios=ctx.rud())
+        scope=ctx.get("scope", rud_mod.CONSOLIDATED))
     fit = panel_mod.re_egls_fit(
         data, weighted=ctx.get("panel_weighted", "false").lower() == "true",
         weight_mode=ctx.get("panel_weight_mode", "multiply"),

@@ -226,7 +226,7 @@ class CorpusRecord:
     features: DerivedFeatures
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureColumns:
     """The derived features of a set of records as numpy columns.
 

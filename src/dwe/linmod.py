@@ -36,7 +36,7 @@ from .diststat import (TestResult, TransformSpec, chi_square_critical,
                        fit_transform_spec, jarque_bera, moments)
 from .lsq import (CONST, classical_inference, drop_degenerate_columns,
                   qr_solve, t_inference)
-from .rud import CONSOLIDATED, RudTable, attach_transform, \
+from .rud import CONSOLIDATED, attach_transform, \
     build_rud_dataset
 
 WEEKDAY_TERMS = ("monday", "tuesday", "wednesday", "thursday", "weekend")
@@ -350,24 +350,16 @@ def vif(design: DesignMatrix) -> dict[str, float]:
 
 def _dedupe_columns(cols: list[np.ndarray], labels: list[str]
                     ) -> tuple[list[np.ndarray], list[str], bool]:
-    """Drop constant columns and repeats of an earlier kept column.
-
-    Columns are looked up by the hash of their bytes, with -0.0 folded
-    into 0.0 as ``==`` does, and a hit is confirmed by comparing values.
-    """
     kept: list[np.ndarray] = []
     kept_labels: list[str] = []
-    by_hash: dict[int, list[int]] = {}
     dropped_any = False
     for col, label in zip(cols, labels):
         if float(col.max()) == float(col.min()):
             dropped_any = True
             continue
-        same = by_hash.setdefault(hash((col + 0.0).tobytes()), [])
-        if any(np.array_equal(col, kept[i]) for i in same):
+        if any(np.array_equal(col, k) for k in kept):
             dropped_any = True
             continue
-        same.append(len(kept))
         kept.append(col)
         kept_labels.append(label)
     return kept, kept_labels, dropped_any
@@ -393,10 +385,13 @@ def breusch_pagan(design: DesignMatrix, fit: FitResult,
     return _lm_test(fit.residuals ** 2, X, alpha)
 
 
-def _white_columns(design: DesignMatrix
-                   ) -> tuple[list[np.ndarray], list[str]]:
-    """The White auxiliary columns and labels: the non-constant levels,
-    their squares, then their pairwise products."""
+def white_test(design: DesignMatrix, fit: FitResult,
+               alpha: float = 0.05) -> TestResult:
+    """Auxiliary regression on levels, squares, and cross products.
+
+    Dummy squares duplicate their levels and are removed, as are any other
+    duplicated or constant auxiliary columns; the note records this.
+    """
     base = [(design.X[:, j], design.columns[j])
             for j in range(design.p) if design.columns[j] != CONST]
     cols = [c for c, _ in base]
@@ -408,17 +403,7 @@ def _white_columns(design: DesignMatrix
         for j in range(i + 1, len(base)):
             cols.append(base[i][0] * base[j][0])
             labels.append(f"{base[i][1]}*{base[j][1]}")
-    return cols, labels
-
-
-def white_test(design: DesignMatrix, fit: FitResult,
-               alpha: float = 0.05) -> TestResult:
-    """Auxiliary regression on levels, squares, and cross products.
-
-    Dummy squares duplicate their levels and are removed, as are any other
-    duplicated or constant auxiliary columns; the note records this.
-    """
-    kept, kept_labels, dropped = _dedupe_columns(*_white_columns(design))
+    kept, kept_labels, dropped = _dedupe_columns(cols, labels)
     X = np.hstack([np.ones((design.n, 1))]
                   + [k[:, None] for k in kept])
     X, kept_labels, dep = drop_degenerate_columns(X, [CONST] + kept_labels)
@@ -515,9 +500,7 @@ def roll_window_run(corpus: Corpus,
                     scopes: Sequence[str] | None = None,
                     transform_specs: Mapping[str, TransformSpec]
                     | None = None,
-                    fallback_to_ols: bool = True,
-                    rud_tables: Mapping[str, RudTable] | None = None
-                    ) -> RollReport:
+                    fallback_to_ols: bool = True) -> RollReport:
     """Fit every model per (scope, window) and tabulate the coefficients.
 
     Scopes default to the consolidated flow plus each journal.  The
@@ -527,30 +510,21 @@ def roll_window_run(corpus: Corpus,
     a failed fit leaves a "failed: ..." marker row.  A non-converged robust
     fit falls back to OLS when ``fallback_to_ols``.
 
-    ``rud_tables`` maps a grouping ("consolidated", "journal") to the
-    corpus's RUD table under it; a grouping the scopes need and the map
-    lacks is built here.  The superset matrix is built once; a window is a
-    row mask over a scope's rows and a model a column slice.
+    The superset matrix is built once; a window is a row mask over a
+    scope's rows and a model a column slice.
     """
     _validate_windows(windows)
-    journals = corpus.journals()
+    consolidated = build_rud_dataset(corpus)
+    per_journal = build_rud_dataset(corpus, "journal").by_scope()
     if scopes is None:
-        scopes = [CONSOLIDATED] + list(journals)
-    for scope in scopes:
-        if scope != CONSOLIDATED and scope not in journals:
-            raise ValueError(f"unknown scope {scope!r}")
-    tables = dict(rud_tables or {})
-    for grouping in sorted({CONSOLIDATED if s == CONSOLIDATED else "journal"
-                            for s in scopes}):
-        if grouping not in tables:
-            tables[grouping] = build_rud_dataset(corpus, grouping)
-    per_journal = tables["journal"].by_scope() if "journal" in tables \
-        else {}
+        scopes = [CONSOLIDATED] + list(per_journal)
     features = superset_matrix(corpus.columns)
     rows: list[RollRow] = []
     for scope in scopes:
-        table = tables[CONSOLIDATED] if scope == CONSOLIDATED \
-            else per_journal[scope]
+        table = consolidated if scope == CONSOLIDATED \
+            else per_journal.get(scope)
+        if table is None:
+            raise ValueError(f"unknown scope {scope!r}")
         try:
             if transform_specs and scope in transform_specs:
                 spec = transform_specs[scope]

@@ -36,7 +36,7 @@ from .corpus import (Corpus, classify_weekend, derive_season,
                      derive_weekday, in_christmas_window)
 from .lsq import CONST, classical_inference, drop_degenerate_columns, \
     qr_solve
-from .rud import CONSOLIDATED, RudTable, build_rud_dataset
+from .rud import CONSOLIDATED, build_rud_dataset
 
 #: panel column order; trend always last.
 PANEL_COLUMNS = (CONST, "monday", "tuesday", "wednesday", "thursday",
@@ -75,20 +75,17 @@ class PanelData:
 
 
 def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
-                scope: str = CONSOLIDATED,
-                ratios: RudTable | None = None) -> PanelData:
+                scope: str = CONSOLIDATED) -> PanelData:
     """Aggregate per-article ratios into (country, day) cells.
 
     Ratios are computed over the full corpus first (an article's week group
     is its journal's whole flow, not the panel subset), then restricted to
     the day range and the top_n countries by article count inside it.
-    Cells exist only for populated (country, day) pairs.  ``ratios`` is
-    the corpus's RUD table under ``scope`` when the caller has it.
+    Cells exist only for populated (country, day) pairs.
     """
     if end < start:
         raise ValueError(f"range ends before it starts: {start}..{end}")
-    if ratios is None:
-        ratios = build_rud_dataset(corpus, scope)
+    ratios = build_rud_dataset(corpus, scope)
     counts: dict[str, int] = {}
     for rec in corpus.records:
         if start <= rec.article.received <= end:

@@ -14,8 +14,9 @@ columns (``Corpus.columns``, one row per article in article-id order),
 numbers the distinct (scope, year, week) keys with ``np.unique``, counts N
 and n_k with ``bincount`` and returns a RudTable: numpy columns that index
 back into the feature columns, so the regression designs and the panel
-read the same rows without a per-article object.  ``WeekGroup`` and
-``rud_for_day`` state the formula for a single week.
+read the same rows without a per-article object.  ``WeekGroup``,
+``build_week_groups`` and ``rud_for_day`` state the same formula row by
+row, one week cell at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import Corpus, CorpusRecord, FeatureColumns, feature_columns
+from .corpus import Corpus, CorpusRecord, FeatureColumns
 from .diststat import apply_transform_steps_array
 
 CONSOLIDATED = "consolidated"
@@ -93,7 +94,7 @@ class RudObservation:
     rud: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RudTable:
     """Per-article ratios under one grouping scope ("journal" or
     "consolidated"), as numpy columns.
@@ -147,23 +148,6 @@ class RudTable:
                 week_total=n, rud=value)
 
 
-def _week_cells(cols: FeatureColumns, scope: str
-                ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray,
-                           np.ndarray]:
-    """Scope labels, each row's scope code, the distinct week-cell keys
-    in (scope, year, week) order and each row's cell index into them."""
-    if scope == "journal":
-        labels, code = cols.journals, cols.journal
-    elif scope == CONSOLIDATED:
-        labels, code = (CONSOLIDATED,), np.zeros(len(cols), dtype=np.int64)
-    else:
-        raise ValueError(f"unknown scope {scope!r}")
-    # years are 1..9999 and week numbers 1..54
-    keys, cell = np.unique((code * 10_000 + cols.year) * 64
-                           + cols.week_number, return_inverse=True)
-    return labels, code, keys, cell.reshape(-1)
-
-
 def build_week_groups(records: Iterable[CorpusRecord],
                       scope: str) -> dict[tuple[str, int, int], WeekGroup]:
     """Group records into per-(scope, year, week) weekday counts.
@@ -171,18 +155,17 @@ def build_week_groups(records: Iterable[CorpusRecord],
     ``scope`` is "journal" (one group key per journal) or "consolidated"
     (all journals pooled under the single scope label "consolidated").
     """
-    cols = feature_columns(list(records))
-    labels, _, keys, cell = _week_cells(cols, scope)
-    counts = np.bincount(cell * 7 + cols.weekday - 1,
-                         minlength=7 * keys.size).reshape(keys.size, 7)
-    groups = {}
-    for key, day_counts in zip(keys.tolist(), counts.tolist()):
-        scope_year, week = divmod(key, 64)
-        code, year = divmod(scope_year, 10_000)
-        groups[(labels[code], year, week)] = WeekGroup(
-            scope=labels[code], year=year, week_number=week,
-            day_counts=tuple(day_counts))
-    return groups
+    if scope not in ("journal", CONSOLIDATED):
+        raise ValueError(f"unknown scope {scope!r}")
+    counts: dict[tuple[str, int, int], list[int]] = {}
+    for rec in records:
+        label = rec.article.journal if scope == "journal" else CONSOLIDATED
+        key = (label, rec.features.year, rec.features.week_number)
+        day_counts = counts.setdefault(key, [0] * 7)
+        day_counts[rec.features.weekday - 1] += 1
+    return {key: WeekGroup(scope=key[0], year=key[1], week_number=key[2],
+                           day_counts=tuple(dc))
+            for key, dc in counts.items()}
 
 
 def build_rud_dataset(corpus: Corpus, scope: str = CONSOLIDATED
@@ -194,7 +177,16 @@ def build_rud_dataset(corpus: Corpus, scope: str = CONSOLIDATED
     RUD = n_k / (N / 7.0).
     """
     cols = corpus.columns
-    labels, code, _, cell = _week_cells(cols, scope)
+    if scope == "journal":
+        labels, code = cols.journals, cols.journal
+    elif scope == CONSOLIDATED:
+        labels, code = (CONSOLIDATED,), np.zeros(len(cols), dtype=np.int64)
+    else:
+        raise ValueError(f"unknown scope {scope!r}")
+    # years are 1..9999 and week numbers 1..54
+    _, cell = np.unique((code * 10_000 + cols.year) * 64 + cols.week_number,
+                        return_inverse=True)
+    cell = cell.reshape(-1)
     day = cell * 7 + cols.weekday - 1
     week_total = np.bincount(cell)[cell]
     day_count = np.bincount(day)[day]

@@ -1,13 +1,9 @@
-"""Oracles for the columnar design build and the White column dedupe.
+"""Oracle for the columnar design build.
 
 ``reference_build_design`` is the row-wise design build as it was before
 the superset matrix: every (observation, term) pair goes through the
 ``_term_value`` dispatcher, a row missing a covariate (absent LTO) is
 dropped as soon as it is met, and the kept rows become the matrix.
-
-``reference_dedupe_columns`` is the White test's duplicate-column check
-as it was before the hash lookup: each auxiliary column is compared with
-every kept one by ``np.array_equal``.
 """
 
 from __future__ import annotations
@@ -83,19 +79,3 @@ def reference_build_design(features: Sequence[DerivedFeatures],
                         dropped_columns=tuple(dropped),
                         n_dropped_rows=n_dropped_rows)
 
-
-def reference_dedupe_columns(cols: list[np.ndarray], labels: list[str]
-                             ) -> tuple[list[np.ndarray], list[str], bool]:
-    kept: list[np.ndarray] = []
-    kept_labels: list[str] = []
-    dropped_any = False
-    for col, label in zip(cols, labels):
-        if float(col.max()) == float(col.min()):
-            dropped_any = True
-            continue
-        if any(np.array_equal(col, k) for k in kept):
-            dropped_any = True
-            continue
-        kept.append(col)
-        kept_labels.append(label)
-    return kept, kept_labels, dropped_any

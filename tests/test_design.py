@@ -1,5 +1,5 @@
-"""The columnar design build and the White column dedupe against their
-row-wise references in ``reference_design.py``."""
+"""The columnar design build against its row-wise reference in
+``reference_design.py``."""
 
 import math
 from datetime import date
@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dwe import corpus as cm, diststat, linmod, rud
-from reference_design import (reference_build_design,
-                              reference_dedupe_columns)
+from reference_design import reference_build_design
 
 YEARS = (2004, 2005, 2006)
 
@@ -165,31 +164,3 @@ class TestColumnarDesign:
             linmod.build_design(features, np.arange(5.0),
                                 linmod.ModelSpec("x", ("const", "friday")))
 
-
-class TestWhiteDedupe:
-    def test_matches_pairwise_check_on_m9(self, synth_corpus):
-        table = rud.build_rud_dataset(synth_corpus)
-        _, y = rud.attach_transform(table, diststat.IDENTITY_SPEC)
-        design = linmod.build_design(
-            linmod.superset_matrix(synth_corpus.columns), y,
-            linmod.standard_model("M9"))
-        cols, labels = linmod._white_columns(design)
-        # a negative log10 HDI times a zero dummy gives -0.0
-        assert any(np.signbit(c[c == 0.0]).any() for c in cols)
-        kept, kept_labels, dropped = linmod._dedupe_columns(cols, labels)
-        want, want_labels, want_dropped = reference_dedupe_columns(
-            cols, labels)
-        assert kept_labels == want_labels and dropped == want_dropped
-        assert all(a is b for a, b in zip(kept, want))
-        assert len(kept_labels) < len(labels)
-
-    def test_signed_zero_and_nan_columns(self):
-        a = np.array([0.0, 1.0, 2.0])
-        neg = np.array([-0.0, 1.0, 2.0])
-        nan = np.array([np.nan, 1.0, 2.0])
-        cols = [a, neg, nan, nan.copy(), np.ones(3)]
-        labels = ["a", "neg", "nan", "nan2", "one"]
-        got = linmod._dedupe_columns(cols, labels)
-        want = reference_dedupe_columns(cols, labels)
-        assert got[1] == want[1] == ["a", "nan", "nan2"]
-        assert got[2] == want[2] is True

@@ -53,6 +53,23 @@ class TestWeekGroups:
         assert {g.scope for g in per_journal.values()} \
             == set(synth_corpus.journals())
 
+    @pytest.mark.parametrize("scope", ["journal", rud.CONSOLIDATED])
+    @pytest.mark.parametrize("fixture", ["sample_corpus", "synth_corpus"])
+    def test_table_matches_week_groups(self, request, fixture, scope):
+        corpus = request.getfixturevalue(fixture)
+        groups = rud.build_week_groups(corpus.records, scope)
+        features = {r.article.id: r.features for r in corpus.records}
+        table = rud.build_rud_dataset(corpus, scope)
+        assert [o.article_id for o in table] == sorted(features)
+        for o in table:
+            f = features[o.article_id]
+            assert (o.year, o.week_number, o.weekday) \
+                == (f.year, f.week_number, f.weekday)
+            g = groups[(o.scope, o.year, o.week_number)]
+            assert o.day_count == g.day_counts[o.weekday - 1]
+            assert o.week_total == g.total
+            assert o.rud == rud.rud_for_day(g, o.weekday)
+
 
 counts = st.lists(st.integers(min_value=0, max_value=40), min_size=7,
                   max_size=7).filter(lambda c: sum(c) > 0)
