@@ -211,17 +211,18 @@ class RunContext:
 
     def ratios_by_scope(self) -> dict[str, list[float]]:
         """The ratios grouped by scope, in scope order: from ``rud_csv``
-        when given, else from this run's observations."""
+        when given, else from this run's observations; none is an error."""
         if self.rud_csv is not None:
-            rows = rud_mod.read_rud_csv(self.rud_csv)
-            if not rows:
-                raise ValueError(f"{self.rud_csv}: no observations")
             by_scope: dict[str, list[float]] = {}
-            for row in rows:
+            for row in rud_mod.read_rud_csv(self.rud_csv):
                 by_scope.setdefault(row["scope"], []).append(row["rud"])
-            return dict(sorted(by_scope.items()))
-        return {scope: table.rud.tolist()
-                for scope, table in self.rud().by_scope().items()}
+        else:
+            by_scope = {scope: table.rud.tolist()
+                        for scope, table in self.rud().by_scope().items()}
+        if not by_scope:
+            raise ValueError(
+                f"{self.rud_csv or 'cleaned corpus'}: no observations")
+        return dict(sorted(by_scope.items()))
 
     def transform_specs(self) -> dict[str, diststat.TransformSpec] | None:
         """The configured transform.cfg, else the specs a transform stage
@@ -264,8 +265,7 @@ def _run_harvest(ctx: RunContext) -> StageResult:
 def _run_clean(ctx: RunContext) -> StageResult:
     c = ctx.cleaned()
     out = ctx.paths["cleaned.csv"]
-    corpus_mod.write_corpus_csv(
-        [corpus_mod.raw_from_article(r.article) for r in c.records], out)
+    corpus_mod.write_corpus_csv(c.records, out)
     written = [out]
     report = {"input": len(ctx.rows()), "kept": len(c.records),
               "dropped": dict(c.cleaning_report)}
@@ -326,7 +326,7 @@ def _run_regress(ctx: RunContext) -> StageResult:
     windows = _parse_windows(ctx.get("windows", "default"), _year_span(c))
     specs = ctx.transform_specs()
     scope = ctx.get("scope", "all")
-    scopes = None if scope == "all" else list(c.journals()) \
+    scopes = None if scope == "all" else list(c.columns.journals) \
         if scope == "journal" else [scope]
     report = linmod.roll_window_run(
         c, windows=windows, model_ids=models,

@@ -1,4 +1,10 @@
-"""Canonical article data model, calendar feature derivation, and corpus IO.
+"""Corpus rows, calendar rules, the cleaned corpus's feature columns, and IO.
+
+A corpus is a list of ``RawRecord`` rows, one per article.
+``clean_corpus`` drops the unusable rows and derives the features of the
+rest once, as numpy columns (``FeatureColumns``).  The scalar calendar
+rules below are the only implementation of each rule; the columns apply
+them once per distinct received day.
 
 Conventions used throughout the package:
 
@@ -18,9 +24,8 @@ from __future__ import annotations
 import csv
 import math
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
-from functools import cached_property
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -32,7 +37,6 @@ CONTINENTS = ("europe", "america", "africa", "asia", "oceania")
 SEASONS = ("spring", "summer", "fall", "winter")
 
 DEFAULT_WEEKEND = frozenset({SATURDAY, SUNDAY})
-FRI_SAT_WEEKEND = frozenset({FRIDAY, SATURDAY})
 
 #: column order of the corpus CSV format; fixed, a different header is rejected.
 CSV_COLUMNS = ("id", "journal", "received", "revised", "online",
@@ -145,7 +149,7 @@ def classify_weekend(d: date, profile: CountryProfile) -> bool:
 
 @dataclass(frozen=True)
 class RawRecord:
-    """One corpus CSV row before cleaning; optional fields may be missing."""
+    """One corpus CSV row; optional fields may be missing."""
 
     id: int
     journal: str
@@ -157,90 +161,24 @@ class RawRecord:
     country: str  # ISO code, or "" when unresolved
 
 
-@dataclass(frozen=True)
-class ArticleRecord:
-    """One cleaned article; all invariants enforced."""
-
-    id: int
-    journal: str
-    received: date
-    revised: date | None
-    online: date | None
-    author_count: int
-    page_count: int
-    country: str
-
-    def __post_init__(self) -> None:
-        if not self.journal:
-            raise ValueError(f"record {self.id}: empty journal id")
-        if self.author_count < 1:
-            raise ValueError(f"record {self.id}: author_count < 1")
-        if self.page_count < 0:
-            raise ValueError(f"record {self.id}: negative page_count")
-        if not self.country:
-            raise ValueError(f"record {self.id}: empty country")
-
-
-@dataclass(frozen=True)
-class DerivedFeatures:
-    """Calendar and covariate features derived from a record + its country."""
-
-    weekday: int
-    week_number: int
-    year: int
-    season: str
-    is_weekend: bool
-    is_christmas: bool
-    continent: str
-    log10_authors: float
-    log10_hdi: float
-    log10_lto: float | None
-
-
-def derive_features(record: ArticleRecord,
-                    profile: CountryProfile) -> DerivedFeatures:
-    """All derived features of ``record`` under ``profile``'s calendar rules.
-
-    LTO of exactly 0 has no logarithm and is recorded as absent.
-    """
-    d = record.received
-    lto = profile.lto
-    log_lto = math.log10(lto) if lto else None
-    return DerivedFeatures(
-        weekday=derive_weekday(d),
-        week_number=derive_week_number(d),
-        year=d.year,
-        season=derive_season(d),
-        is_weekend=classify_weekend(d, profile),
-        is_christmas=in_christmas_window(d),
-        continent=profile.continent,
-        log10_authors=math.log10(record.author_count),
-        log10_hdi=math.log10(profile.hdi),
-        log10_lto=log_lto,
-    )
-
-
-@dataclass(frozen=True)
-class CorpusRecord:
-    article: ArticleRecord
-    features: DerivedFeatures
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureColumns:
-    """The derived features of a set of records as numpy columns.
+    """The derived features of the kept articles as numpy columns.
 
-    Row i describes ``records[i]``; the records are in article-id order.
-    Categories are coded: ``journal`` indexes ``journals`` (sorted),
-    ``season`` indexes SEASONS and ``continent`` CONTINENTS.  The log
-    covariates are the records' own ``math.log10`` values, NaN where the
-    LTO is absent.
+    Row i describes the i-th article in article-id order.  Categories are
+    coded: ``journal`` indexes ``journals`` and ``country`` indexes
+    ``countries`` (both sorted), ``season`` indexes SEASONS and
+    ``continent`` CONTINENTS.  ``received`` holds day ordinals
+    (``date.toordinal``).  The log covariates are ``math.log10`` values,
+    NaN where the LTO is absent.
     """
 
-    records: tuple[CorpusRecord, ...]
     article_id: np.ndarray
     journals: tuple[str, ...]
     journal: np.ndarray
+    countries: tuple[str, ...]
+    country: np.ndarray
+    received: np.ndarray
     year: np.ndarray
     week_number: np.ndarray
     weekday: np.ndarray
@@ -253,61 +191,70 @@ class FeatureColumns:
     log10_lto: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.article_id.size
 
 
-def feature_columns(records: Sequence[CorpusRecord]) -> FeatureColumns:
-    """Gather the records' features into columns, in article-id order."""
-    records = tuple(sorted(records, key=lambda r: r.article.id))
-    feats = [r.features for r in records]
-    n = len(records)
-    journals = tuple(sorted({r.article.journal for r in records}))
-    journal_code = {name: k for k, name in enumerate(journals)}
-    season_code = {name: k for k, name in enumerate(SEASONS)}
-    continent_code = {name: k for k, name in enumerate(CONTINENTS)}
+def _derive_columns(rows: Sequence[RawRecord],
+                    countries: Mapping[str, CountryProfile]
+                    ) -> FeatureColumns:
+    """Features of cleaned rows given in article-id order: each calendar
+    rule runs once per distinct day, the weekend rule once per distinct
+    (country, day) and each log once per distinct value, and ``np.unique``'s
+    inverse maps them to the articles.  An LTO of 0 has no log (NaN)."""
+    n = len(rows)
 
-    def column(values, dtype) -> np.ndarray:
+    def column(values, dtype=np.int64) -> np.ndarray:
         return np.fromiter(values, dtype=dtype, count=n)
 
+    def coded(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+        labels = tuple(sorted(set(values)))
+        code = {label: k for k, label in enumerate(labels)}
+        return labels, column(map(code.__getitem__, values))
+
+    def table(rule, keys, dtype=np.int64) -> np.ndarray:
+        return np.fromiter(map(rule, keys), dtype=dtype, count=len(keys))
+
+    journals, journal = coded([r.journal for r in rows])
+    isos, country = coded([r.country for r in rows])
+    received = column(r.received.toordinal() for r in rows)
+    ordinals, day = np.unique(received, return_inverse=True)
+    days = [date.fromordinal(o) for o in ordinals.tolist()]
+    profiles = [countries[iso] for iso in isos]
+    pairs, pair = np.unique(country * len(days) + day, return_inverse=True)
+    authors, author = np.unique(column(r.author_count for r in rows),
+                                return_inverse=True)
     return FeatureColumns(
-        records=records,
-        article_id=column((r.article.id for r in records), np.int64),
-        journals=journals,
-        journal=column((journal_code[r.article.journal] for r in records),
-                       np.int64),
-        year=column((f.year for f in feats), np.int64),
-        week_number=column((f.week_number for f in feats), np.int64),
-        weekday=column((f.weekday for f in feats), np.int64),
-        season=column((season_code[f.season] for f in feats), np.int64),
-        continent=column((continent_code[f.continent] for f in feats),
-                         np.int64),
-        is_weekend=column((f.is_weekend for f in feats), bool),
-        is_christmas=column((f.is_christmas for f in feats), bool),
-        log10_authors=column((f.log10_authors for f in feats), float),
-        log10_hdi=column((f.log10_hdi for f in feats), float),
-        log10_lto=column((math.nan if f.log10_lto is None else f.log10_lto
-                          for f in feats), float))
+        article_id=column(r.id for r in rows),
+        journals=journals, journal=journal,
+        countries=isos, country=country,
+        received=received,
+        year=table(lambda d: d.year, days)[day],
+        week_number=table(derive_week_number, days)[day],
+        weekday=table(derive_weekday, days)[day],
+        season=table(lambda d: SEASONS.index(derive_season(d)), days)[day],
+        continent=table(lambda p: CONTINENTS.index(p.continent),
+                        profiles)[country],
+        is_weekend=table(lambda k: classify_weekend(
+            days[k % len(days)], profiles[k // len(days)]),
+            pairs.tolist(), bool)[pair],
+        is_christmas=table(in_christmas_window, days, bool)[day],
+        log10_authors=table(math.log10, authors.tolist(), float)[author],
+        log10_hdi=table(lambda p: math.log10(p.hdi), profiles,
+                        float)[country],
+        log10_lto=table(lambda p: math.log10(p.lto) if p.lto else math.nan,
+                        profiles, float)[country])
 
 
 @dataclass(frozen=True)
 class Corpus:
-    """Cleaned records with their features, the country table, and the
-    counts of rows dropped during cleaning keyed by reason."""
+    """The kept rows in article-id order, their features as columns, the
+    country table, and the counts of rows dropped during cleaning keyed by
+    reason."""
 
-    records: tuple[CorpusRecord, ...]
+    records: tuple[RawRecord, ...]
+    columns: FeatureColumns
     countries: Mapping[str, CountryProfile]
-    cleaning_report: Mapping[str, int] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def journals(self) -> tuple[str, ...]:
-        return self.columns.journals
-
-    @cached_property
-    def columns(self) -> FeatureColumns:
-        """The records' features as columns, derived on first use."""
-        return feature_columns(self.records)
+    cleaning_report: Mapping[str, int]
 
 
 #: cleaning drop reasons, in report order.
@@ -319,45 +266,34 @@ def clean_corpus(rows: Iterable[RawRecord],
     """Validate raw rows into a Corpus.
 
     Drops (counted per reason): rows without a received date, rows whose
-    country is empty or not in the table, rows with no authors.  A duplicate
-    article id is a hard error, never a silent drop.  Output order is sorted
-    by article id.
+    country is empty or not in the table, rows with no authors.  A
+    duplicate article id, and a kept row with an empty journal id or a
+    negative page count, are hard errors, never silent drops.  The kept
+    rows are sorted by article id.
     """
     seen: set[int] = set()
     dropped = {reason: 0 for reason in DROP_REASONS}
-    kept: list[CorpusRecord] = []
+    kept: list[RawRecord] = []
     for row in rows:
         if row.id in seen:
             raise ValueError(f"duplicate article id {row.id}")
         seen.add(row.id)
         if row.received is None:
             dropped["no-reception-date"] += 1
-            continue
-        if not row.country or row.country not in countries:
+        elif not row.country or row.country not in countries:
             dropped["unclear-country"] += 1
-            continue
-        if row.author_count < 1:
+        elif row.author_count < 1:
             dropped["no-authors"] += 1
-            continue
-        article = ArticleRecord(
-            id=row.id, journal=row.journal, received=row.received,
-            revised=row.revised, online=row.online,
-            author_count=row.author_count, page_count=row.page_count,
-            country=row.country)
-        kept.append(CorpusRecord(
-            article=article,
-            features=derive_features(article, countries[row.country])))
-    kept.sort(key=lambda r: r.article.id)
-    return Corpus(records=tuple(kept), countries=dict(countries),
-                  cleaning_report=dropped)
-
-
-def raw_from_article(a: ArticleRecord) -> RawRecord:
-    """Project a cleaned article back to its raw-row form."""
-    return RawRecord(id=a.id, journal=a.journal, received=a.received,
-                     revised=a.revised, online=a.online,
-                     author_count=a.author_count, page_count=a.page_count,
-                     country=a.country)
+        elif not row.journal:
+            raise ValueError(f"record {row.id}: empty journal id")
+        elif row.page_count < 0:
+            raise ValueError(f"record {row.id}: negative page_count")
+        else:
+            kept.append(row)
+    kept.sort(key=lambda r: r.id)
+    return Corpus(records=tuple(kept),
+                  columns=_derive_columns(kept, countries),
+                  countries=dict(countries), cleaning_report=dropped)
 
 
 def _fmt_date(d: date | None) -> str:
@@ -380,7 +316,8 @@ def write_corpus_csv(rows: Iterable[RawRecord], path: str) -> None:
 
 
 def read_corpus_csv(path: str) -> list[RawRecord]:
-    """Read a corpus CSV; rejects a header that is not exactly CSV_COLUMNS."""
+    """Read a corpus CSV; a header that is not exactly CSV_COLUMNS or a
+    malformed row raises a ValueError naming the file (and line)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -390,11 +327,19 @@ def read_corpus_csv(path: str) -> list[RawRecord]:
         for line in reader:
             if not line:
                 continue
-            rows.append(RawRecord(
-                id=int(line[0]), journal=line[1],
-                received=_parse_date(line[2]), revised=_parse_date(line[3]),
-                online=_parse_date(line[4]), author_count=int(line[5]),
-                page_count=int(line[6]), country=line[7]))
+            try:
+                if len(line) != len(CSV_COLUMNS):
+                    raise ValueError(f"expected {len(CSV_COLUMNS)} fields, "
+                                     f"got {len(line)}")
+                rows.append(RawRecord(
+                    id=int(line[0]), journal=line[1],
+                    received=_parse_date(line[2]),
+                    revised=_parse_date(line[3]),
+                    online=_parse_date(line[4]), author_count=int(line[5]),
+                    page_count=int(line[6]), country=line[7]))
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path} line {reader.line_num}: {exc}") from exc
     return rows
 
 

@@ -26,7 +26,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus, CorpusRecord
+import numpy as np
+
+from .corpus import Corpus
 
 
 # -- selection expressions --------------------------------------------------
@@ -52,9 +54,6 @@ class SelectionExpr:
     def matches(self, weekday: int, journal: str) -> bool:
         return any(all(a.matches(weekday, journal) for a in clause)
                    for clause in self.clauses)
-
-    def matches_record(self, rec: CorpusRecord) -> bool:
-        return self.matches(rec.features.weekday, rec.article.journal)
 
 
 _FIELD_ALIASES = {
@@ -174,28 +173,25 @@ def localization_quotient(corpus: Corpus,
     a country with nothing in the selection gets LQ 0.  An empty world
     selection leaves the quotient undefined and raises.
     """
-    totals: dict[str, int] = {}
-    selected: dict[str, int] = {}
-    for rec in corpus.records:
-        iso = rec.article.country
-        totals[iso] = totals.get(iso, 0) + 1
-        if selection.matches_record(rec):
-            selected[iso] = selected.get(iso, 0) + 1
-    tot_world = sum(totals.values())
-    sel_world = sum(selected.values())
-    if tot_world == 0:
+    cols = corpus.columns
+    if not len(cols):
         raise ValueError("empty corpus")
+    # the selection reads only the weekday and the journal
+    matches = np.array([[selection.matches(weekday, journal)
+                         for journal in cols.journals]
+                        for weekday in range(1, 8)], dtype=bool)
+    selected_rows = matches[cols.weekday - 1, cols.journal]
+    totals = np.bincount(cols.country, minlength=len(cols.countries))
+    selected = np.bincount(cols.country[selected_rows],
+                           minlength=len(cols.countries))
+    sel_world = int(selected.sum())
     if sel_world == 0:
         raise ValueError(f"selection {selection.text!r} matches nothing")
-    world_rate = sel_world / tot_world
-    entries = []
-    for iso in sorted(totals):
-        sel_c = selected.get(iso, 0)
-        tot_c = totals[iso]
-        entries.append(LqEntry(
-            country=iso, selected_count=sel_c, total_count=tot_c,
-            lq=100.0 * (sel_c / tot_c) / world_rate))
-    return entries
+    world_rate = sel_world / len(cols)
+    return [LqEntry(country=iso, selected_count=sel_c, total_count=tot_c,
+                    lq=100.0 * (sel_c / tot_c) / world_rate)
+            for iso, sel_c, tot_c in zip(cols.countries, selected.tolist(),
+                                         totals.tolist())]
 
 
 # -- natural breaks ---------------------------------------------------------

@@ -81,52 +81,60 @@ def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
     Ratios are computed over the full corpus first (an article's week group
     is its journal's whole flow, not the panel subset), then restricted to
     the day range and the top_n countries by article count inside it.
-    Cells exist only for populated (country, day) pairs.
+    Cells exist only for populated (country, day) pairs; each averages its
+    articles in article-id order.
     """
     if end < start:
         raise ValueError(f"range ends before it starts: {start}..{end}")
-    ratios = build_rud_dataset(corpus, scope)
-    counts: dict[str, int] = {}
-    for rec in corpus.records:
-        if start <= rec.article.received <= end:
-            counts[rec.article.country] = \
-                counts.get(rec.article.country, 0) + 1
-    ranked = sorted(counts, key=lambda iso: (-counts[iso], iso))
-    if len(ranked) < top_n:
+    ratios = build_rud_dataset(corpus, scope)  # row i is article i
+    cols = ratios.columns
+    in_range = (cols.received >= start.toordinal()) \
+        & (cols.received <= end.toordinal())
+    counts = np.bincount(cols.country[in_range],
+                         minlength=len(cols.countries))
+    present = np.flatnonzero(counts)
+    # country codes follow ISO order, so a stable sort breaks count ties
+    top = present[np.argsort(-counts[present], kind="stable")][:top_n]
+    if top.size < top_n:
         raise ValueError(
-            f"only {len(ranked)} countries have articles in range, "
+            f"only {top.size} countries have articles in range, "
             f"need {top_n}")
-    top = ranked[:top_n]
-    top_set = set(top)
 
-    records = ratios.columns.records
-    grouped: dict[tuple[str, date], list] = {}
-    for r, value in zip(ratios.row.tolist(), ratios.rud.tolist()):
-        article = records[r].article
-        if start <= article.received <= end and article.country in top_set:
-            grouped.setdefault((article.country, article.received),
-                               []).append((value, records[r].features))
+    # day ordinals stay below 10**7, so the key orders by (country, day)
+    key = cols.country * 10**7 + cols.received
+    picked = np.flatnonzero(in_range & np.isin(cols.country, top))
+    picked = picked[np.argsort(key[picked], kind="stable")]
+    starts = np.flatnonzero(np.diff(key[picked], prepend=-1))
+    stops = np.append(starts[1:], picked.size).tolist()
+    # math.log10 of each distinct ratio, as the row-wise means took it
+    values, value = np.unique(ratios.rud[picked], return_inverse=True)
+    log_rud = np.array([math.log10(v) for v in values.tolist()])[value]
+    log_authors = cols.log10_authors[picked]
 
     cells = []
-    for (iso, day), obs in sorted(grouped.items()):
+    for a, b, code, ordinal in zip(
+            starts.tolist(), stops, cols.country[picked[starts]].tolist(),
+            cols.received[picked[starts]].tolist()):
+        iso = cols.countries[code]
         profile = corpus.countries[iso]
+        d = date.fromordinal(ordinal)
         lto = profile.lto
         cells.append(PanelCell(
             country=iso,
-            t=(day - start).days + 1,
-            day=day,
-            n_ct=len(obs),
-            y=float(np.mean([math.log10(value) for value, _ in obs])),
-            mean_log10_authors=float(np.mean(
-                [f.log10_authors for _, f in obs])),
-            weekday=derive_weekday(day),
-            season=derive_season(day),
-            is_weekend=classify_weekend(day, profile),
-            is_christmas=in_christmas_window(day),
+            t=(d - start).days + 1,
+            day=d,
+            n_ct=b - a,
+            y=float(np.mean(log_rud[a:b])),
+            mean_log10_authors=float(np.mean(log_authors[a:b])),
+            weekday=derive_weekday(d),
+            season=derive_season(d),
+            is_weekend=classify_weekend(d, profile),
+            is_christmas=in_christmas_window(d),
             log10_hdi=math.log10(profile.hdi),
             log10_lto=math.log10(lto) if lto else None))
     return PanelData(cells=tuple(cells), start=start, end=end,
-                     countries=tuple(sorted(top)))
+                     countries=tuple(cols.countries[k]
+                                     for k in np.sort(top).tolist()))
 
 
 def _cell_row(cell: PanelCell, trend_base: str) -> list[float] | None:

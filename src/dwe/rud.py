@@ -14,9 +14,8 @@ columns (``Corpus.columns``, one row per article in article-id order),
 numbers the distinct (scope, year, week) keys with ``np.unique``, counts N
 and n_k with ``bincount`` and returns a RudTable: numpy columns that index
 back into the feature columns, so the regression designs and the panel
-read the same rows without a per-article object.  ``WeekGroup``,
-``build_week_groups`` and ``rud_for_day`` state the same formula row by
-row, one week cell at a time.
+read the same rows without a per-article object.  Iterating a table
+gives one ``RudObservation`` per row, built from the columns.
 """
 
 from __future__ import annotations
@@ -24,58 +23,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from datetime import date
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .corpus import Corpus, CorpusRecord, FeatureColumns
+from .corpus import Corpus, FeatureColumns
 from .diststat import apply_transform_steps_array
 
 CONSOLIDATED = "consolidated"
-
-
-@dataclass(frozen=True)
-class WeekGroup:
-    """Per-weekday submission counts of one (scope, year, week) cell."""
-
-    scope: str
-    year: int
-    week_number: int
-    day_counts: tuple[int, ...]  # 7 entries, Monday..Sunday
-
-    def __post_init__(self) -> None:
-        if len(self.day_counts) != 7:
-            raise ValueError("day_counts must have 7 entries")
-        if any(c < 0 for c in self.day_counts):
-            raise ValueError("negative day count")
-
-    @property
-    def total(self) -> int:
-        return sum(self.day_counts)
-
-
-def uniform_daily_rate(group: WeekGroup) -> float:
-    """UD = N/7 for the group's N articles; empty groups have no rate."""
-    if group.total == 0:
-        raise ValueError(
-            f"empty week group {group.scope}/{group.year}/w{group.week_number}")
-    return group.total / 7.0
-
-
-def rud_for_day(group: WeekGroup, weekday: int) -> float:
-    """RUD of an article received on ``weekday`` within ``group``.
-
-    Only meaningful for days that actually received something (n_k >= 1),
-    which holds for every observed article by construction.
-    """
-    if not 1 <= weekday <= 7:
-        raise ValueError(f"weekday {weekday} out of 1..7")
-    n_k = group.day_counts[weekday - 1]
-    if n_k < 1:
-        raise ValueError(
-            f"no submissions on weekday {weekday} in group "
-            f"{group.scope}/{group.year}/w{group.week_number}")
-    return n_k / uniform_daily_rate(group)
 
 
 @dataclass(frozen=True)
@@ -135,37 +90,18 @@ class RudTable:
 
     def __iter__(self) -> Iterator[RudObservation]:
         cols, row = self.columns, self.row
-        for r, k, year, week, weekday, n_k, n, value in zip(
-                row.tolist(), self.scope.tolist(), cols.year[row].tolist(),
-                cols.week_number[row].tolist(), cols.weekday[row].tolist(),
-                self.day_count.tolist(), self.week_total.tolist(),
-                self.rud.tolist()):
-            article = cols.records[r].article
+        for article_id, k, journal, day, year, week, weekday, n_k, n, value \
+                in zip(cols.article_id[row].tolist(), self.scope.tolist(),
+                       cols.journal[row].tolist(),
+                       cols.received[row].tolist(), cols.year[row].tolist(),
+                       cols.week_number[row].tolist(),
+                       cols.weekday[row].tolist(), self.day_count.tolist(),
+                       self.week_total.tolist(), self.rud.tolist()):
             yield RudObservation(
-                article_id=article.id, scope=self.labels[k],
-                journal=article.journal, received=article.received,
-                year=year, week_number=week, weekday=weekday, day_count=n_k,
-                week_total=n, rud=value)
-
-
-def build_week_groups(records: Iterable[CorpusRecord],
-                      scope: str) -> dict[tuple[str, int, int], WeekGroup]:
-    """Group records into per-(scope, year, week) weekday counts.
-
-    ``scope`` is "journal" (one group key per journal) or "consolidated"
-    (all journals pooled under the single scope label "consolidated").
-    """
-    if scope not in ("journal", CONSOLIDATED):
-        raise ValueError(f"unknown scope {scope!r}")
-    counts: dict[tuple[str, int, int], list[int]] = {}
-    for rec in records:
-        label = rec.article.journal if scope == "journal" else CONSOLIDATED
-        key = (label, rec.features.year, rec.features.week_number)
-        day_counts = counts.setdefault(key, [0] * 7)
-        day_counts[rec.features.weekday - 1] += 1
-    return {key: WeekGroup(scope=key[0], year=key[1], week_number=key[2],
-                           day_counts=tuple(dc))
-            for key, dc in counts.items()}
+                article_id=article_id, scope=self.labels[k],
+                journal=cols.journals[journal],
+                received=date.fromordinal(day), year=year, week_number=week,
+                weekday=weekday, day_count=n_k, week_total=n, rud=value)
 
 
 def build_rud_dataset(corpus: Corpus, scope: str = CONSOLIDATED

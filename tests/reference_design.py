@@ -12,10 +12,10 @@ from typing import Sequence
 
 import numpy as np
 
-from dwe.corpus import DerivedFeatures
 from dwe.linmod import (CONTINENT_TERMS, SEASON_TERMS, DesignMatrix,
                         ModelSpec)
 from dwe.lsq import CONST, drop_degenerate_columns
+from reference_corpus import DerivedFeatures
 
 
 def _term_value(term: str, f: DerivedFeatures) -> float | None:

@@ -200,10 +200,10 @@ def test_09_quotients_and_breaks_match_oracles():
     sel = geo.parse_selection("weekday in 6, 7")
     entries = geo.localization_quotient(corpus, sel)
     sel_c, tot_c = {}, {}
-    for rec in corpus.records:
-        iso = rec.article.country
+    for row in corpus.records:
+        iso = row.country
         tot_c[iso] = tot_c.get(iso, 0) + 1
-        if sel.matches_record(rec):
+        if sel.matches(cm.derive_weekday(row.received), row.journal):
             sel_c[iso] = sel_c.get(iso, 0) + 1
     world_sel = sum(sel_c.values())
     world_tot = sum(tot_c.values())

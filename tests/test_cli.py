@@ -256,6 +256,30 @@ class TestPipeline:
         assert statuses["clean"] == "ok"
         assert statuses["panel"] == "failed"
 
+    def test_bad_corpus_row_fails_with_marker(self, tmp_path, corpus_csv):
+        bad = tmp_path / "bad.csv"
+        lines = corpus_csv.read_text().splitlines()
+        bad.write_text("\n".join(lines[:3] + ["1,j,2010-01-04,,,2,3"]
+                                 + lines[3:]) + "\n")
+        cfg = self.write_config(tmp_path, bad, "clean, rud")
+        assert run(["pipeline", "--config", cfg]) == 1
+        marker = (tmp_path / "out" / "FAILED").read_text()
+        assert "stage=clean" in marker
+        assert f"{bad} line 4: expected 8 fields, got 7" in marker
+
+    @pytest.mark.parametrize("stage", ["normality", "transform"])
+    def test_ratio_stage_fails_on_empty_table(self, tmp_path, stage):
+        rows = [cm.RawRecord(id=i, journal="j", received=None, revised=None,
+                             online=None, author_count=2, page_count=3,
+                             country="US") for i in (1, 2)]
+        src = tmp_path / "corpus.csv"
+        cm.write_corpus_csv(rows, str(src))
+        cfg = self.write_config(tmp_path, src, f"clean, {stage}")
+        assert run(["pipeline", "--config", cfg]) == 1
+        marker = (tmp_path / "out" / "FAILED").read_text()
+        assert f"stage={stage}" in marker and "no observations" in marker
+        assert not (tmp_path / "out" / "transform.cfg").exists()
+
     def test_marker_cleared_on_success(self, tmp_path, corpus_csv):
         bad = self.write_config(tmp_path, corpus_csv, "clean, panel")
         assert run(["pipeline", "--config", bad]) == 1

@@ -1,12 +1,16 @@
 """Calendar derivations, country table, cleaning, CSV round-trips."""
 
+import dataclasses
 import io
+import re
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwe import corpus as cm
+from dwe import corpus as cm, synth
+from reference_corpus import gather_columns, raw_rows, reference_clean
 
 DATES = st.dates(min_value=date(1990, 1, 1), max_value=date(2040, 12, 31))
 
@@ -122,34 +126,69 @@ class TestWeekendSchedules:
             assert froms[0] == date.min
 
 
+def _row(**kw):
+    base = dict(id=1, journal="j", received=date(2010, 5, 3),
+                revised=None, online=None, author_count=2,
+                page_count=3, country="US")
+    base.update(kw)
+    return cm.RawRecord(**base)
+
+
+def assert_same_columns(got, want):
+    for f in dataclasses.fields(cm.FeatureColumns):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
 class TestDeriveFeatures:
     def test_log_features(self, country_table):
-        art = cm.ArticleRecord(id=1, journal="j", received=date(2012, 3, 9),
-                               revised=None, online=None, author_count=10,
-                               page_count=4, country="US")
-        f = cm.derive_features(art, country_table["US"])
-        assert f.log10_authors == 1.0
-        assert f.weekday == 5 and f.season == "spring"
-        assert f.continent == "america"
-        assert not f.is_weekend and not f.is_christmas
+        row = _row(received=date(2012, 3, 9), author_count=10)
+        cols = cm.clean_corpus([row], country_table).columns
+        assert cols.log10_authors.tolist() == [1.0]
+        assert cols.weekday.tolist() == [5]
+        assert cols.season.tolist() == [cm.SEASONS.index("spring")]
+        assert cols.continent.tolist() == [cm.CONTINENTS.index("america")]
+        assert cols.is_weekend.tolist() == [False]
+        assert cols.is_christmas.tolist() == [False]
 
     def test_lto_zero_is_missing(self, country_table):
-        profile = cm.make_profile(iso="XX", continent="asia", hdi=0.7,
-                                  lto=None, names=("nowhere",))
-        art = cm.ArticleRecord(id=1, journal="j", received=date(2012, 3, 9),
-                               revised=None, online=None, author_count=2,
-                               page_count=4, country="XX")
-        f = cm.derive_features(art, profile)
-        assert f.log10_lto is None
+        table = {iso: cm.make_profile(iso=iso, continent="asia", hdi=0.7,
+                                      lto=lto, names=("nowhere",))
+                 for iso, lto in (("XX", None), ("YY", 0.0))}
+        cols = cm.clean_corpus([_row(id=1, country="XX"),
+                                _row(id=2, country="YY")], table).columns
+        assert np.isnan(cols.log10_lto).all()
+
+
+class TestColumnarClean:
+    @settings(max_examples=200, deadline=None)
+    @given(raw_rows())
+    def test_equals_row_wise_reference(self, country_table, rows):
+        c = cm.clean_corpus(rows, country_table)
+        pairs, report = reference_clean(rows, country_table)
+        assert c.cleaning_report == report
+        assert c.records == tuple(row for row, _ in pairs)
+        assert_same_columns(c.columns, gather_columns(pairs))
+
+    def test_every_country_equals_row_wise_reference(self, country_table):
+        cfg = synth.SynthConfig(seed=3, start_year=2012, end_year=2014,
+                                articles_per_week=60.0,
+                                journals=("a", "b", "c"),
+                                countries=tuple(sorted(country_table)))
+        rows = synth.make_corpus_rows(cfg)
+        c = cm.clean_corpus(rows, country_table)
+        pairs, report = reference_clean(rows, country_table)
+        assert len(c.columns.countries) == len(country_table)
+        assert c.cleaning_report == report
+        assert_same_columns(c.columns, gather_columns(pairs))
 
 
 class TestCleaning:
-    def _raw(self, **kw):
-        base = dict(id=1, journal="j", received=date(2010, 5, 3),
-                    revised=None, online=None, author_count=2,
-                    page_count=3, country="US")
-        base.update(kw)
-        return cm.RawRecord(**base)
+    _raw = staticmethod(_row)
 
     def test_drops_counted_by_reason(self, country_table):
         rows = [self._raw(),
@@ -168,19 +207,42 @@ class TestCleaning:
         with pytest.raises(ValueError, match="duplicate"):
             cm.clean_corpus(rows, country_table)
 
-    def test_idempotent(self, country_table):
-        rows = [self._raw(id=i) for i in range(1, 6)]
+    def test_idempotent(self, country_table, tmp_path):
+        rows = [self._raw(id=i, received=date(2010, 5, i)) for i in (4, 2, 6)]
+        rows += [self._raw(id=7, received=None), self._raw(id=8, country="")]
         once = cm.clean_corpus(rows, country_table)
-        again = cm.clean_corpus(
-            [cm.raw_from_article(r.article) for r in once.records],
-            country_table)
-        assert [r.article for r in again.records] \
-            == [r.article for r in once.records]
+        path = tmp_path / "cleaned.csv"
+        cm.write_corpus_csv(once.records, str(path))
+        again = cm.clean_corpus(cm.read_corpus_csv(str(path)), country_table)
+        assert again.records == once.records
+        assert sum(again.cleaning_report.values()) == 0
+        assert_same_columns(again.columns, once.columns)
 
     def test_output_sorted_by_id(self, country_table):
         rows = [self._raw(id=i) for i in (5, 2, 9, 1)]
         c = cm.clean_corpus(rows, country_table)
-        assert [r.article.id for r in c.records] == [1, 2, 5, 9]
+        assert [r.id for r in c.records] == [1, 2, 5, 9]
+        assert c.columns.article_id.tolist() == [1, 2, 5, 9]
+
+    @pytest.mark.parametrize("bad,message", [
+        (dict(journal=""), "record 7: empty journal id"),
+        (dict(page_count=-1), "record 7: negative page_count")])
+    def test_bad_kept_row_is_error(self, country_table, bad, message):
+        rows = [self._raw(), self._raw(id=7, **bad)]
+        with pytest.raises(ValueError, match=message):
+            cm.clean_corpus(rows, country_table)
+
+    @pytest.mark.parametrize("drop,reason", [
+        (dict(received=None), "no-reception-date"),
+        (dict(country="ZZ"), "unclear-country"),
+        (dict(author_count=0), "no-authors")])
+    def test_dropped_row_is_not_checked(self, country_table, drop, reason):
+        rows = [self._raw(),
+                self._raw(id=7, journal="", page_count=-1, **drop)]
+        c = cm.clean_corpus(rows, country_table)
+        assert [r.id for r in c.records] == [1]
+        assert c.cleaning_report[reason] == 1
+        assert sum(c.cleaning_report.values()) == 1
 
 
 raw_records = st.builds(
@@ -209,6 +271,21 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
+            cm.read_corpus_csv(str(path))
+
+    @pytest.mark.parametrize("line,message", [
+        ("1,j,2010-01-04,,,2,3", "expected 8 fields, got 7"),
+        ("1,j,2010-01-04,,,2,3,US,x", "expected 8 fields, got 9"),
+        ("1,j,2010-01-04,,,x,3,US", "invalid literal for int"),
+        ("one,j,2010-01-04,,,2,3,US", "invalid literal for int"),
+        ("1,j,2010-02-30,,,2,3,US", "day is out of range"),
+        ("1,j,2010-01-04,,04/01/2010,2,3,US", "'04/01/2010'")])
+    def test_bad_row_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(cm.CSV_COLUMNS) + "\n"
+                        "9,j,2010-01-04,,,2,3,US\n" + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} line 3: ") + ".*" + re.escape(message)):
             cm.read_corpus_csv(str(path))
 
 

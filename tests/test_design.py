@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dwe import corpus as cm, diststat, linmod, rud
+from reference_corpus import DerivedFeatures, corpus_of, gather_columns
 from reference_design import reference_build_design
 
 YEARS = (2004, 2005, 2006)
@@ -17,7 +18,7 @@ YEARS = (2004, 2005, 2006)
 @st.composite
 def derived_features(draw, continents=cm.CONTINENTS):
     lto = draw(st.sampled_from((None, 25.0, 51.0, 87.0)))
-    return cm.DerivedFeatures(
+    return DerivedFeatures(
         weekday=draw(st.integers(1, 7)),
         week_number=draw(st.integers(1, 54)),
         year=draw(st.sampled_from(YEARS)),
@@ -32,7 +33,8 @@ def derived_features(draw, continents=cm.CONTINENTS):
 
 @st.composite
 def feature_sets(draw):
-    """Features in article-id order and their records in any order.
+    """Features in article-id order and their (row, features) pairs in any
+    order.
 
     Half the draws leave out some continents (africa among them), so
     their dummies are empty and drop."""
@@ -41,17 +43,17 @@ def feature_sets(draw):
     feats = draw(st.lists(derived_features(continents), min_size=1,
                           max_size=40))
     ids = draw(st.permutations(range(1, len(feats) + 1)))
-    records = [_record(i, f) for i, f in zip(ids, feats)]
+    pairs = [_pair(i, f) for i, f in zip(ids, feats)]
     by_id = [f for _, f in sorted(zip(ids, feats), key=lambda p: p[0])]
-    return records, by_id
+    return pairs, by_id
 
 
-def _record(article_id, f, journal="jj"):
-    article = cm.ArticleRecord(
+def _pair(article_id, f, journal="jj"):
+    row = cm.RawRecord(
         id=article_id, journal=journal, received=date(f.year, 1, 1),
         revised=None, online=None, author_count=1, page_count=1,
         country="XX")
-    return cm.CorpusRecord(article=article, features=f)
+    return row, f
 
 
 models = st.one_of(
@@ -86,10 +88,10 @@ class TestColumnarDesign:
     @settings(max_examples=150, deadline=None)
     @given(feature_sets(), models, st.data())
     def test_equals_row_wise_reference(self, drawn, spec, data):
-        records, feats = drawn
+        pairs, feats = drawn
         y = data.draw(st.lists(st.floats(-5, 5), min_size=len(feats),
                                max_size=len(feats)))
-        features = linmod.superset_matrix(cm.feature_columns(records))
+        features = linmod.superset_matrix(gather_columns(pairs))
         got = _outcome(linmod.build_design, features,
                        np.asarray(y, dtype=float), spec)
         assert_same_design(got, _outcome(reference_build_design,
@@ -102,8 +104,8 @@ class TestColumnarDesign:
     @settings(max_examples=40, deadline=None)
     @given(feature_sets())
     def test_roll_windows_are_row_masks(self, drawn):
-        records, feats = drawn
-        corpus = cm.Corpus(records=tuple(records), countries={})
+        pairs, feats = drawn
+        corpus = corpus_of(pairs)
         report = linmod.roll_window_run(
             corpus, windows=((1990, 1991), (2004, 2005), (2006, 2006)),
             model_ids=("M1", "M9"), scopes=["consolidated"],
@@ -134,15 +136,15 @@ class TestColumnarDesign:
                 assert {r.n for r in cell} == {want.n}
 
     def test_missing_lto_rows_counted(self):
-        feats = [cm.DerivedFeatures(
+        feats = [DerivedFeatures(
             weekday=1 + i % 7, week_number=1 + i // 7, year=2005,
             season=cm.SEASONS[i % 4], is_weekend=i % 7 >= 5,
             is_christmas=i % 11 == 0, continent=("europe", "asia")[i % 2],
             log10_authors=math.log10(1 + i % 5), log10_hdi=-0.05,
             log10_lto=None if i % 3 == 0 else math.log10(20 + i))
             for i in range(60)]
-        features = linmod.superset_matrix(cm.feature_columns(
-            [_record(i + 1, f) for i, f in enumerate(feats)]))
+        features = linmod.superset_matrix(gather_columns(
+            [_pair(i + 1, f) for i, f in enumerate(feats)]))
         y = np.linspace(-1.0, 1.0, 60) ** 3
         spec = linmod.standard_model("M9")
         design = linmod.build_design(features, y, spec)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import exhaustive_jenks
-from dwe import geo
+from dwe import corpus as cm, geo
 
 
 class TestSelectionParser:
@@ -68,6 +68,10 @@ class TestSelectionParser:
             assert sel.matches(other, "j") == (other == wd)
 
 
+def selected(sel, row):
+    return sel.matches(cm.derive_weekday(row.received), row.journal)
+
+
 def lq_corpus(seed):
     """Random corpora for recount oracles, via the planted generator."""
     from dwe import synth
@@ -82,13 +86,12 @@ class TestLocalizationQuotient:
         corpus = lq_corpus(1)
         sel = geo.parse_selection("weekday in 2, 3, 4")
         entries = geo.localization_quotient(corpus, sel)
-        sel_world = sum(1 for r in corpus.records
-                        if sel.matches_record(r))
+        sel_world = sum(1 for r in corpus.records if selected(sel, r))
         tot_by_c, sel_by_c = {}, {}
         for r in corpus.records:
-            iso = r.article.country
+            iso = r.country
             tot_by_c[iso] = tot_by_c.get(iso, 0) + 1
-            if sel.matches_record(r):
+            if selected(sel, r):
                 sel_by_c[iso] = sel_by_c.get(iso, 0) + 1
         assert {e.country for e in entries} == set(tot_by_c)
         for e in entries:
@@ -102,7 +105,7 @@ class TestLocalizationQuotient:
         sel = geo.parse_selection("weekday in 6, 7")
         entries = geo.localization_quotient(corpus, sel)
         assert sum(e.selected_count for e in entries) \
-            == sum(1 for r in corpus.records if sel.matches_record(r))
+            == sum(1 for r in corpus.records if selected(sel, r))
         assert sum(e.total_count for e in entries) == len(corpus.records)
 
     def test_uniform_country_lq_is_100(self):

@@ -24,10 +24,9 @@ class TestBuildPanel:
         data = panel.build_panel(synth_corpus, start=date(2004, 1, 1),
                                  end=date(2005, 12, 31), top_n=3)
         counts = {}
-        for rec in synth_corpus.records:
-            if date(2004, 1, 1) <= rec.article.received <= date(2005, 12, 31):
-                counts[rec.article.country] = \
-                    counts.get(rec.article.country, 0) + 1
+        for row in synth_corpus.records:
+            if date(2004, 1, 1) <= row.received <= date(2005, 12, 31):
+                counts[row.country] = counts.get(row.country, 0) + 1
         want = sorted(counts, key=lambda iso: (-counts[iso], iso))[:3]
         assert sorted(data.countries) == sorted(want)
 
@@ -36,8 +35,7 @@ class TestBuildPanel:
         data = panel.build_panel(synth_corpus, start=date(2004, 1, 1),
                                  end=date(2005, 12, 31), top_n=5)
         obs = rud.build_rud_dataset(synth_corpus, rud.CONSOLIDATED)
-        country_of = {r.article.id: r.article.country
-                      for r in synth_corpus.records}
+        country_of = {r.id: r.country for r in synth_corpus.records}
         by_cell = {}
         for o in obs:
             iso = country_of[o.article_id]

@@ -5,9 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dwe import rud
+from dwe import corpus as cm, rud
+from reference_corpus import raw_rows, reference_clean
+from reference_rud import (WeekGroup, build_week_groups, rud_for_day,
+                           uniform_daily_rate)
 
 TOL = 5e-6
 
@@ -35,40 +38,61 @@ class TestWorkedExample:
         assert len(monday) == 16 and all(o.day_count == 16 for o in monday)
 
 
+def _pairs(corpus):
+    """The corpus's rows with their row-wise reference features."""
+    pairs, _ = reference_clean(corpus.records, corpus.countries)
+    return pairs
+
+
+def assert_table_matches_week_groups(corpus, scope):
+    pairs = _pairs(corpus)
+    groups = build_week_groups(pairs, scope)
+    features = {row.id: f for row, f in pairs}
+    table = rud.build_rud_dataset(corpus, scope)
+    assert [o.article_id for o in table] == sorted(features)
+    for o in table:
+        f = features[o.article_id]
+        assert (o.year, o.week_number, o.weekday) \
+            == (f.year, f.week_number, f.weekday)
+        g = groups[(o.scope, o.year, o.week_number)]
+        assert o.day_count == g.day_counts[o.weekday - 1]
+        assert o.week_total == g.total
+        assert o.rud == rud_for_day(g, o.weekday)
+
+
 class TestWeekGroups:
     def test_group_totals_match_membership(self, sample_corpus):
-        groups = rud.build_week_groups(sample_corpus.records,
-                                       rud.CONSOLIDATED)
+        groups = build_week_groups(_pairs(sample_corpus), rud.CONSOLIDATED)
         assert sum(g.total for g in groups.values()) == 47
 
     def test_journal_scope_splits(self, synth_corpus):
-        per_journal = rud.build_week_groups(synth_corpus.records, "journal")
-        consolidated = rud.build_week_groups(synth_corpus.records,
-                                             rud.CONSOLIDATED)
+        pairs = _pairs(synth_corpus)
+        per_journal = build_week_groups(pairs, "journal")
+        consolidated = build_week_groups(pairs, rud.CONSOLIDATED)
         assert sum(g.total for g in per_journal.values()) \
             == sum(g.total for g in consolidated.values()) \
             == len(synth_corpus.records)
         assert {g.scope for g in consolidated.values()} \
             == {rud.CONSOLIDATED}
         assert {g.scope for g in per_journal.values()} \
-            == set(synth_corpus.journals())
+            == set(synth_corpus.columns.journals)
 
     @pytest.mark.parametrize("scope", ["journal", rud.CONSOLIDATED])
     @pytest.mark.parametrize("fixture", ["sample_corpus", "synth_corpus"])
     def test_table_matches_week_groups(self, request, fixture, scope):
-        corpus = request.getfixturevalue(fixture)
-        groups = rud.build_week_groups(corpus.records, scope)
-        features = {r.article.id: r.features for r in corpus.records}
-        table = rud.build_rud_dataset(corpus, scope)
-        assert [o.article_id for o in table] == sorted(features)
-        for o in table:
-            f = features[o.article_id]
-            assert (o.year, o.week_number, o.weekday) \
-                == (f.year, f.week_number, f.weekday)
-            g = groups[(o.scope, o.year, o.week_number)]
-            assert o.day_count == g.day_counts[o.weekday - 1]
-            assert o.week_total == g.total
-            assert o.rud == rud.rud_for_day(g, o.weekday)
+        assert_table_matches_week_groups(request.getfixturevalue(fixture),
+                                         scope)
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_rows(), st.sampled_from(["journal", rud.CONSOLIDATED]))
+    def test_drawn_table_matches_week_groups(self, country_table, rows,
+                                             scope):
+        corpus = cm.clean_corpus(rows, country_table)
+        assert_table_matches_week_groups(corpus, scope)
+        for o, row in zip(rud.build_rud_dataset(corpus, scope),
+                          corpus.records):
+            assert (o.article_id, o.journal, o.received) \
+                == (row.id, row.journal, row.received)
 
 
 counts = st.lists(st.integers(min_value=0, max_value=40), min_size=7,
@@ -78,47 +102,47 @@ counts = st.lists(st.integers(min_value=0, max_value=40), min_size=7,
 class TestRatioProperties:
     @given(counts)
     def test_identity_sum(self, day_counts):
-        g = rud.WeekGroup(scope="s", year=2010, week_number=3,
+        g = WeekGroup(scope="s", year=2010, week_number=3,
                           day_counts=tuple(day_counts))
         total = 0.0
         for k in range(1, 8):
             if g.day_counts[k - 1]:
                 total += g.day_counts[k - 1] * 0  # placeholder, see below
         # sum over days of n_k * (rud_k / n_k) = sum rud_k = 7 * (N_occupied share)
-        s = sum(rud.rud_for_day(g, k) for k in range(1, 8)
+        s = sum(rud_for_day(g, k) for k in range(1, 8)
                 if g.day_counts[k - 1])
         expect = 7.0 * sum(c for c in day_counts if c) / sum(day_counts)
         assert s == pytest.approx(expect, rel=1e-12)
 
     @given(counts, st.integers(min_value=2, max_value=9))
     def test_scaling_invariance(self, day_counts, factor):
-        g1 = rud.WeekGroup(scope="s", year=2010, week_number=3,
+        g1 = WeekGroup(scope="s", year=2010, week_number=3,
                            day_counts=tuple(day_counts))
-        g2 = rud.WeekGroup(scope="s", year=2010, week_number=3,
+        g2 = WeekGroup(scope="s", year=2010, week_number=3,
                            day_counts=tuple(c * factor for c in day_counts))
         for k in range(1, 8):
             if day_counts[k - 1]:
-                assert rud.rud_for_day(g2, k) \
-                    == pytest.approx(rud.rud_for_day(g1, k), rel=1e-12)
+                assert rud_for_day(g2, k) \
+                    == pytest.approx(rud_for_day(g1, k), rel=1e-12)
 
     @given(counts)
     def test_uniform_rate(self, day_counts):
-        g = rud.WeekGroup(scope="s", year=2010, week_number=1,
+        g = WeekGroup(scope="s", year=2010, week_number=1,
                           day_counts=tuple(day_counts))
-        assert rud.uniform_daily_rate(g) \
+        assert uniform_daily_rate(g) \
             == pytest.approx(sum(day_counts) / 7.0, rel=1e-12)
 
     def test_empty_week_rejected(self):
-        g = rud.WeekGroup(scope="s", year=2010, week_number=1,
+        g = WeekGroup(scope="s", year=2010, week_number=1,
                           day_counts=(0,) * 7)
         with pytest.raises(ValueError):
-            rud.uniform_daily_rate(g)
+            uniform_daily_rate(g)
 
     def test_zero_day_rejected(self):
-        g = rud.WeekGroup(scope="s", year=2010, week_number=1,
+        g = WeekGroup(scope="s", year=2010, week_number=1,
                           day_counts=(3, 0, 0, 0, 0, 0, 0))
         with pytest.raises(ValueError):
-            rud.rud_for_day(g, 2)
+            rud_for_day(g, 2)
 
 
 class TestCsv:
