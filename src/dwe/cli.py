@@ -345,8 +345,12 @@ def _run_panel(ctx: RunContext) -> StageResult:
         end=date.fromisoformat(ctx.get("panel_to")),
         top_n=int(ctx.get("panel_top", "11")),
         scope=ctx.get("scope", rud_mod.CONSOLIDATED))
+    weighted = ctx.get("panel_weighted", "false")
+    if weighted.lower() not in ("true", "false"):
+        raise ValueError(
+            f"panel_weighted must be true or false, got {weighted!r}")
     fit = panel_mod.re_egls_fit(
-        data, weighted=ctx.get("panel_weighted", "false").lower() == "true",
+        data, weighted=weighted.lower() == "true",
         weight_mode=ctx.get("panel_weight_mode", "multiply"),
         trend_base=ctx.get("trend_base", "log10"))
     out = ctx.paths["panel.csv"]

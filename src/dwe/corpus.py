@@ -22,12 +22,13 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import shlex
 from dataclasses import dataclass
 from datetime import date
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -41,6 +42,8 @@ DEFAULT_WEEKEND = frozenset({SATURDAY, SUNDAY})
 #: column order of the corpus CSV format; fixed, a different header is rejected.
 CSV_COLUMNS = ("id", "journal", "received", "revised", "online",
                "author_count", "page_count", "country")
+
+Row = TypeVar("Row")
 
 _SEASON_BY_MONTH = {
     3: "spring", 4: "spring", 5: "spring",
@@ -300,8 +303,27 @@ def _fmt_date(d: date | None) -> str:
     return d.isoformat() if d is not None else ""
 
 
+@functools.lru_cache(maxsize=4096)  # a corpus has few distinct dates
 def _parse_date(text: str) -> date | None:
-    return date.fromisoformat(text) if text else None
+    """The date of a ``YYYY-MM-DD`` field, None for an empty one."""
+    if not text:
+        return None
+    d = date.fromisoformat(text)
+    if d.isoformat() != text:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return d
+
+
+def _parse_int(text: str) -> int:
+    """An integer field as ``str`` writes it: no spaces, underscores, plus
+    sign or leading zeros."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"not a canonical integer: {text!r}")
+    return value
+
+
+_parse_count = functools.lru_cache(maxsize=4096)(_parse_int)
 
 
 def write_corpus_csv(rows: Iterable[RawRecord], path: str) -> None:
@@ -315,32 +337,40 @@ def write_corpus_csv(rows: Iterable[RawRecord], path: str) -> None:
                         r.author_count, r.page_count, r.country])
 
 
-def read_corpus_csv(path: str) -> list[RawRecord]:
-    """Read a corpus CSV; a header that is not exactly CSV_COLUMNS or a
-    malformed row raises a ValueError naming the file (and line)."""
+def read_csv_rows(path: str, columns: Sequence[str], kind: str,
+                  parse: Callable[[list[str]], Row]) -> list[Row]:
+    """``parse`` of every row of a CSV whose header is exactly ``columns``;
+    a bad header, or a row with the wrong number of fields or that ``parse``
+    rejects with a ValueError, raises a ValueError naming the file (and
+    line)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"{path}: bad corpus header {header!r}")
+        if header is None or tuple(header) != tuple(columns):
+            raise ValueError(f"{path}: bad {kind} header {header!r}")
         rows = []
         for line in reader:
             if not line:
                 continue
             try:
-                if len(line) != len(CSV_COLUMNS):
-                    raise ValueError(f"expected {len(CSV_COLUMNS)} fields, "
+                if len(line) != len(columns):
+                    raise ValueError(f"expected {len(columns)} fields, "
                                      f"got {len(line)}")
-                rows.append(RawRecord(
-                    id=int(line[0]), journal=line[1],
-                    received=_parse_date(line[2]),
-                    revised=_parse_date(line[3]),
-                    online=_parse_date(line[4]), author_count=int(line[5]),
-                    page_count=int(line[6]), country=line[7]))
+                rows.append(parse(line))
             except ValueError as exc:
                 raise ValueError(
                     f"{path} line {reader.line_num}: {exc}") from exc
     return rows
+
+
+def read_corpus_csv(path: str) -> list[RawRecord]:
+    """Read a corpus CSV (see ``read_csv_rows``); numbers and dates must
+    be written as ``write_corpus_csv`` writes them."""
+    return read_csv_rows(path, CSV_COLUMNS, "corpus", lambda line: RawRecord(
+        id=_parse_int(line[0]), journal=line[1],
+        received=_parse_date(line[2]), revised=_parse_date(line[3]),
+        online=_parse_date(line[4]), author_count=_parse_count(line[5]),
+        page_count=_parse_count(line[6]), country=line[7]))
 
 
 # -- countries.cfg ----------------------------------------------------------

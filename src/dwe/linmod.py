@@ -31,7 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import stats as _sps
 
-from .corpus import CONTINENTS, SEASONS, Corpus, FeatureColumns
+from .corpus import (CONTINENTS, SEASONS, Corpus, FeatureColumns,
+                     read_csv_rows)
 from .diststat import (TestResult, TransformSpec, chi_square_critical,
                        fit_transform_spec, jarque_bera, moments)
 from .lsq import (CONST, classical_inference, drop_degenerate_columns,
@@ -466,21 +467,12 @@ class RollReport:
 
     @classmethod
     def from_csv(cls, path: str) -> "RollReport":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != cls.CSV_COLUMNS:
-                raise ValueError(f"{path}: bad roll header {header!r}")
-            rows = []
-            for line in reader:
-                if not line:
-                    continue
-                rows.append(RollRow(
-                    scope=line[0], window=line[1], model_id=line[2],
-                    term=line[3],
-                    coefficient=float(line[4]) if line[4] else None,
-                    stars=line[5], marker=line[6], n=int(line[7])))
-        return cls(rows=tuple(rows))
+        return cls(rows=tuple(read_csv_rows(
+            path, cls.CSV_COLUMNS, "roll", lambda line: RollRow(
+                scope=line[0], window=line[1], model_id=line[2],
+                term=line[3],
+                coefficient=float(line[4]) if line[4] else None,
+                stars=line[5], marker=line[6], n=int(line[7])))))
 
 
 def _validate_windows(windows: Sequence[tuple[int, int]]) -> None:

@@ -1,11 +1,12 @@
 """Daily country-level panel and random-effects EGLS estimation.
 
-Articles are aggregated into (country, day) cells over a fixed day range:
-the cell outcome is the mean log10 ratio of the articles received that day
-from that country, the author covariate is the mean log10 author count, and
-the calendar dummies (weekday, season, Christmas window, country-specific
-weekend) describe the day itself.  A deterministic trend enters as the log
-of the day index.
+Articles are aggregated into (country, day) cells over a fixed day range,
+held as columns (``PanelData``): the cell outcome is the mean log10 ratio
+of the articles received that day from that country, the author covariate
+is the mean log10 author count, and the calendar dummies (weekday, season,
+Christmas window, country-specific weekend) and country covariates are the
+corpus feature columns of that day and country.  ``panel_design`` appends
+a deterministic trend, the log of the day index.
 
 Estimation is error-components GLS: variance components come from a
 pooled-OLS residual decomposition (within-country residual variance for the
@@ -28,12 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, classify_weekend, derive_season,
-                     derive_weekday, in_christmas_window)
+from .corpus import Corpus
+from .linmod import DESIGN_TERMS, superset_matrix
 from .lsq import CONST, classical_inference, drop_degenerate_columns, \
     qr_solve
 from .rud import CONSOLIDATED, build_rud_dataset
@@ -46,25 +47,18 @@ PANEL_COLUMNS = (CONST, "monday", "tuesday", "wednesday", "thursday",
 CONTINUOUS_COLUMNS = ("log10_authors", "log10_hdi", "log10_lto", "trend")
 
 
-@dataclass(frozen=True)
-class PanelCell:
-    country: str
-    t: int  # day index, 1..T
-    day: date
-    n_ct: int
-    y: float
-    mean_log10_authors: float
-    weekday: int
-    season: str
-    is_weekend: bool
-    is_christmas: bool
-    log10_hdi: float
-    log10_lto: float | None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PanelData:
-    cells: tuple[PanelCell, ...]
+    """The cells in (country, day) order: row i of ``cells`` holds cell
+    i's PANEL_COLUMNS terms but the trend, with a NaN ``log10_lto`` where
+    the country has none (the fit drops and counts such cells).
+    ``country`` indexes ``countries`` and ``t`` is the day index, 1..T."""
+
+    cells: np.ndarray
+    y: np.ndarray
+    n_ct: np.ndarray
+    country: np.ndarray
+    t: np.ndarray
     start: date
     end: date
     countries: tuple[str, ...]
@@ -86,6 +80,9 @@ def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
     """
     if end < start:
         raise ValueError(f"range ends before it starts: {start}..{end}")
+    if top_n < 1:
+        raise ValueError(f"the panel needs at least 1 country, "
+                         f"got top_n = {top_n}")
     ratios = build_rud_dataset(corpus, scope)  # row i is article i
     cols = ratios.columns
     in_range = (cols.received >= start.toordinal()) \
@@ -99,56 +96,43 @@ def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
         raise ValueError(
             f"only {top.size} countries have articles in range, "
             f"need {top_n}")
+    top = np.sort(top)
 
     # day ordinals stay below 10**7, so the key orders by (country, day)
     key = cols.country * 10**7 + cols.received
     picked = np.flatnonzero(in_range & np.isin(cols.country, top))
     picked = picked[np.argsort(key[picked], kind="stable")]
     starts = np.flatnonzero(np.diff(key[picked], prepend=-1))
-    stops = np.append(starts[1:], picked.size).tolist()
+    n_ct = np.diff(starts, append=picked.size)
+    spans = [slice(a, a + n) for a, n in zip(starts.tolist(), n_ct.tolist())]
     # math.log10 of each distinct ratio, as the row-wise means took it
     values, value = np.unique(ratios.rud[picked], return_inverse=True)
     log_rud = np.array([math.log10(v) for v in values.tolist()])[value]
     log_authors = cols.log10_authors[picked]
 
-    cells = []
-    for a, b, code, ordinal in zip(
-            starts.tolist(), stops, cols.country[picked[starts]].tolist(),
-            cols.received[picked[starts]].tolist()):
-        iso = cols.countries[code]
-        profile = corpus.countries[iso]
-        d = date.fromordinal(ordinal)
-        lto = profile.lto
-        cells.append(PanelCell(
-            country=iso,
-            t=(d - start).days + 1,
-            day=d,
-            n_ct=b - a,
-            y=float(np.mean(log_rud[a:b])),
-            mean_log10_authors=float(np.mean(log_authors[a:b])),
-            weekday=derive_weekday(d),
-            season=derive_season(d),
-            is_weekend=classify_weekend(d, profile),
-            is_christmas=in_christmas_window(d),
-            log10_hdi=math.log10(profile.hdi),
-            log10_lto=math.log10(lto) if lto else None))
-    return PanelData(cells=tuple(cells), start=start, end=end,
-                     countries=tuple(cols.countries[k]
-                                     for k in np.sort(top).tolist()))
+    # a cell's day and country features are those of its first article;
+    # the per-cell mean author count replaces that article's own
+    first = picked[starts]
+    cells = superset_matrix(cols)[np.ix_(first, [
+        DESIGN_TERMS.index(term) for term in PANEL_COLUMNS[:-1]])]
+    cells[:, PANEL_COLUMNS.index("log10_authors")] = [
+        np.mean(log_authors[s]) for s in spans]
+    return PanelData(
+        cells=cells, y=np.array([np.mean(log_rud[s]) for s in spans]),
+        n_ct=n_ct, country=np.searchsorted(top, cols.country[first]),
+        t=cols.received[first] - start.toordinal() + 1,
+        start=start, end=end,
+        countries=tuple(cols.countries[k] for k in top.tolist()))
 
 
-def _cell_row(cell: PanelCell, trend_base: str) -> list[float] | None:
-    if cell.log10_lto is None:
-        return None
-    trend = math.log10(cell.t) if trend_base == "log10" else math.log(cell.t)
-    return [1.0,
-            float(cell.weekday == 1), float(cell.weekday == 2),
-            float(cell.weekday == 3), float(cell.weekday == 4),
-            float(cell.is_weekend),
-            float(cell.season == "spring"), float(cell.season == "summer"),
-            float(cell.season == "fall"), float(cell.is_christmas),
-            cell.mean_log10_authors, cell.log10_hdi, cell.log10_lto,
-            trend]
+def panel_design(data: PanelData, trend_base: str) -> np.ndarray:
+    """One design row per cell in PANEL_COLUMNS order: the cell's terms
+    and the trend, ``math.log10`` or ``math.log`` of the day index."""
+    if trend_base not in ("log10", "ln"):
+        raise ValueError(f"unknown trend base {trend_base!r}")
+    log = math.log10 if trend_base == "log10" else math.log
+    trend = np.fromiter(map(log, range(1, data.T + 1)), float, data.T)
+    return np.column_stack([data.cells, trend[data.t - 1]])
 
 
 @dataclass(frozen=True)
@@ -183,29 +167,23 @@ def re_egls_fit(panel: PanelData, weighted: bool = False,
     """Random-effects EGLS over the panel cells (see module docstring)."""
     if weight_mode not in ("multiply", "wls"):
         raise ValueError(f"unknown weight mode {weight_mode!r}")
-    if trend_base not in ("log10", "ln"):
-        raise ValueError(f"unknown trend base {trend_base!r}")
+    X = panel_design(panel, trend_base)
+    usable = ~np.isnan(X[:, PANEL_COLUMNS.index("log10_lto")])
+    codes, g = np.unique(panel.country[usable], return_inverse=True)
+    return _egls_fit(X[usable], panel.y[usable],
+                     panel.n_ct[usable].astype(float), g,
+                     [panel.countries[c] for c in codes.tolist()],
+                     weighted, weight_mode,
+                     n_dropped_rows=int(np.count_nonzero(~usable)))
 
-    rows: list[list[float]] = []
-    yvals: list[float] = []
-    sizes: list[float] = []
-    groups: list[str] = []
-    n_dropped_rows = 0
-    for cell in panel.cells:
-        row = _cell_row(cell, trend_base)
-        if row is None:
-            n_dropped_rows += 1
-            continue
-        rows.append(row)
-        yvals.append(cell.y)
-        sizes.append(float(cell.n_ct))
-        groups.append(cell.country)
-    if not rows:
+
+def _egls_fit(X: np.ndarray, y: np.ndarray, n_ct: np.ndarray,
+              g: np.ndarray, countries: Sequence[str], weighted: bool,
+              weight_mode: str, n_dropped_rows: int) -> PanelFit:
+    """The estimator on the usable cells' design rows: ``g`` maps each
+    row to its country, an index into ``countries``."""
+    if not y.size:
         raise ValueError("no usable panel cells")
-    X = np.asarray(rows, dtype=float)
-    y = np.asarray(yvals, dtype=float)
-    n_ct = np.asarray(sizes, dtype=float)
-
     if weighted:
         if weight_mode == "multiply":
             y = y * n_ct
@@ -220,10 +198,7 @@ def re_egls_fit(panel: PanelData, weighted: bool = False,
     X, labels, dropped = drop_degenerate_columns(X, PANEL_COLUMNS)
 
     M, p = X.shape
-    codes = sorted(set(groups))
-    N = len(codes)
-    index_of = {c: i for i, c in enumerate(codes)}
-    g = np.asarray([index_of[c] for c in groups])
+    N = len(countries)
     T_c = np.bincount(g, minlength=N).astype(float)
     if M <= p + N:
         raise ValueError(f"{M} cells cannot support {p} columns "
@@ -284,8 +259,8 @@ def re_egls_fit(panel: PanelData, weighted: bool = False,
         rho_share=sigma2_country / denom if denom > 0 else math.nan,
         rho_ratio=(sigma2_country / sigma2_idio if sigma2_idio > 0
                    else math.inf if sigma2_country > 0 else math.nan),
-        theta={code: float(theta_by_code[i])
-               for i, code in enumerate(codes)},
+        theta={iso: float(theta_by_code[i])
+               for i, iso in enumerate(countries)},
         n_cells=M, n_countries=N, weighted=weighted,
         weight_mode=weight_mode if weighted else "",
         clamped=clamped, dropped_columns=tuple(dropped),

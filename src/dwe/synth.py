@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import (Corpus, RawRecord, clean_corpus, derive_season,
                      in_christmas_window, load_default_countries)
-from .panel import PANEL_COLUMNS, PanelCell, PanelData, _cell_row
+from .panel import PANEL_COLUMNS, PanelData, panel_design
 
 #: Sat/Sun-weekend countries with LTO present in the shipped table, biggest
 #: publishers first; a natural default mix for planted-effect corpora.
@@ -136,32 +136,38 @@ def make_synthetic_panel(plant: PanelPlant) -> tuple[PanelData, dict]:
     hdi = rng.uniform(0.5, 0.95, size=plant.n_countries)
     lto = rng.uniform(20.0, 90.0, size=plant.n_countries)
 
-    cells = []
-    for ci, iso in enumerate(countries):
-        noise = rng.normal(0.0, plant.sigma_idio, size=plant.T)
-        authors = rng.normal(0.55, 0.2, size=plant.T)
-        sizes = 1 + rng.poisson(4.0, size=plant.T)
-        for t in range(1, plant.T + 1):
-            day = plant.start + timedelta(days=t - 1)
-            cell = PanelCell(
-                country=iso, t=t, day=day, n_ct=int(sizes[t - 1]),
-                y=0.0,  # placeholder, filled below
-                mean_log10_authors=float(authors[t - 1]),
-                weekday=day.isoweekday(),
-                season=derive_season(day),
-                is_weekend=day.isoweekday() in (6, 7),
-                is_christmas=in_christmas_window(day),
-                log10_hdi=math.log10(hdi[ci]),
-                log10_lto=math.log10(lto[ci]))
-            row = np.asarray(_cell_row(cell, "log10"))
-            y = float(row @ coef) + float(u[ci]) + float(noise[t - 1])
-            cells.append(replace(cell, y=y))
+    # the calendar terms of each day, Sat/Sun weekends
+    days = [plant.start + timedelta(days=k) for k in range(plant.T)]
+    weekday = np.array([d.isoweekday() for d in days])
+    season = np.array([derive_season(d) for d in days])
+    calendar = np.column_stack(
+        [np.ones(plant.T)] + [weekday == k for k in (1, 2, 3, 4)]
+        + [weekday >= 6] + [season == name
+                            for name in ("spring", "summer", "fall")]
+        + [[in_christmas_window(d) for d in days]])
 
-    end = plant.start + timedelta(days=plant.T - 1)
+    blocks, sizes, noises = [], [], []
+    for ci in range(plant.n_countries):
+        noises.append(rng.normal(0.0, plant.sigma_idio, size=plant.T))
+        authors = rng.normal(0.55, 0.2, size=plant.T)
+        sizes.append(1 + rng.poisson(4.0, size=plant.T))
+        blocks.append(np.column_stack([calendar, authors, np.full(
+            (plant.T, 2), [math.log10(hdi[ci]), math.log10(lto[ci])])]))
+
+    country = np.repeat(np.arange(plant.n_countries), plant.T)
+    data = PanelData(
+        cells=np.vstack(blocks), y=np.zeros(country.size),
+        n_ct=np.concatenate(sizes), country=country,
+        t=np.tile(np.arange(1, plant.T + 1), plant.n_countries),
+        start=plant.start, end=plant.start + timedelta(days=plant.T - 1),
+        countries=tuple(countries))
+    # one dot product per row: a matrix product rounds differently
+    signal = np.array([row @ coef for row in panel_design(data, "log10")])
+    data = replace(data, y=signal + u[country] + np.concatenate(noises))
+
     var_c = plant.sigma_country ** 2
     var_i = plant.sigma_idio ** 2
     truth = {"betas": beta, "sigma2_country": var_c, "sigma2_idio": var_i,
              "rho_share": var_c / (var_c + var_i) if var_c + var_i > 0
              else 0.0}
-    return PanelData(cells=tuple(cells), start=plant.start, end=end,
-                     countries=tuple(countries)), truth
+    return data, truth

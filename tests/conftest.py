@@ -8,7 +8,7 @@ import pytest
 
 from dwe import corpus as cm, panel, synth
 from dwe.linmod import DesignMatrix
-from dwe.panel import PANEL_COLUMNS, PanelCell, PanelData
+from dwe.panel import PANEL_COLUMNS, PanelData
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -52,23 +52,26 @@ def tiny_panel(seed, n_countries=3, T=12, sigma_c=0.4, sigma_e=0.25):
     rng = np.random.default_rng(seed)
     start = date(2015, 6, 1)  # a Monday
     u = rng.normal(0.0, sigma_c, size=n_countries)
-    cells = []
+    cells, ys = [], []
     for ci in range(n_countries):
-        iso = f"C{ci:02d}"
         for t in range(1, T + 1):
             day = start + timedelta(days=t - 1)
             weekend = 1.0 if day.isoweekday() >= 6 else 0.0
             authors = float(rng.uniform(0.3, 0.9))
-            y = (0.4 - 0.3 * weekend + 0.2 * authors + u[ci]
-                 + rng.normal(0.0, sigma_e))
-            cells.append(PanelCell(
-                country=iso, t=t, day=day, n_ct=1, y=y,
-                mean_log10_authors=authors, log10_hdi=-0.05,
-                log10_lto=1.6, weekday=day.isoweekday(),
-                season="summer", is_weekend=weekend == 1.0,
-                is_christmas=False))
-    return PanelData(cells=tuple(cells), start=start,
-                     end=start + timedelta(days=T - 1),
+            ys.append(0.4 - 0.3 * weekend + 0.2 * authors + u[ci]
+                      + rng.normal(0.0, sigma_e))
+            row = dict.fromkeys(PANEL_COLUMNS[:-1], 0.0)
+            row.update(const=1.0, weekend=weekend, summer=1.0,
+                       log10_authors=authors, log10_hdi=-0.05,
+                       log10_lto=1.6)
+            if day.isoweekday() <= 4:  # PANEL_COLUMNS[1..4]: Mon..Thu
+                row[PANEL_COLUMNS[day.isoweekday()]] = 1.0
+            cells.append(list(row.values()))
+    return PanelData(cells=np.asarray(cells), y=np.asarray(ys),
+                     n_ct=np.ones(len(ys), dtype=int),
+                     country=np.repeat(np.arange(n_countries), T),
+                     t=np.tile(np.arange(1, T + 1), n_countries),
+                     start=start, end=start + timedelta(days=T - 1),
                      countries=tuple(f"C{ci:02d}"
                                      for ci in range(n_countries)))
 
@@ -80,15 +83,10 @@ def brute_force_gls(panel_data, sigma2_c, sigma2_e, columns,
     ``columns`` picks the design columns so both estimators parameterize
     the model identically; only the solver differs.
     """
-    rows, y, groups = [], [], []
-    for cell in panel_data.cells:
-        row = panel._cell_row(cell, trend_base)
-        assert row is not None
-        rows.append(row)
-        y.append(cell.y)
-        groups.append(cell.country)
-    X = np.asarray(rows)
-    y = np.asarray(y)
+    X = panel.panel_design(panel_data, trend_base)
+    assert not np.isnan(X).any()
+    y = panel_data.y
+    groups = panel_data.country
     keep = [PANEL_COLUMNS.index(c) for c in columns]
     X = X[:, keep]
     n = y.size

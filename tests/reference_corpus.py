@@ -158,11 +158,12 @@ _dates = st.one_of(st.sampled_from(EDGE_DATES),
 
 
 @st.composite
-def raw_rows(draw, max_size: int = 40) -> list[RawRecord]:
+def raw_rows(draw, max_size: int = 40, min_size: int = 0
+             ) -> list[RawRecord]:
     """Rows with distinct ids in any order, some of them dropped for each
     reason (no received date, unclear country, no authors)."""
     ids = draw(st.lists(st.integers(1, 10**6), unique=True,
-                        max_size=max_size))
+                        min_size=min_size, max_size=max_size))
     return [RawRecord(
         id=article_id,
         journal=draw(st.sampled_from(("cell", "nature", "plos one"))),

@@ -172,9 +172,9 @@ def test_08_panel_estimator_three_ways(planted_panel_fit):
             break
     else:
         pytest.fail("no clamped instance found")
-    rows = [panel._cell_row(c, "log10") for c in data.cells]
-    X = np.asarray(rows)[:, [PANEL_COLUMNS.index(c) for c in fit.columns]]
-    y = np.asarray([c.y for c in data.cells])
+    X = panel.panel_design(data, "log10")[
+        :, [PANEL_COLUMNS.index(c) for c in fit.columns]]
+    y = data.y
     pooled, *_ = np.linalg.lstsq(X, y, rcond=None)
     ours = [fit.coefficient(c) for c in fit.columns]
     assert np.asarray(ours) == pytest.approx(pooled, abs=1e-6)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dwe import cli, corpus as cm, synth
+from dwe import cli, corpus as cm, rud, synth
 
 CARDS = """Title: One
 Authors: A. B., C. D.
@@ -106,6 +106,37 @@ class TestSubcommands:
         assert lines[0] == ("scope,window,model,term,coefficient,stars,"
                             "marker,n")
         assert any(",monday," in ln for ln in lines)
+
+    def test_panel_top_zero_exits_2(self, tmp_path, corpus_csv, capsys):
+        rc = run(["panel", "--in", corpus_csv, "--from", "2005-01-01",
+                  "--to", "2006-12-31", "--top", 0,
+                  "--out", tmp_path / "panel.csv"])
+        assert rc == 2
+        assert "got top_n = 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--weighted"]])
+    def test_panel_weighted_flag(self, tmp_path, corpus_csv, flags):
+        # the flag reaches the stage as "True" or "False"
+        out = tmp_path / "panel.csv"
+        assert run(["panel", "--in", corpus_csv, "--from", "2005-01-01",
+                    "--to", "2006-12-31", "--top", 5, "--out", out,
+                    *flags]) == 0
+        assert out.read_text().startswith("term,coefficient,")
+
+    @pytest.mark.parametrize("stage,row,message", [
+        ("normality", "1,consolidated,2005,1,6,2",
+         "expected 8 fields, got 6"),
+        ("transform", "1,consolidated,2005,1,6,2,9,abc",
+         "could not convert string to float: 'abc'")])
+    def test_bad_rud_row_names_file_and_line(self, tmp_path, capsys, stage,
+                                             row, message):
+        path = tmp_path / "rud.csv"
+        path.write_text(",".join(rud.RUD_CSV_COLUMNS) + "\n" + row + "\n")
+        argv = [stage, "--test" if stage == "normality" else "--fit", path]
+        if stage == "transform":
+            argv += ["--out", tmp_path / "transform.cfg"]
+        assert run(argv) == 2
+        assert f"{path} line 2: {message}" in capsys.readouterr().err
 
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         rc = run(["clean", "--in", tmp_path / "nope.csv",
@@ -279,6 +310,23 @@ class TestPipeline:
         marker = (tmp_path / "out" / "FAILED").read_text()
         assert f"stage={stage}" in marker and "no observations" in marker
         assert not (tmp_path / "out" / "transform.cfg").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("panel_top", "-3", "the panel needs at least 1 country, "
+                            "got top_n = -3"),
+        ("panel_weighted", "yes",
+         "panel_weighted must be true or false, got 'yes'")])
+    def test_bad_panel_key_fails_with_marker(self, tmp_path, corpus_csv,
+                                             key, value, message):
+        keys = {"panel_from": "2005-01-01", "panel_to": "2006-12-31",
+                "panel_top": "5", key: value}
+        cfg = self.write_config(
+            tmp_path, corpus_csv, "clean, panel",
+            extra="".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert run(["pipeline", "--config", cfg]) == 1
+        marker = (tmp_path / "out" / "FAILED").read_text()
+        assert "stage=panel" in marker and message in marker
+        assert not (tmp_path / "out" / "panel.csv").exists()
 
     def test_marker_cleared_on_success(self, tmp_path, corpus_csv):
         bad = self.write_config(tmp_path, corpus_csv, "clean, panel")

@@ -279,7 +279,12 @@ class TestCsvRoundTrip:
         ("1,j,2010-01-04,,,x,3,US", "invalid literal for int"),
         ("one,j,2010-01-04,,,2,3,US", "invalid literal for int"),
         ("1,j,2010-02-30,,,2,3,US", "day is out of range"),
-        ("1,j,2010-01-04,,04/01/2010,2,3,US", "'04/01/2010'")])
+        ("1,j,2010-01-04,,04/01/2010,2,3,US", "'04/01/2010'"),
+        ("1_0,j,2010-01-04,,,2,3,US", "not a canonical integer: '1_0'"),
+        ("1,j,2010-01-04,,, 3 ,3,US", "not a canonical integer: ' 3 '"),
+        ("1,j,20100105,,,2,3,US", "not a YYYY-MM-DD date: '20100105'"),
+        ("1,j,2010-01-04,,2010-W01-1,2,3,US",
+         "not a YYYY-MM-DD date: '2010-W01-1'")])
     def test_bad_row_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(cm.CSV_COLUMNS) + "\n"
@@ -287,6 +292,17 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path} line 3: ") + ".*" + re.escape(message)):
             cm.read_corpus_csv(str(path))
+
+    def test_negative_page_count_reaches_clean(self, tmp_path,
+                                               country_table):
+        # the reader keeps the sign so that clean can name the record
+        path = tmp_path / "neg.csv"
+        path.write_text(",".join(cm.CSV_COLUMNS) + "\n"
+                        "9,j,2010-01-04,,,2,-3,US\n")
+        rows = cm.read_corpus_csv(str(path))
+        assert rows[0].page_count == -3
+        with pytest.raises(ValueError, match="record 9: negative page_count"):
+            cm.clean_corpus(rows, country_table)
 
 
 class TestCountriesCfg:

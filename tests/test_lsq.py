@@ -1,13 +1,14 @@
 """The least-squares core and the two ways its callers read it."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import design_from_arrays, tiny_panel
 from dwe import linmod, lsq, panel
-from dwe.panel import PANEL_COLUMNS, PanelData
+from dwe.panel import PANEL_COLUMNS
 
 
 class TestDropDegenerateColumns:
@@ -44,19 +45,20 @@ class TestCallersDiffer:
         # an unbalanced panel: theta differs by country, so the
         # quasi-demeaned intercept column is no longer constant
         full = tiny_panel(2, n_countries=3, T=12)
-        cells = tuple(c for c in full.cells
-                      if not (c.country == "C00" and c.t > 6))
-        data = PanelData(cells=cells, start=full.start, end=full.end,
-                         countries=full.countries)
+        keep = ~((full.country == full.countries.index("C00"))
+                 & (full.t > 6))
+        data = replace(full, cells=full.cells[keep], y=full.y[keep],
+                       n_ct=full.n_ct[keep], country=full.country[keep],
+                       t=full.t[keep])
         fit = panel.re_egls_fit(data)
 
         idx = [PANEL_COLUMNS.index(name) for name in fit.columns]
-        X = np.asarray([panel._cell_row(c, "log10") for c in cells])[:, idx]
-        y = np.asarray([c.y for c in cells])
-        codes = sorted({c.country for c in cells})
-        g = np.asarray([codes.index(c.country) for c in cells])
+        X = panel.panel_design(data, "log10")[:, idx]
+        y = data.y
+        codes, g = np.unique(data.country, return_inverse=True)
         T_c = np.bincount(g).astype(float)
-        theta = np.asarray([fit.theta[code] for code in codes])[g]
+        theta = np.asarray([fit.theta[data.countries[code]]
+                            for code in codes])[g]
         ybar = np.bincount(g, weights=y) / T_c
         Xbar = np.column_stack([np.bincount(g, weights=X[:, j]) / T_c
                                 for j in range(X.shape[1])])

@@ -1,13 +1,103 @@
 """Country-day panel assembly and random-effects EGLS."""
 
+import dataclasses
+import itertools
+import math
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_panel
 from conftest import brute_force_gls, tiny_panel
-from dwe import panel, synth
-from dwe.panel import PANEL_COLUMNS, PanelCell, PanelData
+from dwe import corpus as cm, panel, synth
+from dwe.panel import PANEL_COLUMNS
+from reference_corpus import raw_rows
+
+
+def _outcome(fn, *args):
+    """(result, None), or (None, message) when fn raises a ValueError."""
+    try:
+        return fn(*args), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_same_cells(data, ref, trend_base):
+    """Every cell of the columnar panel equals the reference cell, bit
+    for bit; a cell without an LTO has a NaN there."""
+    assert data.countries == ref.countries
+    assert (data.start, data.end) == (ref.start, ref.end)
+    assert len(data.cells) == len(ref.cells)
+    rows = [reference_panel._cell_row(dataclasses.replace(
+        c, log10_lto=math.nan if c.log10_lto is None else c.log10_lto),
+        trend_base) for c in ref.cells]
+    X = panel.panel_design(data, trend_base)
+    assert X.shape == (len(rows), len(PANEL_COLUMNS))
+    assert X.tobytes() == _bits(rows)
+    assert data.y.tobytes() == _bits([c.y for c in ref.cells])
+    assert data.n_ct.tolist() == [c.n_ct for c in ref.cells]
+    assert data.t.tolist() == [c.t for c in ref.cells]
+    assert [data.countries[k] for k in data.country.tolist()] \
+        == [c.country for c in ref.cells]
+
+    # the usable cells: the reference's row loop against the fit's mask
+    ref_X, ref_y, ref_n, groups, n_dropped = reference_panel.panel_rows(
+        ref, trend_base)
+    usable = ~np.isnan(X[:, PANEL_COLUMNS.index("log10_lto")])
+    assert X[usable].shape == ref_X.shape
+    assert X[usable].tobytes() == ref_X.tobytes()
+    assert data.y[usable].tobytes() == ref_y.tobytes()
+    assert data.n_ct[usable].astype(float).tobytes() == ref_n.tobytes()
+    assert [data.countries[k] for k in data.country[usable].tolist()] \
+        == groups
+    assert np.count_nonzero(~usable) == n_dropped
+
+
+def assert_same_fit(got, want):
+    for field in dataclasses.fields(panel.PanelFit):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        elif isinstance(b, float):
+            assert _bits(a) == _bits(b), field.name
+        elif field.name == "theta":
+            assert list(a) == list(b)
+            assert _bits(list(a.values())) == _bits(list(b.values()))
+        else:
+            assert a == b, field.name
+
+
+def assert_same_panel(corpus, start, end, top_n):
+    """build_panel and every fit equal the row-wise reference's: the
+    same cells, the same PanelFit fields bit for bit, or the same error.
+    Returns the number of fits that succeeded."""
+    data, error = _outcome(panel.build_panel, corpus, start, end, top_n)
+    ref, ref_error = _outcome(reference_panel.build_panel, corpus, start,
+                              end, top_n)
+    assert error == ref_error
+    if ref is None:
+        return 0
+    fitted = 0
+    for trend_base in ("log10", "ln"):
+        assert_same_cells(data, ref, trend_base)
+        for weighted, mode in itertools.product((False, True),
+                                                ("multiply", "wls")):
+            fit, error = _outcome(panel.re_egls_fit, data, weighted, mode,
+                                  trend_base)
+            want, ref_error = _outcome(reference_panel.re_egls_fit, ref,
+                                       weighted, mode, trend_base)
+            assert error == ref_error
+            if want is not None:
+                assert_same_fit(fit, want)
+                fitted += 1
+    return fitted
 
 
 class TestBuildPanel:
@@ -15,10 +105,10 @@ class TestBuildPanel:
         data = panel.build_panel(synth_corpus, start=date(2004, 1, 1),
                                  end=date(2005, 12, 31), top_n=5)
         assert len(data.countries) == 5
-        assert all(c.n_ct >= 1 for c in data.cells)
-        assert all(1 <= c.t <= data.T for c in data.cells)
+        assert np.all(data.n_ct >= 1)
+        assert np.all((1 <= data.t) & (data.t <= data.T))
         # y is an average of logs of positive ratios: finite
-        assert all(np.isfinite(c.y) for c in data.cells)
+        assert np.all(np.isfinite(data.y))
 
     def test_top_n_ranked_by_count(self, synth_corpus):
         data = panel.build_panel(synth_corpus, start=date(2004, 1, 1),
@@ -43,11 +133,54 @@ class TestBuildPanel:
                     date(2004, 1, 1) <= o.received <= date(2005, 12, 31):
                 by_cell.setdefault((iso, o.received), []).append(o.rud)
         assert len(by_cell) == len(data.cells)
-        for cell in data.cells:
-            vals = by_cell[(cell.country, cell.day)]
-            assert cell.n_ct == len(vals)
-            assert cell.y == pytest.approx(
+        for code, t, n_ct, y in zip(data.country.tolist(), data.t.tolist(),
+                                    data.n_ct.tolist(), data.y.tolist()):
+            day = data.start + timedelta(days=t - 1)
+            vals = by_cell[(data.countries[code], day)]
+            assert n_ct == len(vals)
+            assert y == pytest.approx(
                 float(np.mean(np.log10(vals))), rel=1e-12)
+
+
+#: range ends at the raw_rows edge dates and around them
+PANEL_BOUNDS = st.sampled_from((date(1999, 1, 1), date(2000, 2, 29),
+                                date(2012, 12, 20), date(2013, 6, 29),
+                                date(2021, 12, 31)))
+
+
+class TestColumnarPanel:
+    @settings(max_examples=60, deadline=None)
+    @given(raw_rows(min_size=60, max_size=120), st.integers(1, 5),
+           PANEL_BOUNDS, PANEL_BOUNDS)
+    def test_equals_row_wise_reference(self, country_table, rows, top_n,
+                                       a, b):
+        # NP gets an LTO so that four countries (KW has none) can carry
+        # the three country-level columns of the between variance
+        table = {**country_table,
+                 "NP": dataclasses.replace(country_table["NP"], lto=40.0)}
+        start, end = sorted((a, b))
+        assert_same_panel(cm.clean_corpus(rows, table), start, end, top_n)
+
+    def test_fits_equal_row_wise_reference(self, synth_corpus,
+                                           country_table):
+        # SA switches its weekend on 2013-06-29; KW and NP have no LTO
+        cfg = synth.SynthConfig(
+            seed=4, start_year=2012, end_year=2014, journals=("a", "b"),
+            countries=("SA", "KW", "NP", "US", "DE", "FR", "JP", "CN"))
+        switch = synth.make_corpus(cfg, country_table)
+        assert assert_same_panel(switch, date(2012, 1, 1),
+                                 date(2014, 12, 31), 8) == 8
+        assert assert_same_panel(synth_corpus, date(2004, 1, 1),
+                                 date(2005, 12, 31), 5) == 8
+
+    @pytest.mark.parametrize("plant", [
+        synth.PanelPlant(seed=3, n_countries=4, T=400, sigma_country=0.2),
+        synth.PanelPlant(seed=9)], ids=["small", "acceptance"])
+    def test_synthetic_panel_equals_reference(self, plant):
+        data, truth = synth.make_synthetic_panel(plant)
+        ref, ref_truth = reference_panel.synthetic_panel(plant)
+        assert truth == ref_truth
+        assert_same_cells(data, ref, "log10")
 
 
 class TestEglsAgainstBruteForce:
@@ -73,10 +206,9 @@ class TestEglsAgainstBruteForce:
             pytest.fail("no clamped instance found")
         assert fit.sigma2_country == 0.0
         assert fit.rho_share == 0.0
-        rows = [panel._cell_row(c, "log10") for c in data.cells]
-        X = np.asarray(rows)[:, [PANEL_COLUMNS.index(c)
-                                 for c in fit.columns]]
-        y = np.asarray([c.y for c in data.cells])
+        X = panel.panel_design(data, "log10")[
+            :, [PANEL_COLUMNS.index(c) for c in fit.columns]]
+        y = data.y
         pooled, *_ = np.linalg.lstsq(X, y, rcond=None)
         ours = [fit.coefficient(c) for c in fit.columns]
         assert np.asarray(ours) == pytest.approx(pooled, abs=1e-6)
