@@ -299,11 +299,12 @@ def clean_corpus(rows: Iterable[RawRecord],
                   countries=dict(countries), cleaning_report=dropped)
 
 
+@functools.lru_cache(maxsize=4096)  # a corpus has few distinct dates
 def _fmt_date(d: date | None) -> str:
     return d.isoformat() if d is not None else ""
 
 
-@functools.lru_cache(maxsize=4096)  # a corpus has few distinct dates
+@functools.lru_cache(maxsize=4096)
 def _parse_date(text: str) -> date | None:
     """The date of a ``YYYY-MM-DD`` field, None for an empty one."""
     if not text:

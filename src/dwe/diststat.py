@@ -1,4 +1,5 @@
-"""Moment statistics, normality tests, and the two-step normality transform.
+"""Moment statistics, distribution tails, normality tests, and the two-step
+normality transform.
 
 Estimator conventions (spreadsheet-style small-sample corrections):
 
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
+from scipy import special as _special
 
 #: fixed 5% critical points as conventionally printed, keyed by df.
 _CHI2_CRIT_5PCT = {2: 5.99, 4: 9.49, 6: 12.59}
@@ -100,11 +101,49 @@ def moments(sample, adjusted: bool = True) -> MomentSummary:
     return MomentSummary(n, *result)
 
 
+# -- distribution tails ------------------------------------------------------
+#
+# The scipy.special forms behind scipy.stats' chi2, f, t and norm, bit for
+# bit, with scipy.stats' answers outside the support: 1 at or below its lower
+# end and NaN for a non-positive degree of freedom.  (Importing scipy.stats
+# costs about a second of every process.)
+
+def chi2_sf(x, df):
+    """P(X > x) for X ~ chi-square(df)."""
+    return np.where(df > 0, np.where(x <= 0.0, 1.0, _special.chdtrc(df, x)),
+                    np.nan)
+
+
+def chi2_ppf(q, df):
+    """The q quantile of chi-square(df); not ``chdtri``, which differs from
+    scipy.stats in the last bit."""
+    return np.where(df > 0, 2.0 * _special.gammaincinv(df / 2.0, q), np.nan)
+
+
+def f_sf(x, dfn, dfd):
+    """P(X > x) for X ~ F(dfn, dfd)."""
+    return np.where((dfn > 0) & (dfd > 0),
+                    np.where(x <= 0.0, 1.0, _special.fdtrc(dfn, dfd, x)),
+                    np.nan)
+
+
+def t_sf(x, df):
+    """P(X > x) for X ~ Student's t(df)."""
+    return _special.stdtr(df, -x)
+
+
+def norm_sf(x):
+    """P(X > x) for X ~ N(0, 1)."""
+    return _special.ndtr(-x)
+
+
 def chi_square_critical(df: int, alpha: float = 0.05) -> float:
     """Critical point; the printed two-decimal values for df 2/4/6 at 5%."""
+    if df < 1:
+        raise ValueError(f"chi-square critical point needs df >= 1, got {df}")
     if alpha == 0.05 and df in _CHI2_CRIT_5PCT:
         return _CHI2_CRIT_5PCT[df]
-    return float(_sps.chi2.ppf(1.0 - alpha, df))
+    return float(chi2_ppf(1.0 - alpha, df))
 
 
 def jarque_bera(m: MomentSummary, alpha: float = 0.05) -> TestResult:
@@ -112,7 +151,7 @@ def jarque_bera(m: MomentSummary, alpha: float = 0.05) -> TestResult:
     jb = m.n * (m.skewness ** 2 / 6.0 + m.excess_kurtosis ** 2 / 24.0)
     crit = chi_square_critical(2, alpha)
     return TestResult(statistic=jb, df=2, critical_value=crit,
-                      p_value=float(_sps.chi2.sf(jb, 2)), alpha=alpha,
+                      p_value=float(chi2_sf(jb, 2)), alpha=alpha,
                       reject_null=jb > crit)
 
 
@@ -136,7 +175,7 @@ def chi_square_uniformity(day_counts, alpha: float = 0.05) -> TestResult:
     df = m - 1
     crit = chi_square_critical(df, alpha)
     return TestResult(statistic=stat, df=df, critical_value=crit,
-                      p_value=float(_sps.chi2.sf(stat, df)), alpha=alpha,
+                      p_value=float(chi2_sf(stat, df)), alpha=alpha,
                       reject_null=stat > crit)
 
 

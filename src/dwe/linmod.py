@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _sps
 
 from .corpus import (CONTINENTS, SEASONS, Corpus, FeatureColumns,
                      read_csv_rows)
-from .diststat import (TestResult, TransformSpec, chi_square_critical,
-                       fit_transform_spec, jarque_bera, moments)
+from .diststat import (TestResult, TransformSpec, chi2_sf,
+                       chi_square_critical, f_sf, fit_transform_spec,
+                       jarque_bera, moments)
 from .lsq import (CONST, classical_inference, drop_degenerate_columns,
                   qr_solve, t_inference)
 from .rud import CONSOLIDATED, attach_transform, \
@@ -203,7 +203,7 @@ def ols_fit(design: DesignMatrix) -> FitResult:
     r2, df = inf.r_squared, inf.df_resid
     if p > 1 and df > 0:
         f_stat = (r2 / (p - 1)) / ((1.0 - r2) / df) if r2 < 1.0 else math.inf
-        f_p = float(_sps.f.sf(f_stat, p - 1, df))
+        f_p = float(f_sf(f_stat, p - 1, df))
     else:
         f_stat, f_p = math.nan, math.nan
     return FitResult(
@@ -306,7 +306,7 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C,
     adj = 1.0 - (1.0 - r2) * (n - 1) / df if not math.isnan(r2) else math.nan
     if p > 1 and not math.isnan(r2) and r2 < 1.0:
         f_stat = (r2 / (p - 1)) / ((1.0 - r2) / df)
-        f_p = float(_sps.f.sf(f_stat, p - 1, df))
+        f_p = float(f_sf(f_stat, p - 1, df))
     else:
         f_stat, f_p = math.nan, math.nan
     return FitResult(
@@ -366,15 +366,18 @@ def _dedupe_columns(cols: list[np.ndarray], labels: list[str]
     return kept, kept_labels, dropped_any
 
 
-def _lm_test(e2: np.ndarray, X: np.ndarray, alpha: float,
+def _lm_test(e2: np.ndarray, X: np.ndarray, alpha: float, name: str,
              note: str = "") -> TestResult:
     """n R^2 of the auxiliary regression of e2 on X, against chi^2 with
-    one degree of freedom per non-constant column of X."""
-    stat = X.shape[0] * _aux_r_squared(e2, X)
+    one degree of freedom per non-constant column of X; raises when X has
+    none."""
     df = X.shape[1] - 1
+    if df < 1:
+        raise ValueError(f"no auxiliary regressors for the {name} test")
+    stat = X.shape[0] * _aux_r_squared(e2, X)
     crit = chi_square_critical(df, alpha)
     return TestResult(statistic=stat, df=df, critical_value=crit,
-                      p_value=float(_sps.chi2.sf(stat, df)), alpha=alpha,
+                      p_value=float(chi2_sf(stat, df)), alpha=alpha,
                       reject_null=stat > crit, note=note)
 
 
@@ -383,7 +386,7 @@ def breusch_pagan(design: DesignMatrix, fit: FitResult,
     """n R^2 of the squared-residual auxiliary regression on the design."""
     X = design.X if CONST in design.columns else np.hstack(
         [np.ones((design.n, 1)), design.X])
-    return _lm_test(fit.residuals ** 2, X, alpha)
+    return _lm_test(fit.residuals ** 2, X, alpha, "Breusch-Pagan")
 
 
 def white_test(design: DesignMatrix, fit: FitResult,
@@ -408,9 +411,7 @@ def white_test(design: DesignMatrix, fit: FitResult,
     X = np.hstack([np.ones((design.n, 1))]
                   + [k[:, None] for k in kept])
     X, kept_labels, dep = drop_degenerate_columns(X, [CONST] + kept_labels)
-    if X.shape[1] < 2:
-        raise ValueError("no auxiliary regressors for the White test")
-    return _lm_test(fit.residuals ** 2, X, alpha,
+    return _lm_test(fit.residuals ** 2, X, alpha, "White",
                     note="duplicated auxiliary columns dropped"
                     if dropped or dep else "")
 

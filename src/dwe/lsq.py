@@ -9,7 +9,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy import linalg as _sla
-from scipy import stats as _sps
+
+from .diststat import norm_sf, t_sf
 
 CONST = "const"
 
@@ -77,7 +78,7 @@ def t_inference(beta: np.ndarray, se: np.ndarray, df: int | None = None
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.inf * np.sign(beta))
     a = np.abs(t)
-    pvals = 2.0 * (_sps.norm.sf(a) if df is None else _sps.t.sf(a, df))
+    pvals = 2.0 * (norm_sf(a) if df is None else t_sf(a, df))
     return t, pvals, tuple(stars(pv) for pv in pvals)
 
 

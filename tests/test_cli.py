@@ -23,6 +23,25 @@ Country: Japan
 """
 
 
+def test_no_module_imports_scipy_stats():
+    # importing scipy.stats would cost every dwe process about a second
+    code = ("import importlib, json, pkgutil, sys, dwe, dwe.cli\n"
+            "names = [m.name for m in pkgutil.iter_modules(dwe.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('dwe.' + name)\n"
+            "print(json.dumps([names, sorted(\n"
+            "    m for m in sys.modules if m.split('.')[:2] == ['scipy', "
+            "'stats'])]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    names, stats_modules = json.loads(proc.stdout)
+    assert {"cli", "diststat", "linmod", "lsq", "panel"} <= set(names)
+    assert stats_modules == []
+
+
 @pytest.fixture()
 def corpus_csv(tmp_path):
     cfg = synth.SynthConfig(seed=31, start_year=2005, end_year=2006,

@@ -99,8 +99,12 @@ class TestChiSquare:
 
     def test_other_df_uses_distribution(self):
         got = diststat.chi_square_critical(10)
-        assert got == pytest.approx(scipy.stats.chi2.ppf(0.95, 10),
-                                    rel=1e-9)
+        assert got == scipy.stats.chi2.ppf(0.95, 10)
+
+    @pytest.mark.parametrize("df", [0, -1])
+    def test_critical_needs_a_degree_of_freedom(self, df):
+        with pytest.raises(ValueError, match="needs df >= 1"):
+            diststat.chi_square_critical(df)
 
     def test_uniform_counts_score_zero(self):
         result = diststat.chi_square_uniformity((10,) * 7)
@@ -126,6 +130,81 @@ class TestChiSquare:
         a = diststat.chi_square_uniformity(tuple(counts))
         b = diststat.chi_square_uniformity(tuple(shuffled))
         assert a.statistic == pytest.approx(b.statistic, rel=1e-12)
+
+
+def _bits(values):
+    """The bit patterns of float64 values, every NaN as numpy's: a NaN's
+    sign and payload are not part of its value (scipy.special passes an
+    input NaN's sign through where scipy.stats returns its own NaN, and
+    both print as nan)."""
+    v = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(v), np.nan, v).view(np.uint64).tolist()
+
+
+# the statistics the tails see: ordinary values, the edges of each support
+# (a negative LM or F statistic comes from a negative auxiliary R^2, +inf
+# from an OLS fit with R^2 = 1) and any float at all
+_EDGES = [-math.inf, -1.0, -0.0, 0.0, 1e-300, 1.0, math.inf, math.nan]
+STATS = st.one_of(st.sampled_from(_EDGES),
+                  st.floats(min_value=-5.0, max_value=200.0),
+                  st.floats())
+DFS = st.one_of(st.integers(min_value=-2, max_value=3),
+                st.integers(min_value=1, max_value=100_000))
+QUANTILES = st.one_of(st.sampled_from([0.0, 1.0, 0.9, 0.95, 0.99, -0.5,
+                                       1.5, math.nan]),
+                      st.floats(min_value=0.0, max_value=1.0))
+
+
+class TestDistributionTails:
+    """Each scipy.special tail is bit for bit the scipy.stats one."""
+
+    @settings(max_examples=400)
+    @given(STATS, DFS)
+    def test_chi2_sf(self, x, df):
+        assert _bits(diststat.chi2_sf(x, df)) \
+            == _bits(scipy.stats.chi2.sf(x, df))
+
+    @settings(max_examples=400)
+    @given(QUANTILES, DFS)
+    def test_chi2_ppf(self, q, df):
+        assert _bits(diststat.chi2_ppf(q, df)) \
+            == _bits(scipy.stats.chi2.ppf(q, df))
+
+    @settings(max_examples=400)
+    @given(STATS, DFS, DFS)
+    def test_f_sf(self, x, dfn, dfd):
+        assert _bits(diststat.f_sf(x, dfn, dfd)) \
+            == _bits(scipy.stats.f.sf(x, dfn, dfd))
+
+    @settings(max_examples=200)
+    @given(st.lists(STATS, min_size=1, max_size=12), DFS)
+    def test_t_sf(self, xs, df):
+        x = np.array(xs)
+        assert _bits(diststat.t_sf(x, df)) == _bits(scipy.stats.t.sf(x, df))
+
+    @settings(max_examples=200)
+    @given(st.lists(STATS, min_size=1, max_size=12))
+    def test_norm_sf(self, xs):
+        x = np.array(xs)
+        assert _bits(diststat.norm_sf(x)) == _bits(scipy.stats.norm.sf(x))
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(20)
+        n = 20_000
+        x = rng.exponential(20.0, size=n)
+        df = rng.integers(1, 300, size=n)
+        dfd = rng.integers(1, 100_000, size=n)
+        q = rng.uniform(size=n)
+        t = rng.standard_t(5, size=n) * 3.0
+        assert _bits(diststat.chi2_sf(x, df)) \
+            == _bits(scipy.stats.chi2.sf(x, df))
+        assert _bits(diststat.chi2_ppf(q, df)) \
+            == _bits(scipy.stats.chi2.ppf(q, df))
+        assert _bits(diststat.f_sf(x / 20.0, df, dfd)) \
+            == _bits(scipy.stats.f.sf(x / 20.0, df, dfd))
+        assert _bits(diststat.t_sf(t, dfd)) \
+            == _bits(scipy.stats.t.sf(t, dfd))
+        assert _bits(diststat.norm_sf(t)) == _bits(scipy.stats.norm.sf(t))
 
 
 class TestApplyTransform:

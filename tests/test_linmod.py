@@ -196,6 +196,19 @@ class TestHeteroskedasticityTests:
         # regressors: d, z, z^2, d*z (d^2 == d dropped); df = 4
         assert white.df == 4
 
+    def test_lm_tests_need_a_regressor(self):
+        # a constant-only design leaves the auxiliary regression nothing
+        rng = np.random.default_rng(6)
+        design = design_from_arrays(rng.normal(size=50), np.ones((50, 1)),
+                                    ["const"])
+        fit = linmod.ols_fit(design)
+        with pytest.raises(ValueError, match="no auxiliary regressors for "
+                                             "the Breusch-Pagan test"):
+            linmod.breusch_pagan(design, fit)
+        with pytest.raises(ValueError, match="no auxiliary regressors for "
+                                             "the White test"):
+            linmod.white_test(design, fit)
+
     def test_diagnose_bundle(self):
         design, _ = make_planted(9)
         fit = linmod.ols_fit(design)
