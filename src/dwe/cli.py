@@ -31,10 +31,12 @@ import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, TypeVar
 
 from . import __version__, corpus as corpus_mod, diststat, geo, harvest, \
     linmod, panel as panel_mod, rud as rud_mod
+
+T = TypeVar("T")
 
 
 def _parse_models(text: str) -> tuple[str, ...]:
@@ -173,6 +175,15 @@ class RunContext:
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.config.get(key, default)
+
+    def parsed(self, key: str, parse: Callable[[str], T],
+               default: str | None = None) -> T:
+        """``parse`` of the key's value, else of ``default``; a value that
+        fails to parse raises naming the key."""
+        try:
+            return parse(self.get(key, default))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
 
     def need(self, stage: str, *keys: str) -> None:
         for key in keys:
@@ -323,7 +334,9 @@ def _run_transform(ctx: RunContext) -> StageResult:
 def _run_regress(ctx: RunContext) -> StageResult:
     c = ctx.cleaned()
     models = _parse_models(ctx.get("models", "M1..M9"))
-    windows = _parse_windows(ctx.get("windows", "default"), _year_span(c))
+    span = _year_span(c)
+    windows = ctx.parsed("windows", lambda text: _parse_windows(text, span),
+                         "default")
     specs = ctx.transform_specs()
     scope = ctx.get("scope", "all")
     scopes = None if scope == "all" else list(c.columns.journals) \
@@ -341,9 +354,9 @@ def _run_panel(ctx: RunContext) -> StageResult:
     c = ctx.cleaned()
     ctx.need("panel", "panel_from", "panel_to")
     data = panel_mod.build_panel(
-        c, start=date.fromisoformat(ctx.get("panel_from")),
-        end=date.fromisoformat(ctx.get("panel_to")),
-        top_n=int(ctx.get("panel_top", "11")),
+        c, start=ctx.parsed("panel_from", date.fromisoformat),
+        end=ctx.parsed("panel_to", date.fromisoformat),
+        top_n=ctx.parsed("panel_top", int, "11"),
         scope=ctx.get("scope", rud_mod.CONSOLIDATED))
     weighted = ctx.get("panel_weighted", "false")
     if weighted.lower() not in ("true", "false"):
@@ -366,7 +379,7 @@ def _run_lq(ctx: RunContext) -> StageResult:
     ctx.need("lq", "select")
     entries = geo.localization_quotient(
         c, geo.parse_selection(ctx.get("select")))
-    classes = int(ctx.get("classes", "5"))
+    classes = ctx.parsed("classes", int, "5")
     breaks = geo.jenks_breaks([e.lq for e in entries], classes)
     csv_path, geojson_path = ctx.paths["lq.csv"], ctx.paths["lq.geojson"]
     skipped = geo.export_choropleth(entries, breaks, csv_path, geojson_path,
@@ -556,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_stage, outputs=outputs)
         if reads_corpus:
             p.add_argument("--in", dest="corpus", required=True)
-            p.add_argument("--countries", default="builtin")
+            p.add_argument("--countries")
         if "out" in outputs:
             p.add_argument("--out", required=True)
         return p
@@ -566,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--style", dest="harvest_style", required=True,
                    choices=harvest.HISTORY_STYLES)
     p.add_argument("--in", dest="harvest_in", required=True)
-    p.add_argument("--countries", default="builtin")
+    p.add_argument("--countries")
     p.add_argument("--journal", dest="harvest_journal", required=True)
     p.add_argument("--first-id", type=int, default=1)
 
@@ -575,8 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
 
     p = stage_parser("rud", "weekly concentration ratios", ("out",))
-    p.add_argument("--scope", default=rud_mod.CONSOLIDATED,
-                   choices=("journal", rud_mod.CONSOLIDATED))
+    p.add_argument("--scope", choices=("journal", rud_mod.CONSOLIDATED))
 
     p = stage_parser("normality", "moment and JB report", (None,),
                      reads_corpus=False)
@@ -587,28 +599,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", dest="rud_csv", required=True)
 
     p = stage_parser("regress", "model ladder over year windows", ("out",))
-    p.add_argument("--scope", default="all")
-    p.add_argument("--models", default="M1..M9")
-    p.add_argument("--method", default="ols", choices=("ols", "rls"))
-    p.add_argument("--windows", default="default")
-    p.add_argument("--transform", default="fit")
+    p.add_argument("--scope")
+    p.add_argument("--models")
+    p.add_argument("--method", choices=linmod.METHODS)
+    p.add_argument("--windows")
+    p.add_argument("--transform")
 
     p = stage_parser("panel", "daily country panel EGLS", ("out",))
-    p.add_argument("--scope", default=rud_mod.CONSOLIDATED)
-    p.add_argument("--top", dest="panel_top", type=int, default=11)
+    p.add_argument("--scope")
+    p.add_argument("--top", dest="panel_top", type=int)
     p.add_argument("--from", dest="panel_from", required=True)
     p.add_argument("--to", dest="panel_to", required=True)
     p.add_argument("--weighted", dest="panel_weighted",
-                   action="store_true")
+                   action="store_const", const="true")
     p.add_argument("--weight-mode", dest="panel_weight_mode",
-                   default="multiply", choices=("multiply", "wls"))
-    p.add_argument("--trend-base", default="log10",
-                   choices=("log10", "ln"))
+                   choices=("multiply", "wls"))
+    p.add_argument("--trend-base", choices=("log10", "ln"))
 
     p = stage_parser("lq", "localization quotients and breaks",
                      ("out", "geojson"))
     p.add_argument("--select", required=True)
-    p.add_argument("--classes", type=int, default=5)
+    p.add_argument("--classes", type=int)
     p.add_argument("--geojson", required=True)
 
     p = sub.add_parser("pipeline", help="run stages from a config file")

@@ -48,13 +48,10 @@ class TestResult:
     df: int
     critical_value: float
     p_value: float
-    alpha: float
     reject_null: bool
-    note: str = ""
 
 
-def _moment_kernel(y: np.ndarray, adjusted: bool = True
-                   ) -> tuple[float, float, float] | None:
+def _moment_kernel(y: np.ndarray) -> tuple[float, float, float] | None:
     """(mean, skewness, excess kurtosis), or None when constant or not finite.
 
     Deviations are divided by their largest magnitude, so every power sum
@@ -78,16 +75,14 @@ def _moment_kernel(y: np.ndarray, adjusted: bool = True
     s2 = float(d2.sum())
     s3 = float(d2 @ dev)
     s4 = float(d2 @ d2)
-    skew = (s3 / n) / (s2 / n) ** 1.5
-    if adjusted:
-        skew *= math.sqrt(n * (n - 1)) / (n - 2)
+    skew = (s3 / n) / (s2 / n) ** 1.5 * (math.sqrt(n * (n - 1)) / (n - 2))
     v = s2 / (n - 1)
     kurt = (n * (n + 1) / ((n - 1) * (n - 2) * (n - 3))) * s4 / (v * v) \
         - 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
     return (math.ldexp(mean, e) if e < -900 else mean), skew, kurt
 
 
-def moments(sample, adjusted: bool = True) -> MomentSummary:
+def moments(sample) -> MomentSummary:
     """Sample moments; needs n >= 4 finite values and non-zero variance."""
     y = np.asarray(sample, dtype=float)
     if y.ndim != 1:
@@ -95,7 +90,7 @@ def moments(sample, adjusted: bool = True) -> MomentSummary:
     n = y.size
     if n < 4:
         raise ValueError(f"need at least 4 observations, got {n}")
-    result = _moment_kernel(y, adjusted)
+    result = _moment_kernel(y)
     if result is None:
         raise ValueError("zero-variance or non-finite sample")
     return MomentSummary(n, *result)
@@ -103,7 +98,7 @@ def moments(sample, adjusted: bool = True) -> MomentSummary:
 
 # -- distribution tails ------------------------------------------------------
 #
-# The scipy.special forms behind scipy.stats' chi2, f, t and norm, bit for
+# The scipy.special forms behind scipy.stats' chi2, t and norm, bit for
 # bit, with scipy.stats' answers outside the support: 1 at or below its lower
 # end and NaN for a non-positive degree of freedom.  (Importing scipy.stats
 # costs about a second of every process.)
@@ -120,13 +115,6 @@ def chi2_ppf(q, df):
     return np.where(df > 0, 2.0 * _special.gammaincinv(df / 2.0, q), np.nan)
 
 
-def f_sf(x, dfn, dfd):
-    """P(X > x) for X ~ F(dfn, dfd)."""
-    return np.where((dfn > 0) & (dfd > 0),
-                    np.where(x <= 0.0, 1.0, _special.fdtrc(dfn, dfd, x)),
-                    np.nan)
-
-
 def t_sf(x, df):
     """P(X > x) for X ~ Student's t(df)."""
     return _special.stdtr(df, -x)
@@ -137,26 +125,26 @@ def norm_sf(x):
     return _special.ndtr(-x)
 
 
-def chi_square_critical(df: int, alpha: float = 0.05) -> float:
-    """Critical point; the printed two-decimal values for df 2/4/6 at 5%."""
+def chi_square_critical(df: int) -> float:
+    """The 5% critical point; the printed two-decimal values for df 2/4/6."""
     if df < 1:
         raise ValueError(f"chi-square critical point needs df >= 1, got {df}")
-    if alpha == 0.05 and df in _CHI2_CRIT_5PCT:
+    if df in _CHI2_CRIT_5PCT:
         return _CHI2_CRIT_5PCT[df]
-    return float(chi2_ppf(1.0 - alpha, df))
+    return float(chi2_ppf(0.95, df))
 
 
-def jarque_bera(m: MomentSummary, alpha: float = 0.05) -> TestResult:
-    """JB = n (Skew^2/6 + Kurt^2/24) against chi-square(2)."""
+def jarque_bera(m: MomentSummary) -> TestResult:
+    """JB = n (Skew^2/6 + Kurt^2/24) against chi-square(2) at 5%."""
     jb = m.n * (m.skewness ** 2 / 6.0 + m.excess_kurtosis ** 2 / 24.0)
-    crit = chi_square_critical(2, alpha)
+    crit = chi_square_critical(2)
     return TestResult(statistic=jb, df=2, critical_value=crit,
-                      p_value=float(chi2_sf(jb, 2)), alpha=alpha,
-                      reject_null=jb > crit)
+                      p_value=float(chi2_sf(jb, 2)), reject_null=jb > crit)
 
 
-def chi_square_uniformity(day_counts, alpha: float = 0.05) -> TestResult:
-    """Pearson chi-square of observed day counts against a uniform split.
+def chi_square_uniformity(day_counts) -> TestResult:
+    """Pearson chi-square of observed day counts against a uniform split,
+    at 5%.
 
     ``day_counts`` has one entry per admissible day (7 for a full week, 5
     for working days); expected count is total/m and df = m - 1.
@@ -173,9 +161,9 @@ def chi_square_uniformity(day_counts, alpha: float = 0.05) -> TestResult:
     expected = total / m
     stat = sum((c - expected) ** 2 / expected for c in counts)
     df = m - 1
-    crit = chi_square_critical(df, alpha)
+    crit = chi_square_critical(df)
     return TestResult(statistic=stat, df=df, critical_value=crit,
-                      p_value=float(chi2_sf(stat, df)), alpha=alpha,
+                      p_value=float(chi2_sf(stat, df)),
                       reject_null=stat > crit)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -220,7 +221,8 @@ def jenks_breaks(values: Sequence[float], k: int) -> ClassBreaks:
 
     Works on the distinct values with multiplicity weights (duplicates can
     never straddle a boundary, and boundaries stay strictly increasing).
-    Needs at least k distinct values.  Ties in total SSD resolve to the
+    Needs at least k distinct values, all finite, and sums of squares
+    that do not overflow.  Ties in total SSD resolve to the
     lexicographically smallest boundary vector.
     """
     if k < 1:
@@ -228,6 +230,9 @@ def jenks_breaks(values: Sequence[float], k: int) -> ClassBreaks:
     vals = sorted(float(v) for v in values)
     if not vals:
         raise ValueError("no values to classify")
+    bad = [v for v in vals if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"cannot classify the non-finite value {bad[0]}")
     distinct: list[float] = []
     weights: list[int] = []
     for v in vals:
@@ -248,6 +253,11 @@ def jenks_breaks(values: Sequence[float], k: int) -> ClassBreaks:
         pw[i + 1] = pw[i] + w
         ps[i + 1] = ps[i] + w * v
         pq[i + 1] = pq[i] + w * v * v
+    # a class's s*s is at most its weight times its sum of squares
+    # (Cauchy-Schwarz), so with this product finite every cost is finite
+    if not math.isfinite(pw[m] * pq[m]):
+        raise ValueError("sum of squares overflows; values too large to "
+                         "classify")
 
     def cost(a: int, b: int) -> float:
         w = pw[b] - pw[a]
@@ -275,15 +285,11 @@ def jenks_breaks(values: Sequence[float], k: int) -> ClassBreaks:
     for j in range(k, 1, -1):
         target = best[j][pos]
         for e in range(pos + 1, m - j + 2):
+            # the DP's own sum, recomputed bit for bit
             if cost(pos, e) + best[j - 1][e] == target:
                 boundaries.append(distinct[e])
                 pos = e
                 break
-        else:  # defensive: float asymmetry between DP and walk
-            e = min(range(pos + 1, m - j + 2),
-                    key=lambda e_: cost(pos, e_) + best[j - 1][e_])
-            boundaries.append(distinct[e])
-            pos = e
     return ClassBreaks(k=k, boundaries=tuple(boundaries),
                        total_ssd=best[k][0])
 

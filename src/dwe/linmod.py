@@ -33,8 +33,8 @@ import numpy as np
 from .corpus import (CONTINENTS, SEASONS, Corpus, FeatureColumns,
                      read_csv_rows)
 from .diststat import (TestResult, TransformSpec, chi2_sf,
-                       chi_square_critical, f_sf, fit_transform_spec,
-                       jarque_bera, moments)
+                       chi_square_critical, fit_transform_spec, jarque_bera,
+                       moments)
 from .lsq import (CONST, classical_inference, drop_degenerate_columns,
                   qr_solve, t_inference)
 from .rud import CONSOLIDATED, attach_transform, \
@@ -63,6 +63,10 @@ MODEL_TERMS: dict[str, tuple[str, ...]] = {
 
 BISQUARE_C = 4.685
 MAD_NORMALIZER = 0.6745
+#: IRLS stops once no coefficient moves by this much, or after RLS_MAX_ITER
+RLS_TOL = 1e-8
+RLS_MAX_ITER = 200
+METHODS = ("ols", "rls")
 
 DEFAULT_WINDOWS = ((2000, 2004), (2005, 2007), (2008, 2010),
                    (2011, 2013), (2014, 2016))
@@ -72,20 +76,16 @@ DEFAULT_WINDOWS = ((2000, 2004), (2005, 2007), (2008, 2010),
 class ModelSpec:
     model_id: str
     terms: tuple[str, ...]
-    method: str = "ols"
 
     def __post_init__(self) -> None:
-        if self.method not in ("ols", "rls"):
-            raise ValueError(f"unknown method {self.method!r}")
         if len(set(self.terms)) != len(self.terms):
             raise ValueError("duplicate terms")
 
 
-def standard_model(model_id: str, method: str = "ols") -> ModelSpec:
+def standard_model(model_id: str) -> ModelSpec:
     if model_id not in MODEL_TERMS:
         raise ValueError(f"unknown model {model_id!r}; have M1..M9")
-    return ModelSpec(model_id=model_id, terms=MODEL_TERMS[model_id],
-                     method=method)
+    return ModelSpec(model_id=model_id, terms=MODEL_TERMS[model_id])
 
 
 #: every term a model may use, in the column order of the superset matrix
@@ -162,7 +162,6 @@ def build_design(features: np.ndarray, y: np.ndarray,
 
 @dataclass(frozen=True)
 class FitResult:
-    method: str
     columns: tuple[str, ...]
     coefficients: np.ndarray
     standard_errors: np.ndarray
@@ -171,50 +170,34 @@ class FitResult:
     stars: tuple[str, ...]
     r_squared: float
     adjusted_r_squared: float
-    f_stat: float
-    f_p_value: float
     n: int
-    df_resid: int
     residuals: np.ndarray
-    fitted: np.ndarray
     converged: bool = True
     iterations: int = 0
     weights: np.ndarray | None = None
-    dropped_columns: tuple[str, ...] = ()
-    n_dropped_rows: int = 0
 
     def coefficient(self, term: str) -> float:
         return float(self.coefficients[self.columns.index(term)])
 
 
 def ols_fit(design: DesignMatrix) -> FitResult:
-    """Classical least squares with conventional t/F inference.
+    """Classical least squares with conventional t inference.
 
     R-squared is centred when the design has a constant column and
     uncentred otherwise; a constant dependent variable raises.
     """
     X, y = design.X, design.y
-    n, p = X.shape
     beta, xtx_inv = qr_solve(X, y, design.columns)
     inf = classical_inference(X, y, beta, xtx_inv,
                               centered=CONST in design.columns)
     if inf.tss <= 0.0:
         raise ValueError("constant dependent variable")
-    r2, df = inf.r_squared, inf.df_resid
-    if p > 1 and df > 0:
-        f_stat = (r2 / (p - 1)) / ((1.0 - r2) / df) if r2 < 1.0 else math.inf
-        f_p = float(f_sf(f_stat, p - 1, df))
-    else:
-        f_stat, f_p = math.nan, math.nan
     return FitResult(
-        method="ols", columns=design.columns, coefficients=beta,
+        columns=design.columns, coefficients=beta,
         standard_errors=inf.standard_errors, t_stats=inf.t_stats,
-        p_values=inf.p_values, stars=inf.stars,
-        r_squared=r2, adjusted_r_squared=inf.adjusted_r_squared,
-        f_stat=f_stat, f_p_value=f_p,
-        n=n, df_resid=df, residuals=inf.residuals, fitted=inf.fitted,
-        dropped_columns=design.dropped_columns,
-        n_dropped_rows=design.n_dropped_rows)
+        p_values=inf.p_values, stars=inf.stars, r_squared=inf.r_squared,
+        adjusted_r_squared=inf.adjusted_r_squared, n=design.n,
+        residuals=inf.residuals)
 
 
 def bisquare_weight(u, c: float = BISQUARE_C):
@@ -233,12 +216,11 @@ def _mad_scale(resid: np.ndarray) -> float:
     return float(np.median(np.abs(centered))) / MAD_NORMALIZER
 
 
-def rls_fit(design: DesignMatrix, c: float = BISQUARE_C,
-            tol: float = 1e-8, max_iter: int = 200) -> FitResult:
+def rls_fit(design: DesignMatrix, c: float = BISQUARE_C) -> FitResult:
     """Iteratively reweighted bisquare M-estimation, OLS start.
 
     The scale is the median-centered MAD over 0.6745, recomputed every
-    iteration.  Convergence: max coefficient change below ``tol``.
+    iteration.  Convergence: max coefficient change below ``RLS_TOL``.
     Standard errors use the usual M-estimator asymptotic covariance and
     normal-approximation p-values; R-squared is the weighted version under
     the final weights.
@@ -251,7 +233,7 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C,
     scale = 1.0
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, RLS_MAX_ITER + 1):
         resid = y - X @ beta
         scale = _mad_scale(resid)
         if scale <= 0.0:
@@ -270,7 +252,7 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C,
         beta_new, _ = qr_solve(X * sw[:, None], y * sw, design.columns)
         delta = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
-        if delta < tol:
+        if delta < RLS_TOL:
             converged = True
             break
 
@@ -304,20 +286,11 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C,
     else:
         r2 = math.nan
     adj = 1.0 - (1.0 - r2) * (n - 1) / df if not math.isnan(r2) else math.nan
-    if p > 1 and not math.isnan(r2) and r2 < 1.0:
-        f_stat = (r2 / (p - 1)) / ((1.0 - r2) / df)
-        f_p = float(f_sf(f_stat, p - 1, df))
-    else:
-        f_stat, f_p = math.nan, math.nan
     return FitResult(
-        method="rls", columns=design.columns, coefficients=beta,
-        standard_errors=se, t_stats=t, p_values=pvals, stars=marks,
-        r_squared=r2, adjusted_r_squared=adj,
-        f_stat=f_stat, f_p_value=f_p,
-        n=n, df_resid=df, residuals=resid, fitted=X @ beta,
-        converged=converged, iterations=iterations, weights=w,
-        dropped_columns=design.dropped_columns,
-        n_dropped_rows=design.n_dropped_rows)
+        columns=design.columns, coefficients=beta, standard_errors=se,
+        t_stats=t, p_values=pvals, stars=marks, r_squared=r2,
+        adjusted_r_squared=adj, n=n, residuals=resid, converged=converged,
+        iterations=iterations, weights=w)
 
 
 # -- diagnostics ------------------------------------------------------------
@@ -350,51 +323,44 @@ def vif(design: DesignMatrix) -> dict[str, float]:
 
 
 def _dedupe_columns(cols: list[np.ndarray], labels: list[str]
-                    ) -> tuple[list[np.ndarray], list[str], bool]:
+                    ) -> tuple[list[np.ndarray], list[str]]:
     kept: list[np.ndarray] = []
     kept_labels: list[str] = []
-    dropped_any = False
     for col, label in zip(cols, labels):
-        if float(col.max()) == float(col.min()):
-            dropped_any = True
-            continue
-        if any(np.array_equal(col, k) for k in kept):
-            dropped_any = True
+        if float(col.max()) == float(col.min()) \
+                or any(np.array_equal(col, k) for k in kept):
             continue
         kept.append(col)
         kept_labels.append(label)
-    return kept, kept_labels, dropped_any
+    return kept, kept_labels
 
 
-def _lm_test(e2: np.ndarray, X: np.ndarray, alpha: float, name: str,
-             note: str = "") -> TestResult:
-    """n R^2 of the auxiliary regression of e2 on X, against chi^2 with
-    one degree of freedom per non-constant column of X; raises when X has
-    none."""
+def _lm_test(e2: np.ndarray, X: np.ndarray, name: str) -> TestResult:
+    """n R^2 of the auxiliary regression of e2 on X, against chi^2 at 5%
+    with one degree of freedom per non-constant column of X; raises when X
+    has none."""
     df = X.shape[1] - 1
     if df < 1:
         raise ValueError(f"no auxiliary regressors for the {name} test")
     stat = X.shape[0] * _aux_r_squared(e2, X)
-    crit = chi_square_critical(df, alpha)
+    crit = chi_square_critical(df)
     return TestResult(statistic=stat, df=df, critical_value=crit,
-                      p_value=float(chi2_sf(stat, df)), alpha=alpha,
-                      reject_null=stat > crit, note=note)
+                      p_value=float(chi2_sf(stat, df)),
+                      reject_null=stat > crit)
 
 
-def breusch_pagan(design: DesignMatrix, fit: FitResult,
-                  alpha: float = 0.05) -> TestResult:
+def breusch_pagan(design: DesignMatrix, fit: FitResult) -> TestResult:
     """n R^2 of the squared-residual auxiliary regression on the design."""
     X = design.X if CONST in design.columns else np.hstack(
         [np.ones((design.n, 1)), design.X])
-    return _lm_test(fit.residuals ** 2, X, alpha, "Breusch-Pagan")
+    return _lm_test(fit.residuals ** 2, X, "Breusch-Pagan")
 
 
-def white_test(design: DesignMatrix, fit: FitResult,
-               alpha: float = 0.05) -> TestResult:
+def white_test(design: DesignMatrix, fit: FitResult) -> TestResult:
     """Auxiliary regression on levels, squares, and cross products.
 
     Dummy squares duplicate their levels and are removed, as are any other
-    duplicated or constant auxiliary columns; the note records this.
+    duplicated or constant auxiliary columns.
     """
     base = [(design.X[:, j], design.columns[j])
             for j in range(design.p) if design.columns[j] != CONST]
@@ -407,17 +373,15 @@ def white_test(design: DesignMatrix, fit: FitResult,
         for j in range(i + 1, len(base)):
             cols.append(base[i][0] * base[j][0])
             labels.append(f"{base[i][1]}*{base[j][1]}")
-    kept, kept_labels, dropped = _dedupe_columns(cols, labels)
+    kept, kept_labels = _dedupe_columns(cols, labels)
     X = np.hstack([np.ones((design.n, 1))]
                   + [k[:, None] for k in kept])
-    X, kept_labels, dep = drop_degenerate_columns(X, [CONST] + kept_labels)
-    return _lm_test(fit.residuals ** 2, X, alpha, "White",
-                    note="duplicated auxiliary columns dropped"
-                    if dropped or dep else "")
+    X, _, _ = drop_degenerate_columns(X, [CONST] + kept_labels)
+    return _lm_test(fit.residuals ** 2, X, "White")
 
 
-def residual_jb(fit: FitResult, alpha: float = 0.05) -> TestResult:
-    return jarque_bera(moments(fit.residuals), alpha)
+def residual_jb(fit: FitResult) -> TestResult:
+    return jarque_bera(moments(fit.residuals))
 
 
 @dataclass(frozen=True)
@@ -428,12 +392,11 @@ class Diagnostics:
     residual_normality: TestResult
 
 
-def diagnose(design: DesignMatrix, fit: FitResult,
-             alpha: float = 0.05) -> Diagnostics:
+def diagnose(design: DesignMatrix, fit: FitResult) -> Diagnostics:
     return Diagnostics(vif=vif(design),
-                       breusch_pagan=breusch_pagan(design, fit, alpha),
-                       white=white_test(design, fit, alpha),
-                       residual_normality=residual_jb(fit, alpha))
+                       breusch_pagan=breusch_pagan(design, fit),
+                       white=white_test(design, fit),
+                       residual_normality=residual_jb(fit))
 
 
 # -- rolling windows --------------------------------------------------------
@@ -492,8 +455,7 @@ def roll_window_run(corpus: Corpus,
                     method: str = "ols",
                     scopes: Sequence[str] | None = None,
                     transform_specs: Mapping[str, TransformSpec]
-                    | None = None,
-                    fallback_to_ols: bool = True) -> RollReport:
+                    | None = None) -> RollReport:
     """Fit every model per (scope, window) and tabulate the coefficients.
 
     Scopes default to the consolidated flow plus each journal.  The
@@ -501,11 +463,13 @@ def roll_window_run(corpus: Corpus,
     unless supplied.  Cells whose standard error cannot be computed are
     marked "?"; an empty window leaves a single n=0 marker row per model;
     a failed fit leaves a "failed: ..." marker row.  A non-converged robust
-    fit falls back to OLS when ``fallback_to_ols``.
+    fit falls back to OLS.  An unknown method raises before any fit.
 
     The superset matrix is built once; a window is a row mask over a
     scope's rows and a model a column slice.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; have ols or rls")
     _validate_windows(windows)
     consolidated = build_rud_dataset(corpus)
     per_journal = build_rud_dataset(corpus, "journal").by_scope()
@@ -547,12 +511,12 @@ def roll_window_run(corpus: Corpus,
                     continue
                 try:
                     design = build_design(x_window, y_window,
-                                          standard_model(model_id, method))
+                                          standard_model(model_id))
                     if method == "ols":
                         fit = ols_fit(design)
                     else:
                         fit = rls_fit(design)
-                        if not fit.converged and fallback_to_ols:
+                        if not fit.converged:
                             fit = ols_fit(design)
                 except ValueError as exc:
                     rows.append(RollRow(scope=scope, window=label,

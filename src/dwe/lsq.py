@@ -86,7 +86,6 @@ def t_inference(beta: np.ndarray, se: np.ndarray, df: int | None = None
 class Inference:
     """Classical inference of one least-squares fit."""
 
-    fitted: np.ndarray
     residuals: np.ndarray
     standard_errors: np.ndarray
     t_stats: np.ndarray
@@ -95,7 +94,6 @@ class Inference:
     tss: float
     r_squared: float           # NaN when tss is not positive
     adjusted_r_squared: float  # NaN as well on a saturated design
-    df_resid: int
 
 
 def classical_inference(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
@@ -105,8 +103,7 @@ def classical_inference(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
     uncentred one when ``centered`` is false.  A saturated design (n = p)
     has exact coefficients and NaN inference."""
     n, p = X.shape
-    fitted = X @ beta
-    resid = y - fitted
+    resid = y - X @ beta
     rss = float(resid @ resid)
     df = n - p
     if df > 0:
@@ -120,6 +117,6 @@ def classical_inference(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
     tss = float(np.sum((y - y.mean()) ** 2)) if centered else float(y @ y)
     r2 = 1.0 - rss / tss if tss > 0 else math.nan
     adj = 1.0 - (1.0 - r2) * (n - 1) / df if df > 0 else math.nan
-    return Inference(fitted=fitted, residuals=resid, standard_errors=se,
-                     t_stats=t, p_values=pvals, stars=marks, tss=tss,
-                     r_squared=r2, adjusted_r_squared=adj, df_resid=df)
+    return Inference(residuals=resid, standard_errors=se, t_stats=t,
+                     p_values=pvals, stars=marks, tss=tss, r_squared=r2,
+                     adjusted_r_squared=adj)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior on small fixture corpora."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -135,7 +136,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("flags", [[], ["--weighted"]])
     def test_panel_weighted_flag(self, tmp_path, corpus_csv, flags):
-        # the flag reaches the stage as "True" or "False"
+        # the flag reaches the stage as "true", its absence as no key
         out = tmp_path / "panel.csv"
         assert run(["panel", "--in", corpus_csv, "--from", "2005-01-01",
                     "--to", "2006-12-31", "--top", 5, "--out", out,
@@ -347,6 +348,39 @@ class TestPipeline:
         assert "stage=panel" in marker and message in marker
         assert not (tmp_path / "out" / "panel.csv").exists()
 
+    def test_unknown_method_fails_with_marker(self, tmp_path, corpus_csv):
+        # the stage fails as a whole, not with a "failed:" marker per cell
+        cfg = self.write_config(tmp_path, corpus_csv, "clean, regress",
+                                extra="method = bogus\n")
+        assert run(["pipeline", "--config", cfg]) == 1
+        marker = (tmp_path / "out" / "FAILED").read_text()
+        assert "stage=regress" in marker
+        assert "unknown method 'bogus'" in marker
+        assert not (tmp_path / "out" / "regress.csv").exists()
+
+    @pytest.mark.parametrize("stage,key,value,message", [
+        ("lq", "classes", "abc",
+         "invalid literal for int() with base 10: 'abc'"),
+        ("panel", "panel_top", "x",
+         "invalid literal for int() with base 10: 'x'"),
+        ("panel", "panel_from", "2010-13-01", "month must be in 1..12"),
+        ("panel", "panel_to", "2006-02-30", "day is out of range"),
+        ("regress", "windows", "2005-20x6",
+         "invalid literal for int() with base 10: '20x6'")])
+    def test_unparsable_key_named_in_marker(self, tmp_path, corpus_csv,
+                                            stage, key, value, message):
+        keys = {"panel_from": "2005-01-01", "panel_to": "2006-12-31",
+                "panel_top": "5", "classes": "3", "windows": "2005-2006",
+                key: value}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {
+            "stages": f"clean, {stage}", "out_dir": tmp_path / "out",
+            "corpus": corpus_csv, "scope": "consolidated", "models": "M1",
+            "select": "weekday in 6, 7", **keys}.items()))
+        assert run(["pipeline", "--config", cfg]) == 1
+        marker = (tmp_path / "out" / "FAILED").read_text()
+        assert f"stage={stage}\nerror={key}: {message}" in marker
+
     def test_marker_cleared_on_success(self, tmp_path, corpus_csv):
         bad = self.write_config(tmp_path, corpus_csv, "clean, panel")
         assert run(["pipeline", "--config", bad]) == 1
@@ -385,6 +419,23 @@ class TestStageNames:
             cli.load_run_config(str(cfg))
 
 
+#: each subcommand's required flags, and the config keys they give
+REQUIRED_FLAGS = {
+    "harvest": (["--style", "physica-like", "--in", "arch", "--journal",
+                 "j", "--out", "o"],
+                {"harvest_in", "harvest_style", "harvest_journal"}),
+    "clean": (["--in", "c", "--out", "o"], {"corpus"}),
+    "rud": (["--in", "c", "--out", "o"], {"corpus"}),
+    "normality": (["--test", "r"], set()),
+    "transform": (["--fit", "r", "--out", "o"], set()),
+    "regress": (["--in", "c", "--out", "o"], {"corpus"}),
+    "panel": (["--in", "c", "--out", "o", "--from", "2005-01-01",
+               "--to", "2006-12-31"], {"corpus", "panel_from", "panel_to"}),
+    "lq": (["--in", "c", "--out", "o", "--select", "weekday in 6",
+            "--geojson", "g"], {"corpus", "select"}),
+}
+
+
 @pytest.mark.parametrize("stage", cli.STAGES, ids=lambda s: s.name)
 class TestStageTable:
     def test_subcommand_help(self, stage, capsys):
@@ -401,3 +452,17 @@ class TestStageTable:
         config = cli.load_run_config(str(cfg))
         assert config.stages == (stage.name,)
         assert set(stage.keys) <= set(config.raw)
+
+    def test_required_flags_pass_no_optional_key(self, stage, monkeypatch):
+        # an absent flag is an absent key: the stage applies its default
+        seen = []
+
+        def record(ctx):
+            seen.append(dict(ctx.config))
+            return [], ""
+
+        monkeypatch.setitem(cli.STAGE_BY_NAME, stage.name,
+                            dataclasses.replace(stage, run=record))
+        argv, keys = REQUIRED_FLAGS[stage.name]
+        assert run([stage.name, *argv]) == 0
+        assert set(seen[0]) == keys

@@ -170,12 +170,6 @@ class TestDistributionTails:
         assert _bits(diststat.chi2_ppf(q, df)) \
             == _bits(scipy.stats.chi2.ppf(q, df))
 
-    @settings(max_examples=400)
-    @given(STATS, DFS, DFS)
-    def test_f_sf(self, x, dfn, dfd):
-        assert _bits(diststat.f_sf(x, dfn, dfd)) \
-            == _bits(scipy.stats.f.sf(x, dfn, dfd))
-
     @settings(max_examples=200)
     @given(st.lists(STATS, min_size=1, max_size=12), DFS)
     def test_t_sf(self, xs, df):
@@ -200,8 +194,6 @@ class TestDistributionTails:
             == _bits(scipy.stats.chi2.sf(x, df))
         assert _bits(diststat.chi2_ppf(q, df)) \
             == _bits(scipy.stats.chi2.ppf(q, df))
-        assert _bits(diststat.f_sf(x / 20.0, df, dfd)) \
-            == _bits(scipy.stats.f.sf(x / 20.0, df, dfd))
         assert _bits(diststat.t_sf(t, dfd)) \
             == _bits(scipy.stats.t.sf(t, dfd))
         assert _bits(diststat.norm_sf(t)) == _bits(scipy.stats.norm.sf(t))
@@ -367,15 +359,6 @@ class TestMomentKernel:
         ref_skew, ref_kurt = _exact_skew_kurt(xs)
         assert m.skewness == pytest.approx(ref_skew, rel=1e-12)
         assert m.excess_kurtosis == pytest.approx(ref_kurt, rel=1e-12)
-
-    def test_unadjusted_skewness_is_g1(self):
-        xs = [0.5, 1.0, 1.5, 4.0, 9.0]
-        adj = diststat.moments(xs)
-        raw = diststat.moments(xs, adjusted=False)
-        n = len(xs)
-        assert raw.skewness * math.sqrt(n * (n - 1)) / (n - 2) \
-            == pytest.approx(adj.skewness, rel=1e-14)
-        assert raw.excess_kurtosis == adj.excess_kurtosis
 
     def test_non_finite_sample_rejected(self):
         with pytest.raises(ValueError, match="finite"):

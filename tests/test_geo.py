@@ -1,6 +1,7 @@
 """Selection expressions, localization quotients, natural breaks, export."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,6 +160,24 @@ class TestJenks:
     def test_more_classes_than_values_rejected(self):
         with pytest.raises(ValueError):
             geo.jenks_breaks([1.0, 2.0], 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # a NaN sorts anywhere and no cost involving it compares
+        with pytest.raises(ValueError, match="non-finite value"):
+            geo.jenks_breaks([1.0, 2.0, bad, 4.0, 5.0], 3)
+
+    def test_overflowing_sum_of_squares_rejected(self):
+        # with the squares at inf every split would score the same, and
+        # the first one, 2e160, would win over the optimal 5e160
+        with pytest.raises(ValueError, match="sum of squares overflows"):
+            geo.jenks_breaks([1e160, 2e160, 5e160, 9e160], 2)
+
+    def test_large_values_below_overflow(self):
+        br = geo.jenks_breaks([1e150, 2e150, 5e150, 9e150], 2)
+        assert br.boundaries == (5e150,)
+        assert br.total_ssd == pytest.approx(
+            exhaustive_jenks([1e150, 2e150, 5e150, 9e150], 2), rel=1e-9)
 
     def test_deterministic(self):
         values = [4.0, 1.0, 7.0, 7.0, 3.0, 12.0, 9.5]
