@@ -333,7 +333,7 @@ def _run_transform(ctx: RunContext) -> StageResult:
 
 def _run_regress(ctx: RunContext) -> StageResult:
     c = ctx.cleaned()
-    models = _parse_models(ctx.get("models", "M1..M9"))
+    models = ctx.parsed("models", _parse_models, "M1..M9")
     span = _year_span(c)
     windows = ctx.parsed("windows", lambda text: _parse_windows(text, span),
                          "default")
@@ -378,7 +378,7 @@ def _run_lq(ctx: RunContext) -> StageResult:
     c = ctx.cleaned()
     ctx.need("lq", "select")
     entries = geo.localization_quotient(
-        c, geo.parse_selection(ctx.get("select")))
+        c, ctx.parsed("select", geo.parse_selection))
     classes = ctx.parsed("classes", int, "5")
     breaks = geo.jenks_breaks([e.lq for e in entries], classes)
     csv_path, geojson_path = ctx.paths["lq.csv"], ctx.paths["lq.geojson"]

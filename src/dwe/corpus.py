@@ -436,25 +436,6 @@ def read_countries_cfg(path: str) -> dict[str, CountryProfile]:
         return parse_countries_cfg(fh.read())
 
 
-def write_countries_cfg(profiles: Mapping[str, CountryProfile],
-                        path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for iso in sorted(profiles):
-            p = profiles[iso]
-            parts = [f"iso={p.iso}", f"continent={p.continent}",
-                     f"hdi={p.hdi:g}"]
-            if p.lto is not None:
-                parts.append(f"lto={p.lto:g}")
-            for n in p.names:
-                parts.append(f'name="{n}"')
-            for start, days in p.weekend_schedule:
-                if start == date.min and days == DEFAULT_WEEKEND:
-                    continue  # implicit base entry
-                parts.append(f"from={start.isoformat()}")
-                parts.append("days=" + ",".join(str(d) for d in sorted(days)))
-            fh.write(" ".join(parts) + "\n")
-
-
 def load_default_countries() -> dict[str, CountryProfile]:
     """The country table shipped with the package (editable starter data)."""
     text = resources.files("dwe.data").joinpath("countries.cfg") \

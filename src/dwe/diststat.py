@@ -226,8 +226,8 @@ def apply_transform_steps_array(x, spec: TransformSpec
                                 ) -> tuple[np.ndarray, np.ndarray]:
     """(y*, y**) for an array of ratios.
 
-    The first ratio outside the domain raises the error that
-    ``apply_transform_steps`` raises for it alone.
+    The first ratio outside the domain raises, naming that ratio and the
+    step that fails for it.
     """
     arr = np.asarray(x, dtype=float)
     y1 = _step1_array(arr, spec.step1_family, spec.step1_param)
@@ -245,18 +245,6 @@ def apply_transform_steps_array(x, spec: TransformSpec
                 f"step 2 domain: y*+1 = {y + 1.0:g} <= 0 at ratio {rud}")
         raise ValueError(f"step 2 not finite at ratio {rud}")
     return y1, y2
-
-
-def apply_transform_steps(rud: float, spec: TransformSpec
-                          ) -> tuple[float, float]:
-    """(y*, y**) for a single ratio value; domain failures raise."""
-    y1, y2 = apply_transform_steps_array([rud], spec)
-    return float(y1[0]), float(y2[0])
-
-
-def apply_transform(rud: float, spec: TransformSpec) -> float:
-    """Fully transformed value y** for a single ratio."""
-    return apply_transform_steps(rud, spec)[1]
 
 
 def apply_transform_array(x, spec: TransformSpec) -> np.ndarray:

@@ -18,10 +18,10 @@ Only malformed XML and explicit non-research-article subjects raise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 from xml.etree import ElementTree as ET
 
 from .corpus import CountryProfile, RawRecord
@@ -54,9 +54,6 @@ class Affiliation:
 
 @dataclass(frozen=True)
 class Author:
-    surname: str
-    given_names: str
-    email: str | None = None
     corresponding: bool = False
     affiliations: tuple[Affiliation, ...] = ()
 
@@ -65,8 +62,6 @@ class Author:
 class RawArticleMetadata:
     """Parsed metadata before id assignment and cleaning."""
 
-    title: str | None = None
-    doi: str | None = None
     received: date | None = None
     accepted: date | None = None
     published: date | None = None
@@ -339,15 +334,6 @@ def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
         if el.get("pub-type") == "epub" and published is None:
             published = _date_from_children(el)
 
-    doi = None
-    for el in root.iter("article-id"):
-        if el.get("pub-id-type") == "doi":
-            doi = _text(el) or None
-            break
-
-    title_el = next(root.iter("article-title"), None)
-    title = _text(title_el) or None
-
     page_count = 0
     for el in root.iter("page-count"):
         try:
@@ -367,40 +353,30 @@ def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
         if aff_id:
             aff_by_id[aff_id] = aff
 
-    email_by_corresp: dict[str, str] = {}
+    # ids of the corresp notes that carry an email
+    emailed: set[str] = set()
     for el in root.iter("corresp"):
         corresp_id = el.get("id")
-        email = _text(el.find("email"))
-        if corresp_id and email:
-            email_by_corresp[corresp_id] = email
+        if corresp_id and _text(el.find("email")):
+            emailed.add(corresp_id)
 
     authors: list[Author] = []
     for el in root.iter("contrib"):
         if el.get("contrib-type") != "author":
             continue
-        surname = _text(el.find(".//surname"))
-        given = _text(el.find(".//given-names"))
-        affs: list[Affiliation] = []
-        email = None
-        for xr in el.iter("xref"):
-            rid = xr.get("rid")
-            if not rid:
-                continue
-            if rid in aff_by_id:
-                affs.append(aff_by_id[rid])
-            if rid in email_by_corresp and email is None:
-                email = email_by_corresp[rid]
+        rids = [xr.get("rid") for xr in el.iter("xref") if xr.get("rid")]
         # either convention marks the contact author: the corresp attribute
         # or an email reached through a corresp note
-        corresponding = el.get("corresp") == "yes" or email is not None
-        authors.append(Author(surname=surname, given_names=given,
-                              email=email, corresponding=corresponding,
-                              affiliations=tuple(affs)))
+        authors.append(Author(
+            corresponding=el.get("corresp") == "yes"
+            or any(rid in emailed for rid in rids),
+            affiliations=tuple(aff_by_id[rid] for rid in rids
+                               if rid in aff_by_id)))
 
     return RawArticleMetadata(
-        title=title, doi=doi, received=received, accepted=accepted,
-        published=published, page_count=page_count,
-        authors=tuple(authors), affiliations=tuple(affiliations))
+        received=received, accepted=accepted, published=published,
+        page_count=page_count, authors=tuple(authors),
+        affiliations=tuple(affiliations))
 
 
 def resolve_article_country(meta: RawArticleMetadata,
@@ -499,8 +475,11 @@ def harvest_directory(directory: str, style: str, journal: str,
     assigned sequentially from ``first_id``, so a rerun over the same tree
     is identical.  Returns (rows, skipped) where skipped pairs each failed
     file with the reason: a parse error, a file that is not UTF-8, or one
-    that cannot be read.
+    that cannot be read.  An unknown ``style`` raises before any file is
+    read.
     """
+    if style not in HISTORY_STYLES:
+        raise ValueError(f"unknown history style {style!r}")
     rows: list[RawRecord] = []
     skipped: list[tuple[str, str]] = []
     next_id = first_id

@@ -30,8 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (CONTINENTS, SEASONS, Corpus, FeatureColumns,
-                     read_csv_rows)
+from .corpus import CONTINENTS, SEASONS, Corpus, FeatureColumns
 from .diststat import (TestResult, TransformSpec, chi2_sf,
                        chi_square_critical, fit_transform_spec, jarque_bera,
                        moments)
@@ -43,7 +42,6 @@ from .rud import CONSOLIDATED, attach_transform, \
 WEEKDAY_TERMS = ("monday", "tuesday", "wednesday", "thursday", "weekend")
 SEASON_TERMS = ("spring", "summer", "fall")
 CONTINENT_TERMS = ("america", "africa", "asia", "oceania")
-COVARIATE_TERMS = ("christmas", "log10_authors", "log10_hdi", "log10_lto")
 
 MODEL_TERMS: dict[str, tuple[str, ...]] = {
     "M1": (CONST,) + WEEKDAY_TERMS,
@@ -322,19 +320,6 @@ def vif(design: DesignMatrix) -> dict[str, float]:
     return out
 
 
-def _dedupe_columns(cols: list[np.ndarray], labels: list[str]
-                    ) -> tuple[list[np.ndarray], list[str]]:
-    kept: list[np.ndarray] = []
-    kept_labels: list[str] = []
-    for col, label in zip(cols, labels):
-        if float(col.max()) == float(col.min()) \
-                or any(np.array_equal(col, k) for k in kept):
-            continue
-        kept.append(col)
-        kept_labels.append(label)
-    return kept, kept_labels
-
-
 def _lm_test(e2: np.ndarray, X: np.ndarray, name: str) -> TestResult:
     """n R^2 of the auxiliary regression of e2 on X, against chi^2 at 5%
     with one degree of freedom per non-constant column of X; raises when X
@@ -359,8 +344,9 @@ def breusch_pagan(design: DesignMatrix, fit: FitResult) -> TestResult:
 def white_test(design: DesignMatrix, fit: FitResult) -> TestResult:
     """Auxiliary regression on levels, squares, and cross products.
 
-    Dummy squares duplicate their levels and are removed, as are any other
-    duplicated or constant auxiliary columns.
+    ``drop_degenerate_columns`` removes the constant auxiliary columns and
+    the collinear ones, such as a dummy's square, which duplicates its
+    level.
     """
     base = [(design.X[:, j], design.columns[j])
             for j in range(design.p) if design.columns[j] != CONST]
@@ -373,10 +359,8 @@ def white_test(design: DesignMatrix, fit: FitResult) -> TestResult:
         for j in range(i + 1, len(base)):
             cols.append(base[i][0] * base[j][0])
             labels.append(f"{base[i][1]}*{base[j][1]}")
-    kept, kept_labels = _dedupe_columns(cols, labels)
-    X = np.hstack([np.ones((design.n, 1))]
-                  + [k[:, None] for k in kept])
-    X, _, _ = drop_degenerate_columns(X, [CONST] + kept_labels)
+    X = np.column_stack([np.ones(design.n)] + cols)
+    X, _, _ = drop_degenerate_columns(X, [CONST] + labels)
     return _lm_test(fit.residuals ** 2, X, "White")
 
 
@@ -428,15 +412,6 @@ class RollReport:
                 coeff = "" if r.coefficient is None else repr(r.coefficient)
                 w.writerow([r.scope, r.window, r.model_id, r.term, coeff,
                             r.stars, r.marker, r.n])
-
-    @classmethod
-    def from_csv(cls, path: str) -> "RollReport":
-        return cls(rows=tuple(read_csv_rows(
-            path, cls.CSV_COLUMNS, "roll", lambda line: RollRow(
-                scope=line[0], window=line[1], model_id=line[2],
-                term=line[3],
-                coefficient=float(line[4]) if line[4] else None,
-                stars=line[5], marker=line[6], n=int(line[7])))))
 
 
 def _validate_windows(windows: Sequence[tuple[int, int]]) -> None:

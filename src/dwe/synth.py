@@ -24,11 +24,8 @@ from .panel import PANEL_COLUMNS, PanelData, panel_design
 DEFAULT_COUNTRIES = ("US", "CN", "DE", "GB", "FR", "JP", "IT", "CA",
                      "ES", "AU", "RO")
 
-FLAT_WEEK = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 #: strong working-week profile: submissions mostly Mon-Fri.
 OFFICE_WEEK = (1.6, 1.45, 1.3, 1.2, 1.05, 0.25, 0.2)
-#: Christmas-window profile: the few submissions bunch early in the week.
-BUNCHED_WEEK = (3.0, 2.0, 1.0, 0.5, 0.4, 0.1, 0.1)
 
 
 @dataclass(frozen=True)

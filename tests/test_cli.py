@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -358,6 +359,20 @@ class TestPipeline:
         assert "unknown method 'bogus'" in marker
         assert not (tmp_path / "out" / "regress.csv").exists()
 
+    def test_unknown_harvest_style_fails_with_marker(self, tmp_path):
+        # every card would be skipped alone, leaving an empty corpus
+        arch = tmp_path / "arch"
+        arch.mkdir()
+        (arch / "batch1.txt").write_text(CARDS, encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"stages = harvest\nout_dir = {tmp_path / 'out'}\n"
+                       f"harvest_in = {arch}\nharvest_style = plos\n"
+                       "harvest_journal = j\n")
+        assert run(["pipeline", "--config", cfg]) == 1
+        marker = (tmp_path / "out" / "FAILED").read_text()
+        assert "stage=harvest\nerror=unknown history style 'plos'" in marker
+        assert not (tmp_path / "out" / "corpus.csv").exists()
+
     @pytest.mark.parametrize("stage,key,value,message", [
         ("lq", "classes", "abc",
          "invalid literal for int() with base 10: 'abc'"),
@@ -366,7 +381,10 @@ class TestPipeline:
         ("panel", "panel_from", "2010-13-01", "month must be in 1..12"),
         ("panel", "panel_to", "2006-02-30", "day is out of range"),
         ("regress", "windows", "2005-20x6",
-         "invalid literal for int() with base 10: '20x6'")])
+         "invalid literal for int() with base 10: '20x6'"),
+        ("regress", "models", "M1,M10", "unknown model 'M10'"),
+        ("lq", "select", "weekday in 9",
+         "weekday values out of 1..7: ['9']")])
     def test_unparsable_key_named_in_marker(self, tmp_path, corpus_csv,
                                             stage, key, value, message):
         keys = {"panel_from": "2005-01-01", "panel_to": "2006-12-31",
@@ -466,3 +484,22 @@ class TestStageTable:
         argv, keys = REQUIRED_FLAGS[stage.name]
         assert run([stage.name, *argv]) == 0
         assert set(seen[0]) == keys
+
+
+def test_readme_stage_table_matches_stages():
+    # per row: the backticked config keys, then the backticked file names
+    lines = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index(
+        "| stage | keys it reads (default) | files in `out_dir` |")
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        name, keys, files = (cell.strip()
+                             for cell in line.strip("|").split("|"))
+        rows[name] = (tuple(k for k in re.findall(r"`([^`]+)`", keys)
+                            if k in cli.KNOWN_KEYS),
+                      tuple(re.findall(r"`([^`]+)`", files)))
+    assert rows == {s.name: (s.keys, s.outputs) for s in cli.STAGES}
+    assert list(rows) == [s.name for s in cli.STAGES]

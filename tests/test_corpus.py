@@ -306,12 +306,6 @@ class TestCsvRoundTrip:
 
 
 class TestCountriesCfg:
-    def test_round_trip(self, tmp_path, country_table):
-        path = tmp_path / "countries.cfg"
-        cm.write_countries_cfg(country_table, str(path))
-        back = cm.read_countries_cfg(str(path))
-        assert back == country_table
-
     def test_parse_schedule_line(self, tmp_path):
         path = tmp_path / "one.cfg"
         path.write_text(

@@ -161,7 +161,6 @@ class TestJats:
         assert meta.accepted == date(2006, 9, 1)
         assert meta.published == date(2006, 9, 15)
         assert meta.page_count == 12
-        assert meta.doi == "10.1371/journal.pone.0000001"
         assert len(meta.authors) == 2
         assert meta.authors[0].corresponding
         assert meta.authors[0].affiliations[0].country_raw == "Italy"
@@ -276,6 +275,22 @@ class TestHarvestDirectory:
             str(tmp_path), "physica-like", "j", lookup)
         assert [name for name, _ in skipped] == ["a.txt"]
         assert len(rows) == 2
+
+    def test_unknown_style_raises_before_any_read(self, tmp_path,
+                                                  country_table, monkeypatch):
+        # skipped per file, a bad style would lose every card and keep the
+        # XML articles, which do not use it
+        (tmp_path / "a.xml").write_text(JATS_OK, encoding="utf-8")
+        (tmp_path / "b.txt").write_text(CARDS, encoding="utf-8")
+
+        def no_read(self, *args, **kwargs):
+            raise AssertionError(f"{self.name} read")
+
+        monkeypatch.setattr(Path, "read_bytes", no_read)
+        monkeypatch.setattr(Path, "read_text", no_read)
+        lookup = harvest.build_name_lookup(country_table)
+        with pytest.raises(ValueError, match="unknown history style 'plos'"):
+            harvest.harvest_directory(str(tmp_path), "plos", "j", lookup)
 
     def test_deterministic(self, tmp_path, country_table):
         (tmp_path / "x.txt").write_text(CARDS)

@@ -1,5 +1,7 @@
 """Linear models: OLS, robust refit, diagnostics, rolling windows."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,12 @@ class TestHeteroskedasticityTests:
         white = linmod.white_test(design, fit)
         # regressors: d, z, z^2, d*z (d^2 == d dropped); df = 4
         assert white.df == 4
+        aux = np.column_stack([np.ones(n), d, z, z * z, d * z])
+        e2 = fit.residuals ** 2
+        beta = np.linalg.lstsq(aux, e2, rcond=None)[0]
+        r2 = 1.0 - np.sum((e2 - aux @ beta) ** 2) \
+            / np.sum((e2 - e2.mean()) ** 2)
+        assert white.statistic == pytest.approx(n * r2, rel=1e-12)
 
     def test_lm_tests_need_a_regressor(self):
         # a constant-only design leaves the auxiliary regression nothing
@@ -282,10 +290,18 @@ class TestRollReport:
         assert rows[0].marker == "empty"
 
     def test_csv_round_trip(self, tmp_path, report):
+        # an empty window's row has no coefficient
+        rows = report.rows + (linmod.RollRow(
+            "consolidated", "1990-1991", "M1", "", None, "", "empty", 0),)
         path = tmp_path / "roll.csv"
-        report.to_csv(str(path))
-        back = linmod.RollReport.from_csv(str(path))
-        assert back.rows == report.rows
+        linmod.RollReport(rows).to_csv(str(path))
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *lines = csv.reader(fh)
+        assert tuple(header) == linmod.RollReport.CSV_COLUMNS
+        assert lines == [
+            [r.scope, r.window, r.model_id, r.term,
+             "" if r.coefficient is None else repr(r.coefficient),
+             r.stars, r.marker, str(r.n)] for r in rows]
 
     def test_overlapping_windows_rejected(self, synth_corpus):
         with pytest.raises(ValueError):

@@ -176,8 +176,10 @@ class TestCsv:
         spec = diststat.TransformSpec(*spec_args)
         obs = rud.build_rud_dataset(synth_corpus, rud.CONSOLIDATED)
         y_star, y_star_star = rud.attach_transform(obs, spec)
+        per_value = [diststat.apply_transform_steps_array([o.rud], spec)
+                     for o in obs]
         assert list(zip(y_star.tolist(), y_star_star.tolist())) \
-            == [diststat.apply_transform_steps(o.rud, spec) for o in obs]
+            == [(float(y1[0]), float(y2[0])) for y1, y2 in per_value]
 
     @pytest.mark.parametrize("bad,first", [((0.2, -1.0), 0.2),
                                            ((-1.0, 0.2), -1.0),
@@ -192,7 +194,7 @@ class TestCsv:
         ratios[3], ratios[5] = bad
         obs = replace(obs, rud=ratios)
         with pytest.raises(ValueError) as scalar:
-            diststat.apply_transform_steps(float(first), spec)
+            diststat.apply_transform_steps_array([float(first)], spec)
         with pytest.raises(ValueError) as vector:
             rud.attach_transform(obs, spec)
         assert str(vector.value) == str(scalar.value)
