@@ -18,7 +18,7 @@ Only malformed XML and explicit non-research-article subjects raise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 from typing import Mapping
@@ -28,7 +28,15 @@ from .corpus import CountryProfile, RawRecord
 
 
 class JatsParseError(ValueError):
-    """Malformed XML; carries the byte offset of the failure."""
+    """Malformed XML.
+
+    ``offset`` is where the failure is, in bytes from the start of the
+    document as passed to ``parse_jats_article`` (of its UTF-8 encoding
+    when it is passed as text).  ``line`` and ``column`` are expat's,
+    counted after the junk before the XML declaration is dropped; the
+    column counts characters.  For a mismatched end tag expat places the
+    failure at the tag's name.
+    """
 
     def __init__(self, message: str, offset: int, line: int, column: int):
         super().__init__(f"{message} (offset {offset}, line {line}, "
@@ -125,6 +133,19 @@ _DATE_BODY = {
 }
 
 
+def _history_pattern(style: str) -> re.Pattern[str]:
+    keyword_alt = "|".join(re.escape(kw).replace(r"\ ", r"\s+")
+                           for kw, _ in _SLOTS[style])
+    return re.compile(rf"({keyword_alt})\s*:?\s*{_DATE_BODY[style]}",
+                      re.IGNORECASE)
+
+
+#: style -> (history line pattern, keyword -> slot)
+_HISTORY = {style: (_history_pattern(style), dict(_SLOTS[style]))
+            for style in HISTORY_STYLES}
+_SPACES = re.compile(r"\s+")
+
+
 def _month_number(name: str) -> int | None:
     return _MONTHS.get(name.lower())
 
@@ -155,13 +176,11 @@ def parse_history_string(text: str, style: str) -> HistoryDates:
     slots: dict[str, date | None] = {"received": None, "revised": None,
                                      "online": None}
     errors: list[FieldError] = []
-    keyword_alt = "|".join(re.escape(kw).replace(r"\ ", r"\s+")
-                           for kw, _ in _SLOTS[style])
-    rx = re.compile(rf"({keyword_alt})\s*:?\s*{_DATE_BODY[style]}",
-                    re.IGNORECASE)
+    rx, slot_of = _HISTORY[style]
     for m in rx.finditer(text):
-        keyword = re.sub(r"\s+", " ", m.group(1).lower())
-        slot = dict(_SLOTS[style])[keyword]
+        keyword = m.group(1).lower()
+        # a keyword written with single spaces needs no normalizing
+        slot = slot_of.get(keyword) or slot_of[_SPACES.sub(" ", keyword)]
         if slots[slot] is not None:
             continue
         try:
@@ -211,15 +230,28 @@ US_STATE_NAMES = (
     "Wyoming", "District of Columbia")
 
 
-def build_name_lookup(profiles: Mapping[str, CountryProfile]
-                      ) -> dict[str, str]:
-    """Display-name -> ISO table from country profiles.
+@dataclass(frozen=True)
+class NameLookup:
+    """The country names ``normalize_country`` matches, casefolded once.
+
+    ``names`` holds the (casefolded name, ISO) pairs in table order.
+    ``resolved`` remembers the answer for each raw string already seen, so
+    each distinct affiliation string is matched against the names once; it
+    belongs to this lookup alone.
+    """
+
+    names: tuple[tuple[str, str], ...]
+    resolved: dict[str, str | None] = field(default_factory=dict,
+                                            compare=False, repr=False)
+
+
+def build_name_lookup(profiles: Mapping[str, CountryProfile]) -> NameLookup:
+    """Casefolded display-name -> ISO lookup from country profiles.
 
     Adds the US state names when a US profile is present (state-qualified
     addresses often omit the country).  Rejects case-insensitive name
     collisions that point at different codes.
     """
-    lookup: dict[str, str] = {}
     seen: dict[str, str] = {}  # casefolded name -> iso
     def _add(name: str, iso: str) -> None:
         key = name.casefold()
@@ -229,36 +261,39 @@ def build_name_lookup(profiles: Mapping[str, CountryProfile]
                     f"name {name!r} maps to both {seen[key]} and {iso}")
             return
         seen[key] = iso
-        lookup[name] = iso
     for iso in sorted(profiles):
         for name in profiles[iso].names:
             _add(name, iso)
     if "US" in profiles:
         for state in US_STATE_NAMES:
             _add(state, "US")
-    return lookup
+    return NameLookup(names=tuple(seen.items()))
 
 
-def normalize_country(country_raw: str,
-                      lookup: Mapping[str, str]) -> str | None:
+def normalize_country(country_raw: str, lookup: NameLookup) -> str | None:
     """Resolve free-text affiliation country to an ISO code.
 
     Containment matching: every lookup name contained (case-insensitively)
     in the input is a match; a matched name that is a substring of another
     matched name is discarded (so "Nigeria" beats "Niger", "Romania" beats
     "Oman").  Exactly one surviving code wins; none or several -> None.
+    A string seen before with the same ``lookup`` is answered from its
+    ``resolved`` memo.
     """
     if not country_raw:
         return None
+    try:
+        return lookup.resolved[country_raw]
+    except KeyError:
+        pass
     hay = country_raw.casefold()
-    matched = [(name.casefold(), iso) for name, iso in lookup.items()
-               if name.casefold() in hay]
+    matched = [(name, iso) for name, iso in lookup.names if name in hay]
     survivors = {iso for name, iso in matched
                  if not any(name != other and name in other
                             for other, _ in matched)}
-    if len(survivors) == 1:
-        return next(iter(survivors))
-    return None
+    iso = next(iter(survivors)) if len(survivors) == 1 else None
+    lookup.resolved[country_raw] = iso
+    return iso
 
 
 # -- JATS XML ---------------------------------------------------------------
@@ -269,9 +304,36 @@ def _repair_preamble(text: str) -> str:
     return text[idx:] if idx > 0 else text
 
 
-def _offset_of(text: str, line: int, column: int) -> int:
-    lines = text.splitlines(keepends=True)
-    return sum(len(ln) for ln in lines[:line - 1]) + column
+_XML_LINE_BREAK = re.compile(r"\r\n?|\n")  # where expat starts a line
+
+
+def _char_offset(text: str, line: int, column: int) -> int:
+    """Index in ``text`` of expat's (line, column): expat starts a line
+    after CR, LF or CRLF and counts its column in characters."""
+    start = 0
+    for m, _ in zip(_XML_LINE_BREAK.finditer(text), range(line - 1)):
+        start = m.end()
+    return start + column
+
+
+def _byte_offset(document: str | bytes, chars: int) -> int:
+    """Where character ``chars`` of the decoded document starts, in bytes
+    of the document (of its UTF-8 encoding when it is text).  A byte run
+    that is not UTF-8 counts as the one replacement character it decodes
+    to."""
+    if isinstance(document, str):
+        return len(document[:chars].encode("utf-8"))
+    pos = 0
+    while True:
+        try:
+            run, bad_end = document[pos:].decode("utf-8"), None
+        except UnicodeDecodeError as exc:
+            run = document[pos:pos + exc.start].decode("utf-8")
+            bad_end = pos + exc.end
+        if bad_end is None or chars <= len(run):
+            return pos + len(run[:chars].encode("utf-8"))
+        chars -= len(run) + 1
+        pos = bad_end
 
 
 def _int_or_none(el) -> int | None:
@@ -306,14 +368,15 @@ def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
     NotResearchArticle when the first subject element names anything but a
     research article (missing subject is left for corpus cleaning).
     """
-    if isinstance(document, bytes):
-        document = document.decode("utf-8", errors="replace")
-    text = _repair_preamble(document)
+    decoded = document if isinstance(document, str) \
+        else document.decode("utf-8", errors="replace")
+    text = _repair_preamble(decoded)
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         line, column = exc.position
-        raise JatsParseError(str(exc), _offset_of(text, line, column),
+        chars = len(decoded) - len(text) + _char_offset(text, line, column)
+        raise JatsParseError(str(exc), _byte_offset(document, chars),
                              line, column) from exc
 
     subjects = root.iter("subject")
@@ -380,7 +443,7 @@ def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
 
 
 def resolve_article_country(meta: RawArticleMetadata,
-                            lookup: Mapping[str, str]) -> str | None:
+                            lookup: NameLookup) -> str | None:
     """ISO country of the corresponding author's affiliation.
 
     Falls back to the first author's affiliations, then to the document's
@@ -415,9 +478,13 @@ class ArticleCard:
     country: str = ""
 
 
+_AUTHOR_SEPARATOR = re.compile(r"\s+(?:and|&)\s+", re.IGNORECASE)
+_BLANK_LINE = re.compile(r"\n\s*\n")
+
+
 def split_author_list(text: str) -> int:
     """Count author names separated by commas, "and", or ampersands."""
-    normalized = re.sub(r"\s+(?:and|&)\s+", ",", text, flags=re.IGNORECASE)
+    normalized = _AUTHOR_SEPARATOR.sub(",", text)
     parts = [p.strip() for p in normalized.split(",")]
     return sum(1 for p in parts if p)
 
@@ -425,7 +492,7 @@ def split_author_list(text: str) -> int:
 def parse_article_cards(text: str) -> list[ArticleCard]:
     """Parse blank-line separated ``Key: value`` card records."""
     cards: list[ArticleCard] = []
-    for block in re.split(r"\n\s*\n", text):
+    for block in _BLANK_LINE.split(text):
         fields: dict[str, str] = {}
         for line in block.splitlines():
             line = line.strip()
@@ -442,7 +509,7 @@ def parse_article_cards(text: str) -> list[ArticleCard]:
 
 
 def card_to_raw_record(card: ArticleCard, article_id: int, journal: str,
-                       style: str, lookup: Mapping[str, str]) -> RawRecord:
+                       style: str, lookup: NameLookup) -> RawRecord:
     """Corpus row from a card; unresolvable fields become blanks/zeros."""
     dates = parse_history_string(card.history, style)
     first, last = extract_pages(card.pages)
@@ -456,8 +523,7 @@ def card_to_raw_record(card: ArticleCard, article_id: int, journal: str,
 
 
 def jats_to_raw_record(meta: RawArticleMetadata, article_id: int,
-                       journal: str,
-                       lookup: Mapping[str, str]) -> RawRecord:
+                       journal: str, lookup: NameLookup) -> RawRecord:
     return RawRecord(
         id=article_id, journal=journal, received=meta.received,
         revised=meta.accepted, online=meta.published,
@@ -466,7 +532,7 @@ def jats_to_raw_record(meta: RawArticleMetadata, article_id: int,
 
 
 def harvest_directory(directory: str, style: str, journal: str,
-                      lookup: Mapping[str, str], first_id: int = 1
+                      lookup: NameLookup, first_id: int = 1
                       ) -> tuple[list[RawRecord], list[tuple[str, str]]]:
     """Parse every file under ``directory`` into corpus rows.
 

@@ -6,7 +6,6 @@ behavior change, not a test fix.
 """
 
 import time
-from datetime import date
 
 import numpy as np
 import pytest

@@ -1,7 +1,6 @@
 """Calendar derivations, country table, cleaning, CSV round-trips."""
 
 import dataclasses
-import io
 import re
 from datetime import date, timedelta
 

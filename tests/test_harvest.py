@@ -4,9 +4,10 @@ from datetime import date
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dwe import corpus as cm, harvest
+import reference_harvest as ref
+from dwe import corpus, harvest
 
 JATS_OK = """junk before the declaration<?xml version="1.0"?>
 <article>
@@ -154,6 +155,111 @@ class TestCountryNormalization:
         assert padded == base
 
 
+_SHIPPED = corpus.load_default_countries()
+_NAMES = tuple(ref.build_name_lookup(_SHIPPED))  # with the US states
+# characters whose casefold is not their lowercase, or longer than one
+_CASEFOLD_ODD = "ßẞİıſKﬀΣς"
+_CASES = (str.upper, str.lower, str.title, str.swapcase, str.casefold)
+
+
+class TestCountryAgainstReference:
+    """The memoized resolver answers as the per-call casefolding one."""
+
+    @staticmethod
+    def _check(text, lookup, table):
+        expected = ref.normalize_country(text, table)
+        assert harvest.normalize_country(text, lookup) == expected, text
+        # the second answer comes from the memo
+        assert harvest.normalize_country(text, lookup) == expected, text
+
+    def test_shipped_names_and_their_substrings(self):
+        lookup = harvest.build_name_lookup(_SHIPPED)
+        table = ref.build_name_lookup(_SHIPPED)
+        strings = {name[i:j] for name in _NAMES
+                   for i in range(len(name))
+                   for j in range(i + 1, len(name) + 1)}
+        for text in sorted(strings):
+            self._check(text, lookup, table)
+
+    @pytest.mark.parametrize("text", [
+        "Rußia", "RUSSIA", "Ruſſia", "İtaly", "İTALY", "ıtaly", "Straße",
+        "Kuwait", "Pakiſtan", "ŞPAIN", "", " "])
+    def test_non_ascii_casefold(self, text):
+        self._check(text, harvest.build_name_lookup(_SHIPPED),
+                    ref.build_name_lookup(_SHIPPED))
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(_NAMES), case=st.sampled_from(_CASES),
+           before=st.text(alphabet=" ,.;-()abcXYZß", max_size=12),
+           after=st.text(alphabet=" ,.;-()abcXYZİ", max_size=12))
+    def test_case_and_padding_variants(self, name, case, before, after):
+        self._check(before + case(name) + after,
+                    harvest.build_name_lookup(_SHIPPED),
+                    ref.build_name_lookup(_SHIPPED))
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(st.text(
+        alphabet=sorted(set("".join(_NAMES)) | set(_CASEFOLD_ODD)),
+        max_size=30), max_size=5))
+    def test_drawn_text(self, texts):
+        lookup = harvest.build_name_lookup(_SHIPPED)
+        table = ref.build_name_lookup(_SHIPPED)
+        for text in texts + texts:
+            self._check(text, lookup, table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(queries=st.lists(st.tuples(st.booleans(), st.sampled_from([
+        "Berkeley, California", "Austin, TEXAS", "New York", "Georgia",
+        "Tbilisi, Georgia", "Washington, United States", "Italy",
+        "Niger", "Atlantis"])), min_size=1, max_size=12))
+    def test_lookups_from_different_tables_share_no_memo(self, queries):
+        without_us = {iso: p for iso, p in _SHIPPED.items() if iso != "US"}
+        lookups = {True: harvest.build_name_lookup(_SHIPPED),
+                   False: harvest.build_name_lookup(without_us)}
+        tables = {True: ref.build_name_lookup(_SHIPPED),
+                  False: ref.build_name_lookup(without_us)}
+        for with_us, text in queries:
+            self._check(text, lookups[with_us], tables[with_us])
+        assert harvest.normalize_country("Austin, Texas",
+                                         lookups[False]) is None
+        assert harvest.normalize_country("Austin, Texas",
+                                         lookups[True]) == "US"
+
+
+_KEYWORDS = sorted({kw for pairs in harvest._SLOTS.values()
+                    for kw, _ in pairs})
+
+
+@st.composite
+def _history_clauses(draw):
+    """A keyword, in any case and spacing, then a date in any style."""
+    keyword = draw(st.sampled_from(_KEYWORDS))
+    keyword = draw(st.sampled_from(_CASES[:3]))(keyword).replace(
+        " ", draw(st.sampled_from([" ", "  ", "\t", "\n"])))
+    day, year = draw(st.sampled_from(["7", "07", "29", "31", "32", "0"])), \
+        draw(st.sampled_from(["2006", "1999", "20061"]))
+    month = draw(st.sampled_from(["August", "aug", "Sept", "SEPT",
+                                  "February", "Febr", "13", "02"]))
+    date_text = draw(st.sampled_from([f"{month} {day}, {year}",
+                                      f"{day} {month} {year}",
+                                      f"{year}-{month}-{day}", ""]))
+    return keyword + draw(st.sampled_from([" ", ": ", ":", ""])) + date_text
+
+
+class TestHistoryAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(style=st.sampled_from(harvest.HISTORY_STYLES),
+           parts=st.lists(st.one_of(
+               _history_clauses(),
+               st.sampled_from(_KEYWORDS + ["May", "2006-08-07", "12"])),
+               max_size=6),
+           sep=st.sampled_from(["; ", ", ", " ", "\n"]))
+    def test_equals_reference(self, style, parts, sep):
+        text = sep.join(parts)
+        assert harvest.parse_history_string(text, style) \
+            == ref.parse_history_string(text, style)
+
+
 class TestJats:
     def test_full_document(self):
         meta = harvest.parse_jats_article(JATS_OK)
@@ -178,6 +284,25 @@ class TestJats:
     def test_malformed_reports_location(self):
         with pytest.raises(harvest.JatsParseError):
             harvest.parse_jats_article("<?xml version='1.0'?><article>")
+
+    @pytest.mark.parametrize("doc, tail", [
+        (b'junk<?xml version="1.0"?>\n<article><x>\xc3\xa9\xc3\xa9<y></x>'
+         b'</article>', b"x></article>"),
+        # expat starts lines at CRLF and CR; a byte that is not UTF-8
+        # decodes to one replacement character
+        (b'ju\xffnk\xe2\x82<?xml version="1.0"?>\r\n<a>\xe2\x82\r<x>'
+         b'\xc3\xa9\xff\xf0\x9f\x98\x80<y></x></a>', b"x></a>"),
+        # U+0085 and U+2028 end no line for expat
+        ('\u00e9<?xml version="1.0"?>\n<a>\x85\u2028<b/>\n'
+         '<x>\u00e9<y></x></a>', b"x></a>"),
+        (b"<a>\n<b>\xe2\x82\xac&bad;</b></a>", b"&bad;</b></a>"),
+    ])
+    def test_malformed_offset_is_bytes_of_the_document(self, doc, tail):
+        with pytest.raises(harvest.JatsParseError) as info:
+            harvest.parse_jats_article(doc)
+        raw = doc if isinstance(doc, bytes) else doc.encode("utf-8")
+        # expat places a mismatched end tag's failure at the tag's name
+        assert raw[info.value.offset:] == tail
 
     def test_resolve_country_prefers_corresponding(self, country_table):
         lookup = harvest.build_name_lookup(country_table)

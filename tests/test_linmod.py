@@ -7,7 +7,6 @@ import pytest
 
 from conftest import design_from_arrays, make_planted
 from dwe import linmod, lsq
-from dwe.linmod import DesignMatrix
 
 
 class TestOls:
