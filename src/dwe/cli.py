@@ -1,20 +1,13 @@
 """Command-line interface.
 
-Each stage is one entry of the ordered ``STAGES`` table: its name, the
-config keys it reads, the files it writes and one ``run(ctx)``.
-
-    harvest    parse an archive directory into a corpus CSV
-    clean      validate a corpus CSV, drop bad rows, write the report
-    rud        per-article weekly ratios for a grouping scope
-    normality  moment/JB report over the ratios
-    transform  fit the two-step normality transform per scope
-    regress    OLS/robust model ladder over year windows
-    panel      random-effects EGLS over the daily country panel
-    lq         localization quotients, natural breaks, choropleth export
+Each stage is one entry of the ordered ``STAGES`` table: its name and
+help line, the config keys it reads, the files it writes and one
+``run(ctx)``.  Each config key is one ``Key``: its default, its parse
+with its checks, and its subcommand flag.
 
 ``dwe pipeline --config run.cfg`` runs the configured stages in table
-order and writes one report; ``dwe <stage> ...`` runs one stage from
-flags whose destinations are its config keys and prints its summary.
+order and writes one report; ``dwe <stage> ...`` runs one stage from one
+flag per config key it reads and prints its summary.
 
 Outputs carry no timestamps; identical inputs and configuration produce
 byte-identical files.
@@ -31,28 +24,22 @@ import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Mapping, TypeVar
+from typing import Any, Callable, Mapping
 
 from . import __version__, corpus as corpus_mod, diststat, geo, harvest, \
     linmod, panel as panel_mod, rud as rud_mod
 
-T = TypeVar("T")
-
 
 def _parse_models(text: str) -> tuple[str, ...]:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        ids = list(linmod.MODEL_TERMS)
-        if lo not in ids or hi not in ids:
-            raise ValueError(f"bad model range {text!r}")
-        i, j = ids.index(lo), ids.index(hi)
-        if j < i:
-            raise ValueError(f"bad model range {text!r}")
-        return tuple(ids[i:j + 1])
+    ids = list(linmod.MODEL_TERMS)
+    lo, dots, hi = text.strip().partition("..")
+    if dots:
+        if lo not in ids or hi not in ids or ids.index(hi) < ids.index(lo):
+            raise ValueError(f"bad model range {text.strip()!r}")
+        return tuple(ids[ids.index(lo):ids.index(hi) + 1])
     models = tuple(m.strip() for m in text.split(",") if m.strip())
     for m in models:
-        if m not in linmod.MODEL_TERMS:
+        if m not in ids:
             raise ValueError(f"unknown model {m!r}")
     if not models:
         raise ValueError("no models given")
@@ -73,7 +60,23 @@ def _parse_windows(text: str, years_present: tuple[int, int]
         if not dash:
             raise ValueError(f"bad window {part!r}, want YYYY-YYYY")
         windows.append((int(lo), int(hi)))
+    linmod.validate_windows(windows)
     return tuple(windows)
+
+
+def _regress_scopes(text: str, journals: tuple[str, ...]
+                    ) -> list[str] | None:
+    """None (consolidated and every journal) for `all`, else the scopes."""
+    if text not in ("all", "journal", rud_mod.CONSOLIDATED, *journals):
+        raise ValueError(f"unknown scope {text!r}; have all, "
+                         f"{', '.join(rud_mod.SCOPES)} or a journal name")
+    return {"all": None, "journal": list(journals)}.get(text, [text])
+
+
+def _boolean(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"must be true or false, got {text!r}")
+    return text.lower() == "true"
 
 
 def _year_span(c: corpus_mod.Corpus) -> tuple[int, int]:
@@ -81,6 +84,61 @@ def _year_span(c: corpus_mod.Corpus) -> tuple[int, int]:
     if not years.size:
         raise ValueError("empty corpus")
     return (int(years.min()), int(years.max()))
+
+
+# -- config keys ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Key:
+    """A config key: the text an unset or empty key takes (None: the key
+    is required), ``parse(text, *corpus facts)`` with its range or enum
+    checks, its subcommand flag (``--<name>`` with dashes by default) and
+    the flag's choices.  A ``path`` key names an input file unless it
+    holds its default."""
+
+    name: str
+    default: str | None
+    parse: Callable[..., Any] = str
+    flag: str = ""
+    choices: tuple[str, ...] = ()
+    path: bool = False
+
+
+def _enum(name: str, default: str | None, what: str,
+          values: tuple[str, ...], flag: str = "") -> Key:
+    def parse(text: str) -> str:
+        if text not in values:
+            raise ValueError(
+                f"unknown {what} {text!r}; have {' or '.join(values)}")
+        return text
+    return Key(name, default, parse, flag, choices=values)
+
+
+CORPUS = Key("corpus", None, flag="--in", path=True)
+COUNTRIES = Key("countries", "builtin", path=True)
+HARVEST_IN = Key("harvest_in", None, flag="--in", path=True)
+HARVEST_STYLE = _enum("harvest_style", None, "history style",
+                      harvest.HISTORY_STYLES, flag="--style")
+HARVEST_JOURNAL = Key("harvest_journal", None, flag="--journal")
+#: the scope of rud, normality, transform and panel; regress's also takes
+#: `all` and one journal's name
+SCOPE = _enum("scope", rud_mod.CONSOLIDATED, "scope", rud_mod.SCOPES)
+REGRESS_SCOPE = Key("scope", "all", _regress_scopes)
+MODELS = Key("models", "M1..M9", _parse_models)
+METHOD = _enum("method", "ols", "method", linmod.METHODS)
+WINDOWS = Key("windows", "default", _parse_windows)
+TRANSFORM = Key("transform", "fit", path=True)
+PANEL_FROM = Key("panel_from", None, date.fromisoformat, "--from")
+PANEL_TO = Key("panel_to", None, date.fromisoformat, "--to")
+PANEL_TOP = Key("panel_top", "11",
+                lambda text: panel_mod.check_top_n(int(text)), "--top")
+PANEL_WEIGHTED = Key("panel_weighted", "false", _boolean, "--weighted")
+PANEL_WEIGHT_MODE = _enum("panel_weight_mode", "multiply", "weight mode",
+                          panel_mod.WEIGHT_MODES, flag="--weight-mode")
+TREND_BASE = _enum("trend_base", "log10", "trend base",
+                   panel_mod.TREND_BASES)
+SELECT = Key("select", None, geo.parse_selection)
+CLASSES = Key("classes", "5", lambda text: geo.check_classes(int(text)))
 
 
 # -- output files -----------------------------------------------------------
@@ -173,39 +231,31 @@ class RunContext:
         self._cleaned: corpus_mod.Corpus | None = None
         self._rud: rud_mod.RudTable | None = None
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.config.get(key, default)
-
-    def parsed(self, key: str, parse: Callable[[str], T],
-               default: str | None = None) -> T:
-        """``parse`` of the key's value, else of ``default``; a value that
-        fails to parse raises naming the key."""
+    def value(self, key: Key, *context: Any) -> Any:
+        """The key's parsed value, else its parsed default; an unset
+        required key or a rejected value raises naming the key."""
+        text = self.config.get(key.name) or key.default
         try:
-            return parse(self.get(key, default))
+            if text is None:
+                raise ValueError("required, not set")
+            return key.parse(text, *context)
         except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from exc
-
-    def need(self, stage: str, *keys: str) -> None:
-        for key in keys:
-            if not self.get(key):
-                raise ValueError(f"{stage} stage needs {key}")
+            raise ValueError(f"{key.name}: {exc}") from exc
 
     @property
     def countries(self):
         if self._countries is None:
-            path = self.get("countries", "builtin")
+            path = self.value(COUNTRIES)
             self._countries = corpus_mod.load_default_countries() \
-                if path == "builtin" else corpus_mod.read_countries_cfg(path)
+                if path == COUNTRIES.default \
+                else corpus_mod.read_countries_cfg(path)
         return self._countries
 
     def rows(self) -> list[corpus_mod.RawRecord]:
         """The corpus: a harvest stage's records, else the corpus file."""
         if self.corpus_rows is None:
-            src = self.get("corpus")
-            if src is None:
-                raise ValueError("no corpus available: configure "
-                                 "`corpus` or a harvest stage")
-            self.corpus_rows = corpus_mod.read_corpus_csv(src)
+            self.corpus_rows = corpus_mod.read_corpus_csv(
+                self.value(CORPUS))
         return self.corpus_rows
 
     def cleaned(self) -> corpus_mod.Corpus:
@@ -217,7 +267,7 @@ class RunContext:
     def rud(self) -> rud_mod.RudTable:
         if self._rud is None:
             self._rud = rud_mod.build_rud_dataset(
-                self.cleaned(), self.get("scope", rud_mod.CONSOLIDATED))
+                self.cleaned(), self.value(SCOPE))
         return self._rud
 
     def ratios_by_scope(self) -> dict[str, list[float]]:
@@ -235,14 +285,6 @@ class RunContext:
                 f"{self.rud_csv or 'cleaned corpus'}: no observations")
         return dict(sorted(by_scope.items()))
 
-    def transform_specs(self) -> dict[str, diststat.TransformSpec] | None:
-        """The configured transform.cfg, else the specs a transform stage
-        fitted in this run, else None (each scope fits its own)."""
-        tr = self.get("transform")
-        if not tr or tr == "fit":
-            return self.fitted_specs
-        return read_transform_cfg(tr)
-
 
 # -- stages -----------------------------------------------------------------
 # Each run(ctx) writes the files whose paths ctx gives and returns the
@@ -252,12 +294,10 @@ StageResult = tuple[list[str], str]
 
 
 def _run_harvest(ctx: RunContext) -> StageResult:
-    ctx.need("harvest", "harvest_in", "harvest_style", "harvest_journal")
-    in_dir = ctx.get("harvest_in")
-    lookup = harvest.build_name_lookup(ctx.countries)
+    in_dir = ctx.value(HARVEST_IN)
     rows, skipped = harvest.harvest_directory(
-        in_dir, ctx.get("harvest_style"), ctx.get("harvest_journal"),
-        lookup, first_id=ctx.first_id)
+        in_dir, ctx.value(HARVEST_STYLE), ctx.value(HARVEST_JOURNAL),
+        harvest.build_name_lookup(ctx.countries), first_id=ctx.first_id)
     ctx.corpus_rows = rows
     out = ctx.paths["corpus.csv"]
     corpus_mod.write_corpus_csv(rows, out)
@@ -333,17 +373,15 @@ def _run_transform(ctx: RunContext) -> StageResult:
 
 def _run_regress(ctx: RunContext) -> StageResult:
     c = ctx.cleaned()
-    models = ctx.parsed("models", _parse_models, "M1..M9")
-    span = _year_span(c)
-    windows = ctx.parsed("windows", lambda text: _parse_windows(text, span),
-                         "default")
-    specs = ctx.transform_specs()
-    scope = ctx.get("scope", "all")
-    scopes = None if scope == "all" else list(c.columns.journals) \
-        if scope == "journal" else [scope]
+    models, method = ctx.value(MODELS), ctx.value(METHOD)
+    windows = ctx.value(WINDOWS, _year_span(c))
+    scopes = ctx.value(REGRESS_SCOPE, c.columns.journals)
+    # fit: the specs of this run's transform stage, else fit per scope
+    path = ctx.value(TRANSFORM)
+    specs = ctx.fitted_specs if path == TRANSFORM.default \
+        else read_transform_cfg(path)
     report = linmod.roll_window_run(
-        c, windows=windows, model_ids=models,
-        method=ctx.get("method", "ols"), scopes=scopes,
+        c, windows=windows, model_ids=models, method=method, scopes=scopes,
         transform_specs=specs)
     out = ctx.paths["regress.csv"]
     report.to_csv(out)
@@ -351,21 +389,13 @@ def _run_regress(ctx: RunContext) -> StageResult:
 
 
 def _run_panel(ctx: RunContext) -> StageResult:
-    c = ctx.cleaned()
-    ctx.need("panel", "panel_from", "panel_to")
     data = panel_mod.build_panel(
-        c, start=ctx.parsed("panel_from", date.fromisoformat),
-        end=ctx.parsed("panel_to", date.fromisoformat),
-        top_n=ctx.parsed("panel_top", int, "11"),
-        scope=ctx.get("scope", rud_mod.CONSOLIDATED))
-    weighted = ctx.get("panel_weighted", "false")
-    if weighted.lower() not in ("true", "false"):
-        raise ValueError(
-            f"panel_weighted must be true or false, got {weighted!r}")
+        ctx.cleaned(), start=ctx.value(PANEL_FROM), end=ctx.value(PANEL_TO),
+        top_n=ctx.value(PANEL_TOP), scope=ctx.value(SCOPE))
     fit = panel_mod.re_egls_fit(
-        data, weighted=weighted.lower() == "true",
-        weight_mode=ctx.get("panel_weight_mode", "multiply"),
-        trend_base=ctx.get("trend_base", "log10"))
+        data, weighted=ctx.value(PANEL_WEIGHTED),
+        weight_mode=ctx.value(PANEL_WEIGHT_MODE),
+        trend_base=ctx.value(TREND_BASE))
     out = ctx.paths["panel.csv"]
     write_panel_csv(fit, out)
     clamped = " (country variance clamped to 0)" if fit.clamped else ""
@@ -376,10 +406,8 @@ def _run_panel(ctx: RunContext) -> StageResult:
 
 def _run_lq(ctx: RunContext) -> StageResult:
     c = ctx.cleaned()
-    ctx.need("lq", "select")
-    entries = geo.localization_quotient(
-        c, ctx.parsed("select", geo.parse_selection))
-    classes = ctx.parsed("classes", int, "5")
+    selection, classes = ctx.value(SELECT), ctx.value(CLASSES)
+    entries = geo.localization_quotient(c, selection)
     breaks = geo.jenks_breaks([e.lq for e in entries], classes)
     csv_path, geojson_path = ctx.paths["lq.csv"], ctx.paths["lq.geojson"]
     skipped = geo.export_choropleth(entries, breaks, csv_path, geojson_path,
@@ -394,42 +422,41 @@ def _run_lq(ctx: RunContext) -> StageResult:
 @dataclass(frozen=True)
 class Stage:
     name: str
-    keys: tuple[str, ...]     # config keys read, through ctx included
+    help: str
+    keys: tuple[Key, ...]     # config keys read, through ctx included
     outputs: tuple[str, ...]  # files written, as named in out_dir
     run: Callable[[RunContext], StageResult]
 
 
-_CORPUS_KEYS = ("corpus", "countries")
-
 STAGES: tuple[Stage, ...] = (
-    Stage("harvest", ("harvest_in", "harvest_style", "harvest_journal",
-                      "countries"),
+    Stage("harvest", "parse an archive directory",
+          (HARVEST_IN, HARVEST_STYLE, HARVEST_JOURNAL, COUNTRIES),
           ("corpus.csv", "harvest_skipped.txt"), _run_harvest),
-    Stage("clean", _CORPUS_KEYS, ("cleaned.csv", "cleaning_report.json"),
-          _run_clean),
-    Stage("rud", _CORPUS_KEYS + ("scope",), ("rud.csv",), _run_rud),
-    Stage("normality", _CORPUS_KEYS + ("scope",), ("normality.txt",),
-          _run_normality),
-    Stage("transform", _CORPUS_KEYS + ("scope",), ("transform.cfg",),
-          _run_transform),
-    Stage("regress", _CORPUS_KEYS + ("scope", "models", "method", "windows",
-                                     "transform"),
-          ("regress.csv",), _run_regress),
-    Stage("panel", _CORPUS_KEYS + ("scope", "panel_from", "panel_to",
-                                   "panel_top", "panel_weighted",
-                                   "panel_weight_mode", "trend_base"),
+    Stage("clean", "validate and filter a corpus CSV", (CORPUS, COUNTRIES),
+          ("cleaned.csv", "cleaning_report.json"), _run_clean),
+    Stage("rud", "weekly concentration ratios", (CORPUS, COUNTRIES, SCOPE),
+          ("rud.csv",), _run_rud),
+    Stage("normality", "moment and JB report", (CORPUS, COUNTRIES, SCOPE),
+          ("normality.txt",), _run_normality),
+    Stage("transform", "fit the normality transform",
+          (CORPUS, COUNTRIES, SCOPE), ("transform.cfg",), _run_transform),
+    Stage("regress", "model ladder over year windows",
+          (CORPUS, COUNTRIES, REGRESS_SCOPE, MODELS, METHOD, WINDOWS,
+           TRANSFORM), ("regress.csv",), _run_regress),
+    Stage("panel", "daily country panel EGLS",
+          (CORPUS, COUNTRIES, SCOPE, PANEL_FROM, PANEL_TO, PANEL_TOP,
+           PANEL_WEIGHTED, PANEL_WEIGHT_MODE, TREND_BASE),
           ("panel.csv",), _run_panel),
-    Stage("lq", _CORPUS_KEYS + ("select", "classes"),
-          ("lq.csv", "lq.geojson"), _run_lq),
+    Stage("lq", "localization quotients and breaks",
+          (CORPUS, COUNTRIES, SELECT, CLASSES), ("lq.csv", "lq.geojson"),
+          _run_lq),
 )
 
 STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
 
-KNOWN_KEYS = {"stages", "out_dir"}.union(*(s.keys for s in STAGES))
-
-#: keys naming an input file, with the value that names none
-FILE_KEYS = {"corpus": None, "harvest_in": None, "countries": "builtin",
-             "transform": "fit"}
+#: every Key of the table, in stage order
+KEYS = tuple(dict.fromkeys(key for s in STAGES for key in s.keys))
+KNOWN_KEYS = {"stages", "out_dir"} | {key.name for key in KEYS}
 
 
 # -- pipeline ---------------------------------------------------------------
@@ -483,10 +510,10 @@ def load_run_config(path: str) -> RunConfig:
             raise ValueError(f"{path}: unknown stage {stage!r}")
         if stage in names[:i]:
             raise ValueError(f"{path}: duplicate stage {stage!r}")
-    for key, no_file in FILE_KEYS.items():
-        value = raw.get(key)
-        if value and value != no_file and not Path(value).exists():
-            raise ValueError(f"{path}: {key} file not found: {value}")
+    for key in filter(lambda k: k.path, KEYS):
+        value = raw.get(key.name)
+        if value and value != key.default and not Path(value).exists():
+            raise ValueError(f"{path}: {key.name} file not found: {value}")
     return RunConfig(raw=raw, text=text)
 
 
@@ -536,16 +563,13 @@ def _write_run_report(out: Path, config: RunConfig, stages: list) -> None:
 
 
 def cmd_stage(args) -> int:
-    """Run one stage from its subcommand's arguments.
-
-    The argparse destinations named after the stage's config keys become
-    its config; ``args.outputs`` gives, per stage output file, the
-    destination holding its path (None: the subcommand does not write
-    it).  The stage's summary goes to stdout.
-    """
+    """Run one stage from its subcommand's arguments: the key flags given
+    are its config, and ``args.outputs`` names, per output file, the
+    destination holding its path (None: not written).  The stage's
+    summary goes to stdout."""
     stage = STAGE_BY_NAME[args.command]
-    config = {key: str(getattr(args, key)) for key in stage.keys
-              if getattr(args, key, None) is not None}
+    config = {key.name: getattr(args, key.name) for key in stage.keys
+              if getattr(args, key.name, None) is not None}
     paths = {name: getattr(args, dest) if dest else None
              for name, dest in zip(stage.outputs, args.outputs)}
     ctx = RunContext(config, paths, rud_csv=getattr(args, "rud_csv", None),
@@ -563,64 +587,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def stage_parser(name: str, help: str, outputs: tuple,
-                     reads_corpus: bool = True) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
+    def stage_parser(name: str, outputs: tuple, rud_flag: str = ""
+                     ) -> argparse.ArgumentParser:
+        # one string flag per key, absent unless given; a subcommand that
+        # reads a RUD CSV from its rud_flag has no corpus, so no key
+        stage = STAGE_BY_NAME[name]
+        p = sub.add_parser(name, help=stage.help)
         p.set_defaults(func=cmd_stage, outputs=outputs)
-        if reads_corpus:
-            p.add_argument("--in", dest="corpus", required=True)
-            p.add_argument("--countries")
+        for key in () if rud_flag else stage.keys:
+            flag = key.flag or "--" + key.name.replace("_", "-")
+            if key.parse is _boolean:
+                p.add_argument(flag, dest=key.name, action="store_const",
+                               const="true")
+            else:
+                p.add_argument(flag, dest=key.name,
+                               required=key.default is None,
+                               choices=key.choices or None)
         if "out" in outputs:
             p.add_argument("--out", required=True)
+        if rud_flag:
+            p.add_argument(rud_flag, dest="rud_csv", required=True)
         return p
 
-    p = stage_parser("harvest", "parse an archive directory", ("out", None),
-                     reads_corpus=False)
-    p.add_argument("--style", dest="harvest_style", required=True,
-                   choices=harvest.HISTORY_STYLES)
-    p.add_argument("--in", dest="harvest_in", required=True)
-    p.add_argument("--countries")
-    p.add_argument("--journal", dest="harvest_journal", required=True)
-    p.add_argument("--first-id", type=int, default=1)
-
-    p = stage_parser("clean", "validate and filter a corpus CSV",
-                     ("out", "report"))
-    p.add_argument("--report")
-
-    p = stage_parser("rud", "weekly concentration ratios", ("out",))
-    p.add_argument("--scope", choices=("journal", rud_mod.CONSOLIDATED))
-
-    p = stage_parser("normality", "moment and JB report", (None,),
-                     reads_corpus=False)
-    p.add_argument("--test", dest="rud_csv", required=True)
-
-    p = stage_parser("transform", "fit the normality transform", ("out",),
-                     reads_corpus=False)
-    p.add_argument("--fit", dest="rud_csv", required=True)
-
-    p = stage_parser("regress", "model ladder over year windows", ("out",))
-    p.add_argument("--scope")
-    p.add_argument("--models")
-    p.add_argument("--method", choices=linmod.METHODS)
-    p.add_argument("--windows")
-    p.add_argument("--transform")
-
-    p = stage_parser("panel", "daily country panel EGLS", ("out",))
-    p.add_argument("--scope")
-    p.add_argument("--top", dest="panel_top", type=int)
-    p.add_argument("--from", dest="panel_from", required=True)
-    p.add_argument("--to", dest="panel_to", required=True)
-    p.add_argument("--weighted", dest="panel_weighted",
-                   action="store_const", const="true")
-    p.add_argument("--weight-mode", dest="panel_weight_mode",
-                   choices=("multiply", "wls"))
-    p.add_argument("--trend-base", choices=("log10", "ln"))
-
-    p = stage_parser("lq", "localization quotients and breaks",
-                     ("out", "geojson"))
-    p.add_argument("--select", required=True)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--geojson", required=True)
+    stage_parser("harvest", ("out", None)).add_argument(
+        "--first-id", type=int, default=1)
+    stage_parser("clean", ("out", "report")).add_argument("--report")
+    stage_parser("rud", ("out",))
+    stage_parser("normality", (None,), rud_flag="--test")
+    stage_parser("transform", ("out",), rud_flag="--fit")
+    stage_parser("regress", ("out",))
+    stage_parser("panel", ("out",))
+    stage_parser("lq", ("out", "geojson")).add_argument("--geojson",
+                                                         required=True)
 
     p = sub.add_parser("pipeline", help="run stages from a config file")
     p.add_argument("--config", required=True)

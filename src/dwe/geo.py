@@ -216,6 +216,12 @@ class ClassBreaks:
         return bisect_right(self.boundaries, value)
 
 
+def check_classes(k: int) -> int:
+    if k < 1:
+        raise ValueError(f"need at least 1 class, got {k}")
+    return k
+
+
 def jenks_breaks(values: Sequence[float], k: int) -> ClassBreaks:
     """Optimal contiguous k-partition of the values by within-class SSD.
 
@@ -225,8 +231,7 @@ def jenks_breaks(values: Sequence[float], k: int) -> ClassBreaks:
     that do not overflow.  Ties in total SSD resolve to the
     lexicographically smallest boundary vector.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_classes(k)
     vals = sorted(float(v) for v in values)
     if not vals:
         raise ValueError("no values to classify")

@@ -414,7 +414,7 @@ class RollReport:
                             r.stars, r.marker, r.n])
 
 
-def _validate_windows(windows: Sequence[tuple[int, int]]) -> None:
+def validate_windows(windows: Sequence[tuple[int, int]]) -> None:
     spans = sorted(windows)
     for y0, y1 in spans:
         if y1 < y0:
@@ -444,8 +444,9 @@ def roll_window_run(corpus: Corpus,
     scope's rows and a model a column slice.
     """
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; have ols or rls")
-    _validate_windows(windows)
+        raise ValueError(f"unknown method {method!r}; "
+                         f"have {' or '.join(METHODS)}")
+    validate_windows(windows)
     consolidated = build_rud_dataset(corpus)
     per_journal = build_rud_dataset(corpus, "journal").by_scope()
     if scopes is None:

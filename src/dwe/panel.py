@@ -46,6 +46,10 @@ PANEL_COLUMNS = (CONST, "monday", "tuesday", "wednesday", "thursday",
 
 CONTINUOUS_COLUMNS = ("log10_authors", "log10_hdi", "log10_lto", "trend")
 
+#: re_egls_fit's weight modes and panel_design's trend bases
+WEIGHT_MODES = ("multiply", "wls")
+TREND_BASES = ("log10", "ln")
+
 
 @dataclass(frozen=True, eq=False)
 class PanelData:
@@ -68,6 +72,13 @@ class PanelData:
         return (self.end - self.start).days + 1
 
 
+def check_top_n(top_n: int) -> int:
+    if top_n < 1:
+        raise ValueError(f"the panel needs at least 1 country, "
+                         f"got top_n = {top_n}")
+    return top_n
+
+
 def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
                 scope: str = CONSOLIDATED) -> PanelData:
     """Aggregate per-article ratios into (country, day) cells.
@@ -80,9 +91,7 @@ def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
     """
     if end < start:
         raise ValueError(f"range ends before it starts: {start}..{end}")
-    if top_n < 1:
-        raise ValueError(f"the panel needs at least 1 country, "
-                         f"got top_n = {top_n}")
+    check_top_n(top_n)
     ratios = build_rud_dataset(corpus, scope)  # row i is article i
     cols = ratios.columns
     in_range = (cols.received >= start.toordinal()) \
@@ -128,7 +137,7 @@ def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
 def panel_design(data: PanelData, trend_base: str) -> np.ndarray:
     """One design row per cell in PANEL_COLUMNS order: the cell's terms
     and the trend, ``math.log10`` or ``math.log`` of the day index."""
-    if trend_base not in ("log10", "ln"):
+    if trend_base not in TREND_BASES:
         raise ValueError(f"unknown trend base {trend_base!r}")
     log = math.log10 if trend_base == "log10" else math.log
     trend = np.fromiter(map(log, range(1, data.T + 1)), float, data.T)
@@ -165,7 +174,7 @@ def re_egls_fit(panel: PanelData, weighted: bool = False,
                 weight_mode: str = "multiply",
                 trend_base: str = "log10") -> PanelFit:
     """Random-effects EGLS over the panel cells (see module docstring)."""
-    if weight_mode not in ("multiply", "wls"):
+    if weight_mode not in WEIGHT_MODES:
         raise ValueError(f"unknown weight mode {weight_mode!r}")
     X = panel_design(panel, trend_base)
     usable = ~np.isnan(X[:, PANEL_COLUMNS.index("log10_lto")])

@@ -31,6 +31,8 @@ from .corpus import Corpus, FeatureColumns, read_csv_rows
 from .diststat import apply_transform_steps_array
 
 CONSOLIDATED = "consolidated"
+#: the groupings build_rud_dataset takes
+SCOPES = (CONSOLIDATED, "journal")
 
 
 @dataclass(frozen=True)

@@ -335,8 +335,7 @@ class TestPipeline:
     @pytest.mark.parametrize("key,value,message", [
         ("panel_top", "-3", "the panel needs at least 1 country, "
                             "got top_n = -3"),
-        ("panel_weighted", "yes",
-         "panel_weighted must be true or false, got 'yes'")])
+        ("panel_weighted", "yes", "must be true or false, got 'yes'")])
     def test_bad_panel_key_fails_with_marker(self, tmp_path, corpus_csv,
                                              key, value, message):
         keys = {"panel_from": "2005-01-01", "panel_to": "2006-12-31",
@@ -346,7 +345,7 @@ class TestPipeline:
             extra="".join(f"{k} = {v}\n" for k, v in keys.items()))
         assert run(["pipeline", "--config", cfg]) == 1
         marker = (tmp_path / "out" / "FAILED").read_text()
-        assert "stage=panel" in marker and message in marker
+        assert f"stage=panel\nerror={key}: {message}" in marker
         assert not (tmp_path / "out" / "panel.csv").exists()
 
     def test_unknown_method_fails_with_marker(self, tmp_path, corpus_csv):
@@ -370,7 +369,8 @@ class TestPipeline:
                        "harvest_journal = j\n")
         assert run(["pipeline", "--config", cfg]) == 1
         marker = (tmp_path / "out" / "FAILED").read_text()
-        assert "stage=harvest\nerror=unknown history style 'plos'" in marker
+        assert ("stage=harvest\nerror=harvest_style: "
+                "unknown history style 'plos'") in marker
         assert not (tmp_path / "out" / "corpus.csv").exists()
 
     @pytest.mark.parametrize("stage,key,value,message", [
@@ -466,10 +466,10 @@ class TestStageTable:
         # every file-valued key gets a path that exists
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"stages = {stage.name}\n" + "".join(
-            f"{key} = {cfg}\n" for key in stage.keys))
+            f"{key.name} = {cfg}\n" for key in stage.keys))
         config = cli.load_run_config(str(cfg))
         assert config.stages == (stage.name,)
-        assert set(stage.keys) <= set(config.raw)
+        assert {key.name for key in stage.keys} <= set(config.raw)
 
     def test_required_flags_pass_no_optional_key(self, stage, monkeypatch):
         # an absent flag is an absent key: the stage applies its default
@@ -486,8 +486,110 @@ class TestStageTable:
         assert set(seen[0]) == keys
 
 
+#: per Key, a value its stage rejects and the error after "<key>: "
+BAD_KEY_VALUES = [
+    (cli.HARVEST_STYLE, "harvest", "plos", "unknown history style 'plos'"),
+    (cli.SCOPE, "rud", "nosuch", "unknown scope 'nosuch'"),
+    (cli.SCOPE, "panel", "nosuch", "unknown scope 'nosuch'"),
+    (cli.REGRESS_SCOPE, "regress", "nosuch", "unknown scope 'nosuch'"),
+    (cli.MODELS, "regress", "M3..M1", "bad model range 'M3..M1'"),
+    (cli.METHOD, "regress", "bogus", "unknown method 'bogus'; have ols or rls"),
+    (cli.WINDOWS, "regress", "2011-2010",
+     "window 2011-2010 ends before it starts"),
+    (cli.WINDOWS, "regress", "2005-2006, 2006-2006",
+     "windows 2005-2006 and 2006-2006 overlap"),
+    (cli.PANEL_FROM, "panel", "2005-02-30", "day is out of range"),
+    (cli.PANEL_TO, "panel", "2006-13-01", "month must be in 1..12"),
+    (cli.PANEL_TOP, "panel", "0",
+     "the panel needs at least 1 country, got top_n = 0"),
+    (cli.PANEL_WEIGHTED, "panel", "yes", "must be true or false, got 'yes'"),
+    (cli.PANEL_WEIGHT_MODE, "panel", "add", "unknown weight mode 'add'"),
+    (cli.TREND_BASE, "panel", "log3", "unknown trend base 'log3'"),
+    (cli.SELECT, "lq", "weekday in 9", "weekday values out of 1..7: ['9']"),
+    (cli.CLASSES, "lq", "0", "need at least 1 class, got 0"),
+    (cli.CLASSES, "lq", "-2", "need at least 1 class, got -2"),
+]
+
+#: the keys with no value a stage rejects, and why
+UNCHECKED_KEYS = {
+    cli.HARVEST_JOURNAL: "any string names the journal",
+    cli.HARVEST_IN: "a path: load_run_config rejects a missing file",
+    cli.CORPUS: "a path: load_run_config rejects a missing file",
+    cli.COUNTRIES: "a path: load_run_config rejects a missing file",
+    cli.TRANSFORM: "a path: load_run_config rejects a missing file",
+}
+
+#: a config under which every stage runs
+GOOD_KEYS = {"harvest_style": "physica-like", "harvest_journal": "j",
+             "scope": "consolidated", "models": "M1",
+             "windows": "2005-2006", "panel_from": "2005-01-01",
+             "panel_to": "2006-12-31", "panel_top": "5",
+             "select": "weekday in 6, 7", "classes": "3"}
+
+
+@pytest.fixture()
+def card_archive(tmp_path):
+    arch = tmp_path / "arch"
+    arch.mkdir()
+    (arch / "batch1.txt").write_text(CARDS, encoding="utf-8")
+    return arch
+
+
+def test_bad_key_values_cover_every_key():
+    checked = {key for key, *_ in BAD_KEY_VALUES}
+    assert checked.isdisjoint(UNCHECKED_KEYS)
+    assert checked | set(UNCHECKED_KEYS) == set(cli.KEYS)
+
+
+@pytest.mark.parametrize(
+    "key,stage,value,message", BAD_KEY_VALUES,
+    ids=[f"{k.name}-{stage}-{value}" for k, stage, value, _ in BAD_KEY_VALUES])
+def test_bad_key_value_fails_its_stage(tmp_path, corpus_csv, card_archive,
+                                       key, stage, value, message):
+    # the predecessors run, then the stage fails naming the key
+    before = [] if stage == "harvest" else ["clean"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {
+        "stages": ", ".join(before + [stage]), "out_dir": tmp_path / "out",
+        "harvest_in": card_archive, "corpus": corpus_csv, **GOOD_KEYS,
+        key.name: value}.items()))
+    assert run(["pipeline", "--config", cfg]) == 1
+    marker = (tmp_path / "out" / "FAILED").read_text()
+    assert f"stage={stage}\nerror={key.name}: {message}" in marker
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert [s["status"] for s in report["stages"]] \
+        == ["ok"] * len(before) + ["failed"]
+
+
+def test_stages_read_only_their_keys(tmp_path, corpus_csv, card_archive,
+                                     monkeypatch):
+    # every key a stage reads passes through RunContext.value; a fresh
+    # context per stage makes each read its own
+    reads = []
+    value = cli.RunContext.value
+
+    def recording(ctx, key, *context):
+        reads.append(key)
+        return value(ctx, key, *context)
+
+    monkeypatch.setattr(cli.RunContext, "value", recording)
+    out = tmp_path / "out"
+    out.mkdir()
+    config = {"harvest_in": str(card_archive), "corpus": str(corpus_csv),
+              **GOOD_KEYS}
+    for stage in cli.STAGES:
+        reads.clear()
+        ctx = cli.RunContext(config, {name: str(out / name)
+                                      for name in stage.outputs})
+        stage.run(ctx)
+        # equal: no read outside Stage.keys, and no declared key unread
+        assert set(reads) == set(stage.keys), stage.name
+
+
 def test_readme_stage_table_matches_stages():
-    # per row: the backticked config keys, then the backticked file names
+    # per row: the backticked config keys, each with the default in the
+    # parentheses after it (a required key's say "required"), then the
+    # backticked file names
     lines = (Path(__file__).parents[1] / "README.md").read_text(
         encoding="utf-8").splitlines()
     start = lines.index(
@@ -498,8 +600,10 @@ def test_readme_stage_table_matches_stages():
             break
         name, keys, files = (cell.strip()
                              for cell in line.strip("|").split("|"))
-        rows[name] = (tuple(k for k in re.findall(r"`([^`]+)`", keys)
-                            if k in cli.KNOWN_KEYS),
-                      tuple(re.findall(r"`([^`]+)`", files)))
-    assert rows == {s.name: (s.keys, s.outputs) for s in cli.STAGES}
+        found = [(k, d if d and "required" not in d else None)
+                 for k, d in re.findall(r"`([^`]+)`(?: \(([^:;)]*))?", keys)
+                 if k in cli.KNOWN_KEYS]
+        rows[name] = (tuple(found), tuple(re.findall(r"`([^`]+)`", files)))
+    assert rows == {s.name: (tuple((k.name, k.default) for k in s.keys),
+                             s.outputs) for s in cli.STAGES}
     assert list(rows) == [s.name for s in cli.STAGES]
