@@ -129,7 +129,8 @@ METHOD = _enum("method", "ols", "method", linmod.METHODS)
 WINDOWS = Key("windows", "default", _parse_windows)
 TRANSFORM = Key("transform", "fit", path=True)
 PANEL_FROM = Key("panel_from", None, date.fromisoformat, "--from")
-PANEL_TO = Key("panel_to", None, date.fromisoformat, "--to")
+PANEL_TO = Key("panel_to", None, lambda text, start: panel_mod.check_end(
+    start, date.fromisoformat(text)), "--to")
 PANEL_TOP = Key("panel_top", "11",
                 lambda text: panel_mod.check_top_n(int(text)), "--top")
 PANEL_WEIGHTED = Key("panel_weighted", "false", _boolean, "--weighted")
@@ -389,8 +390,9 @@ def _run_regress(ctx: RunContext) -> StageResult:
 
 
 def _run_panel(ctx: RunContext) -> StageResult:
+    start = ctx.value(PANEL_FROM)
     data = panel_mod.build_panel(
-        ctx.cleaned(), start=ctx.value(PANEL_FROM), end=ctx.value(PANEL_TO),
+        ctx.cleaned(), start=start, end=ctx.value(PANEL_TO, start),
         top_n=ctx.value(PANEL_TOP), scope=ctx.value(SCOPE))
     fit = panel_mod.re_egls_fit(
         data, weighted=ctx.value(PANEL_WEIGHTED),

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,8 +35,8 @@ from .corpus import CONTINENTS, SEASONS, Corpus, FeatureColumns
 from .diststat import (TestResult, TransformSpec, chi2_sf,
                        chi_square_critical, fit_transform_spec, jarque_bera,
                        moments)
-from .lsq import (CONST, classical_inference, drop_degenerate_columns,
-                  qr_solve, t_inference)
+from .lsq import (CONST, FitResult, classical_inference,
+                  drop_degenerate_columns, qr_solve, t_inference)
 from .rud import CONSOLIDATED, attach_transform, \
     build_rud_dataset
 
@@ -121,10 +122,6 @@ class DesignMatrix:
     def n(self) -> int:
         return self.y.size
 
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
-
 
 def build_design(features: np.ndarray, y: np.ndarray,
                  spec: ModelSpec) -> DesignMatrix:
@@ -158,26 +155,6 @@ def build_design(features: np.ndarray, y: np.ndarray,
                         n_dropped_rows=n_dropped_rows)
 
 
-@dataclass(frozen=True)
-class FitResult:
-    columns: tuple[str, ...]
-    coefficients: np.ndarray
-    standard_errors: np.ndarray
-    t_stats: np.ndarray
-    p_values: np.ndarray
-    stars: tuple[str, ...]
-    r_squared: float
-    adjusted_r_squared: float
-    n: int
-    residuals: np.ndarray
-    converged: bool = True
-    iterations: int = 0
-    weights: np.ndarray | None = None
-
-    def coefficient(self, term: str) -> float:
-        return float(self.coefficients[self.columns.index(term)])
-
-
 def ols_fit(design: DesignMatrix) -> FitResult:
     """Classical least squares with conventional t inference.
 
@@ -186,16 +163,11 @@ def ols_fit(design: DesignMatrix) -> FitResult:
     """
     X, y = design.X, design.y
     beta, xtx_inv = qr_solve(X, y, design.columns)
-    inf = classical_inference(X, y, beta, xtx_inv,
+    fit = classical_inference(X, y, beta, xtx_inv, design.columns,
                               centered=CONST in design.columns)
-    if inf.tss <= 0.0:
+    if fit.tss <= 0.0:
         raise ValueError("constant dependent variable")
-    return FitResult(
-        columns=design.columns, coefficients=beta,
-        standard_errors=inf.standard_errors, t_stats=inf.t_stats,
-        p_values=inf.p_values, stars=inf.stars, r_squared=inf.r_squared,
-        adjusted_r_squared=inf.adjusted_r_squared, n=design.n,
-        residuals=inf.residuals)
+    return fit
 
 
 def bisquare_weight(u, c: float = BISQUARE_C):
@@ -276,19 +248,18 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C) -> FitResult:
     t, pvals, marks = t_inference(beta, se)
 
     wsum = float(w.sum())
+    r2 = tss_w = math.nan
     if wsum > 0.0:
         ybar_w = float(np.sum(w * y)) / wsum
         tss_w = float(np.sum(w * (y - ybar_w) ** 2))
         rss_w = float(np.sum(w * resid ** 2))
         r2 = 1.0 - rss_w / tss_w if tss_w > 0 else math.nan
-    else:
-        r2 = math.nan
     adj = 1.0 - (1.0 - r2) * (n - 1) / df if not math.isnan(r2) else math.nan
     return FitResult(
         columns=design.columns, coefficients=beta, standard_errors=se,
         t_stats=t, p_values=pvals, stars=marks, r_squared=r2,
-        adjusted_r_squared=adj, n=n, residuals=resid, converged=converged,
-        iterations=iterations, weights=w)
+        adjusted_r_squared=adj, n=n, residuals=resid, tss=tss_w,
+        converged=converged, iterations=iterations, weights=w)
 
 
 # -- diagnostics ------------------------------------------------------------
@@ -304,19 +275,23 @@ def _aux_r_squared(target: np.ndarray, X: np.ndarray) -> float:
     return 1.0 - rss / tss
 
 
+def _with_const(design: DesignMatrix) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The design's matrix and columns, led by a constant column unless
+    ``const`` is already one of them."""
+    if CONST in design.columns:
+        return design.X, design.columns
+    return (np.hstack([np.ones((design.n, 1)), design.X]),
+            (CONST,) + design.columns)
+
+
 def vif(design: DesignMatrix) -> dict[str, float]:
     """Variance inflation factors of the non-constant columns."""
+    X, columns = _with_const(design)
     out: dict[str, float] = {}
-    const_col = np.ones((design.n, 1))
-    for j, name in enumerate(design.columns):
-        if name == CONST:
-            continue
-        target = design.X[:, j]
-        others = np.delete(design.X, j, axis=1)
-        if CONST not in design.columns:
-            others = np.hstack([const_col, others])
-        r2 = _aux_r_squared(target, others)
-        out[name] = math.inf if r2 >= 1.0 - 1e-12 else 1.0 / (1.0 - r2)
+    for j, name in enumerate(columns):
+        if name != CONST:
+            r2 = _aux_r_squared(X[:, j], np.delete(X, j, axis=1))
+            out[name] = math.inf if r2 >= 1.0 - 1e-12 else 1.0 / (1.0 - r2)
     return out
 
 
@@ -336,9 +311,8 @@ def _lm_test(e2: np.ndarray, X: np.ndarray, name: str) -> TestResult:
 
 def breusch_pagan(design: DesignMatrix, fit: FitResult) -> TestResult:
     """n R^2 of the squared-residual auxiliary regression on the design."""
-    X = design.X if CONST in design.columns else np.hstack(
-        [np.ones((design.n, 1)), design.X])
-    return _lm_test(fit.residuals ** 2, X, "Breusch-Pagan")
+    return _lm_test(fit.residuals ** 2, _with_const(design)[0],
+                    "Breusch-Pagan")
 
 
 def white_test(design: DesignMatrix, fit: FitResult) -> TestResult:
@@ -348,19 +322,12 @@ def white_test(design: DesignMatrix, fit: FitResult) -> TestResult:
     the collinear ones, such as a dummy's square, which duplicates its
     level.
     """
-    base = [(design.X[:, j], design.columns[j])
-            for j in range(design.p) if design.columns[j] != CONST]
-    cols = [c for c, _ in base]
-    labels = [l for _, l in base]
-    for c, l in base:
-        cols.append(c * c)
-        labels.append(f"{l}^2")
-    for i in range(len(base)):
-        for j in range(i + 1, len(base)):
-            cols.append(base[i][0] * base[j][0])
-            labels.append(f"{base[i][1]}*{base[j][1]}")
-    X = np.column_stack([np.ones(design.n)] + cols)
-    X, _, _ = drop_degenerate_columns(X, [CONST] + labels)
+    base = [(design.X[:, j], name) for j, name in enumerate(design.columns)
+            if name != CONST]
+    aux = base + [(c * c, f"{l}^2") for c, l in base] + [
+        (a * b, f"{la}*{lb}") for (a, la), (b, lb) in combinations(base, 2)]
+    X = np.column_stack([np.ones(design.n)] + [c for c, _ in aux])
+    X, _, _ = drop_degenerate_columns(X, [CONST] + [l for _, l in aux])
     return _lm_test(fit.residuals ** 2, X, "White")
 
 
@@ -424,6 +391,40 @@ def validate_windows(windows: Sequence[tuple[int, int]]) -> None:
             raise ValueError(f"windows {a0}-{a1} and {b0}-{b1} overlap")
 
 
+def _marker_row(cell: tuple[str, str, str], marker: str) -> RollRow:
+    """The one row of a (scope, window, model) cell with no fit."""
+    return RollRow(*cell, "", None, "", marker, 0)
+
+
+def _cell_rows(cell: tuple[str, str, str], method: str, x: np.ndarray,
+               y: np.ndarray) -> list[RollRow]:
+    """A (scope, window, model) cell's rows: one per fitted term and the
+    ``_adjusted_r2`` row, or the marker row of an empty window or a failed
+    fit.  A term with no finite positive standard error is marked "?"; a
+    robust fit that does not converge is refitted by OLS and its
+    ``_adjusted_r2`` row marked "not-converged"."""
+    if not y.size:
+        return [_marker_row(cell, "empty")]
+    try:
+        design = build_design(x, y, standard_model(cell[2]))
+        fit = ols_fit(design) if method == "ols" else rls_fit(design)
+        fallback = not fit.converged
+        if fallback:
+            fit = ols_fit(design)
+    except ValueError as exc:
+        return [_marker_row(cell, f"failed: {exc}")]
+    se = fit.standard_errors
+    se_ok = (np.isfinite(se) & (se > 0.0)).tolist()
+    rows = [RollRow(*cell, term, coef, star if ok else "", "" if ok else "?",
+                    fit.n)
+            for term, coef, star, ok in zip(fit.columns,
+                                             fit.coefficients.tolist(),
+                                             fit.stars, se_ok)]
+    rows.append(RollRow(*cell, "_adjusted_r2", float(fit.adjusted_r_squared),
+                        "", "not-converged" if fallback else "", fit.n))
+    return rows
+
+
 def roll_window_run(corpus: Corpus,
                     windows: Sequence[tuple[int, int]] = DEFAULT_WINDOWS,
                     model_ids: Sequence[str] = tuple(MODEL_TERMS),
@@ -435,10 +436,9 @@ def roll_window_run(corpus: Corpus,
 
     Scopes default to the consolidated flow plus each journal.  The
     transform spec for a scope is fitted once on that scope's full sample
-    unless supplied.  Cells whose standard error cannot be computed are
-    marked "?"; an empty window leaves a single n=0 marker row per model;
-    a failed fit leaves a "failed: ..." marker row.  A non-converged robust
-    fit falls back to OLS.  An unknown method raises before any fit.
+    unless supplied.  Each cell's rows come from ``_cell_rows``; a scope
+    whose transform fails leaves a "failed: ..." marker row per cell.  An
+    unknown method raises before any fit.
 
     The superset matrix is built once; a window is a row mask over a
     scope's rows and a model a column slice.
@@ -452,6 +452,7 @@ def roll_window_run(corpus: Corpus,
     if scopes is None:
         scopes = [CONSOLIDATED] + list(per_journal)
     features = superset_matrix(corpus.columns)
+    labels = [f"{y0}-{y1}" for y0, y1 in windows]
     rows: list[RollRow] = []
     for scope in scopes:
         table = consolidated if scope == CONSOLIDATED \
@@ -465,54 +466,15 @@ def roll_window_run(corpus: Corpus,
                 spec = fit_transform_spec(table.rud).spec
             _, y_scope = attach_transform(table, spec)
         except ValueError as exc:
-            for y0, y1 in windows:
-                for model_id in model_ids:
-                    rows.append(RollRow(
-                        scope=scope, window=f"{y0}-{y1}", model_id=model_id,
-                        term="", coefficient=None, stars="",
-                        marker=f"failed: {exc}", n=0))
+            rows.extend(_marker_row((scope, label, model_id),
+                                    f"failed: {exc}")
+                        for label in labels for model_id in model_ids)
             continue
-        x_scope = features[table.row]
-        year = table.year
-        for y0, y1 in windows:
-            label = f"{y0}-{y1}"
+        x_scope, year = features[table.row], table.year
+        for (y0, y1), label in zip(windows, labels):
             in_window = (year >= y0) & (year <= y1)
             x_window, y_window = x_scope[in_window], y_scope[in_window]
             for model_id in model_ids:
-                if not y_window.size:
-                    rows.append(RollRow(scope=scope, window=label,
-                                        model_id=model_id, term="",
-                                        coefficient=None, stars="",
-                                        marker="empty", n=0))
-                    continue
-                try:
-                    design = build_design(x_window, y_window,
-                                          standard_model(model_id))
-                    if method == "ols":
-                        fit = ols_fit(design)
-                    else:
-                        fit = rls_fit(design)
-                        if not fit.converged:
-                            fit = ols_fit(design)
-                except ValueError as exc:
-                    rows.append(RollRow(scope=scope, window=label,
-                                        model_id=model_id, term="",
-                                        coefficient=None, stars="",
-                                        marker=f"failed: {exc}", n=0))
-                    continue
-                for j, term in enumerate(fit.columns):
-                    se = fit.standard_errors[j]
-                    se_ok = bool(np.isfinite(se) and se > 0.0)
-                    rows.append(RollRow(
-                        scope=scope, window=label, model_id=model_id,
-                        term=term,
-                        coefficient=float(fit.coefficients[j]),
-                        stars=fit.stars[j] if se_ok else "",
-                        marker="" if se_ok else "?", n=fit.n))
-                rows.append(RollRow(
-                    scope=scope, window=label, model_id=model_id,
-                    term="_adjusted_r2",
-                    coefficient=float(fit.adjusted_r_squared), stars="",
-                    marker="" if fit.converged else "not-converged",
-                    n=fit.n))
+                rows.extend(_cell_rows((scope, label, model_id), method,
+                                       x_window, y_window))
     return RollReport(rows=tuple(rows))

@@ -1,5 +1,6 @@
 """Least-squares core shared by the model ladder and the country panel:
-the QR solve, the degenerate-column drop and the classical inference."""
+the QR solve, the degenerate-column drop, the classical inference and the
+one record of a fit, ``FitResult``."""
 
 from __future__ import annotations
 
@@ -83,21 +84,31 @@ def t_inference(beta: np.ndarray, se: np.ndarray, df: int | None = None
 
 
 @dataclass(frozen=True)
-class Inference:
-    """Classical inference of one least-squares fit."""
+class FitResult:
+    """One least-squares fit; a robust one adds its IRLS facts."""
 
-    residuals: np.ndarray
+    columns: tuple[str, ...]
+    coefficients: np.ndarray
     standard_errors: np.ndarray
     t_stats: np.ndarray
     p_values: np.ndarray
     stars: tuple[str, ...]
-    tss: float
     r_squared: float           # NaN when tss is not positive
     adjusted_r_squared: float  # NaN as well on a saturated design
+    n: int
+    residuals: np.ndarray
+    tss: float                 # the total sum of squares R^2 is taken on
+    converged: bool = True
+    iterations: int = 0
+    weights: np.ndarray | None = None
+
+    def coefficient(self, term: str) -> float:
+        return float(self.coefficients[self.columns.index(term)])
 
 
 def classical_inference(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
-                        xtx_inv: np.ndarray, centered: bool) -> Inference:
+                        xtx_inv: np.ndarray, columns: Sequence[str],
+                        centered: bool) -> FitResult:
     """se = sqrt(s^2 diag((X'X)^-1)) with s^2 = RSS/(n - p), t-based
     p-values, and R^2 against the centred total sum of squares, or the
     uncentred one when ``centered`` is false.  A saturated design (n = p)
@@ -110,13 +121,12 @@ def classical_inference(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
         se = np.sqrt(np.maximum(rss / df * np.diag(xtx_inv), 0.0))
         t, pvals, marks = t_inference(beta, se, df)
     else:
-        se = np.full(p, math.nan)
-        t = np.full(p, math.nan)
-        pvals = np.full(p, math.nan)
+        se, t, pvals = np.full((3, p), math.nan)
         marks = ("",) * p
     tss = float(np.sum((y - y.mean()) ** 2)) if centered else float(y @ y)
     r2 = 1.0 - rss / tss if tss > 0 else math.nan
     adj = 1.0 - (1.0 - r2) * (n - 1) / df if df > 0 else math.nan
-    return Inference(residuals=resid, standard_errors=se, t_stats=t,
-                     p_values=pvals, stars=marks, tss=tss, r_squared=r2,
-                     adjusted_r_squared=adj)
+    return FitResult(columns=tuple(columns), coefficients=beta,
+                     standard_errors=se, t_stats=t, p_values=pvals,
+                     stars=marks, r_squared=r2, adjusted_r_squared=adj, n=n,
+                     residuals=resid, tss=tss)

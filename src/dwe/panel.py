@@ -34,15 +34,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .linmod import DESIGN_TERMS, superset_matrix
-from .lsq import CONST, classical_inference, drop_degenerate_columns, \
+from .linmod import CONTINENT_TERMS, DESIGN_TERMS, superset_matrix
+from .lsq import FitResult, classical_inference, drop_degenerate_columns, \
     qr_solve
 from .rud import CONSOLIDATED, build_rud_dataset
 
-#: panel column order; trend always last.
-PANEL_COLUMNS = (CONST, "monday", "tuesday", "wednesday", "thursday",
-                 "weekend", "spring", "summer", "fall", "christmas",
-                 "log10_authors", "log10_hdi", "log10_lto", "trend")
+#: panel column order: the M9 terms but the continents, then the trend
+PANEL_COLUMNS = tuple(t for t in DESIGN_TERMS
+                      if t not in CONTINENT_TERMS) + ("trend",)
 
 CONTINUOUS_COLUMNS = ("log10_authors", "log10_hdi", "log10_lto", "trend")
 
@@ -72,6 +71,12 @@ class PanelData:
         return (self.end - self.start).days + 1
 
 
+def check_end(start: date, end: date) -> date:
+    if end < start:
+        raise ValueError(f"range ends before it starts: {start}..{end}")
+    return end
+
+
 def check_top_n(top_n: int) -> int:
     if top_n < 1:
         raise ValueError(f"the panel needs at least 1 country, "
@@ -89,8 +94,7 @@ def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
     Cells exist only for populated (country, day) pairs; each averages its
     articles in article-id order.
     """
-    if end < start:
-        raise ValueError(f"range ends before it starts: {start}..{end}")
+    check_end(start, end)
     check_top_n(top_n)
     ratios = build_rud_dataset(corpus, scope)  # row i is article i
     cols = ratios.columns
@@ -144,15 +148,10 @@ def panel_design(data: PanelData, trend_base: str) -> np.ndarray:
     return np.column_stack([data.cells, trend[data.t - 1]])
 
 
-@dataclass(frozen=True)
-class PanelFit:
-    columns: tuple[str, ...]
-    coefficients: np.ndarray
-    standard_errors: np.ndarray
-    t_stats: np.ndarray
-    p_values: np.ndarray
-    stars: tuple[str, ...]
-    adjusted_r_squared: float
+@dataclass(frozen=True, kw_only=True)
+class PanelFit(FitResult):
+    """The OLS fit of the quasi-demeaned cells, with the panel's facts."""
+
     sigma2_country: float
     sigma2_idio: float
     rho_share: float      # sigma2_country / (sigma2_country + sigma2_idio)
@@ -165,9 +164,6 @@ class PanelFit:
     clamped: bool
     dropped_columns: tuple[str, ...]
     n_dropped_rows: int
-
-    def coefficient(self, term: str) -> float:
-        return float(self.coefficients[self.columns.index(term)])
 
 
 def re_egls_fit(panel: PanelData, weighted: bool = False,
@@ -256,15 +252,11 @@ def _egls_fit(X: np.ndarray, y: np.ndarray, n_ct: np.ndarray,
 
     # R^2 is always centred, and a constant transformed outcome gives NaN
     beta, xtx_inv = qr_solve(X_t, y_t, labels)
-    inf = classical_inference(X_t, y_t, beta, xtx_inv, centered=True)
+    fit = classical_inference(X_t, y_t, beta, xtx_inv, labels, centered=True)
 
     denom = sigma2_country + sigma2_idio
     return PanelFit(
-        columns=tuple(labels), coefficients=beta,
-        standard_errors=inf.standard_errors, t_stats=inf.t_stats,
-        p_values=inf.p_values, stars=inf.stars,
-        adjusted_r_squared=inf.adjusted_r_squared,
-        sigma2_country=sigma2_country, sigma2_idio=sigma2_idio,
+        **vars(fit), sigma2_country=sigma2_country, sigma2_idio=sigma2_idio,
         rho_share=sigma2_country / denom if denom > 0 else math.nan,
         rho_ratio=(sigma2_country / sigma2_idio if sigma2_idio > 0
                    else math.inf if sigma2_country > 0 else math.nan),

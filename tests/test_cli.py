@@ -500,6 +500,8 @@ BAD_KEY_VALUES = [
      "windows 2005-2006 and 2006-2006 overlap"),
     (cli.PANEL_FROM, "panel", "2005-02-30", "day is out of range"),
     (cli.PANEL_TO, "panel", "2006-13-01", "month must be in 1..12"),
+    (cli.PANEL_TO, "panel", "2004-12-31",
+     "range ends before it starts: 2005-01-01..2004-12-31"),
     (cli.PANEL_TOP, "panel", "0",
      "the panel needs at least 1 country, got top_n = 0"),
     (cli.PANEL_WEIGHTED, "panel", "yes", "must be true or false, got 'yes'"),

@@ -1,12 +1,14 @@
 """Linear models: OLS, robust refit, diagnostics, rolling windows."""
 
 import csv
+from dataclasses import replace
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from conftest import design_from_arrays, make_planted
-from dwe import linmod, lsq
+from dwe import corpus as cm, diststat, linmod, lsq, synth
 
 
 class TestOls:
@@ -257,6 +259,48 @@ class TestModelLadder:
 
 
 @pytest.fixture(scope="module")
+def cell_kinds_corpus():
+    """A year of synthetic articles, and three more in 2005."""
+    rows = synth.make_corpus_rows(synth.SynthConfig(
+        seed=20, start_year=2004, end_year=2004, journals=("aaa", "bbb")))
+    extra = [cm.RawRecord(
+        id=len(rows) + k, journal="aaa",
+        received=date(2005, 3, 7) + timedelta(days=k),
+        revised=date(2005, 5, 1), online=date(2005, 8, 1), author_count=3,
+        page_count=8, country="US") for k in range(1, 4)]
+    return cm.clean_corpus(rows + extra, cm.load_default_countries())
+
+
+_STEP2 = "failed: step 2 domain: y*+1 = -8.75696 <= 0 at ratio 1.75"
+
+#: consolidated: an empty window, a fitted cell and a window of three
+#: articles, too few for M1's columns; bbb: log10(ratio) - 10 + 1 is
+#: negative for every ratio, so its supplied spec fails every cell
+CELL_KINDS = [
+    ("consolidated", "1990-1991", "M1", "", None, "", "empty", 0),
+    ("consolidated", "2004-2004", "M1", "const", 0.25913131394485306,
+     "***", "", 2048),
+    ("consolidated", "2004-2004", "M1", "monday", 0.31163243942470426,
+     "***", "", 2048),
+    ("consolidated", "2004-2004", "M1", "tuesday", 0.3482421338694627,
+     "***", "", 2048),
+    ("consolidated", "2004-2004", "M1", "wednesday", 0.20267736016155163,
+     "***", "", 2048),
+    ("consolidated", "2004-2004", "M1", "thursday", 0.09701781132053791,
+     "***", "", 2048),
+    ("consolidated", "2004-2004", "M1", "weekend", -0.8084301097919345,
+     "***", "", 2048),
+    ("consolidated", "2004-2004", "M1", "_adjusted_r2", 0.30537648570957754,
+     "", "", 2048),
+    ("consolidated", "2005-2005", "M1", "", None, "",
+     "failed: 3 rows for 3 columns in model M1", 0),
+    ("bbb", "1990-1991", "M1", "", None, "", _STEP2, 0),
+    ("bbb", "2004-2004", "M1", "", None, "", _STEP2, 0),
+    ("bbb", "2005-2005", "M1", "", None, "", _STEP2, 0),
+]
+
+
+@pytest.fixture(scope="module")
 def report(synth_corpus):
     return linmod.roll_window_run(
         synth_corpus, windows=((2004, 2005), (2006, 2006)),
@@ -279,14 +323,22 @@ class TestRollReport:
             assert r.coefficient < 0
             assert r.stars == "***"
 
-    def test_empty_window_marked(self, synth_corpus):
+    @pytest.mark.parametrize("method", linmod.METHODS)
+    def test_every_cell_kind_marked(self, cell_kinds_corpus, monkeypatch,
+                                    method):
+        # one IRLS step never converges: the robust cell falls back to
+        # OLS, and only its _adjusted_r2 row tells
+        monkeypatch.setattr(linmod, "RLS_MAX_ITER", 1)
         report = linmod.roll_window_run(
-            synth_corpus, windows=((1990, 1991),), model_ids=("M1",),
-            scopes=["consolidated"])
-        rows = [r for r in report.rows if r.model_id == "M1"]
-        assert len(rows) == 1
-        assert rows[0].n == 0
-        assert rows[0].marker == "empty"
+            cell_kinds_corpus, windows=((1990, 1991), (2004, 2004),
+                                        (2005, 2005)),
+            model_ids=("M1",), method=method, scopes=["consolidated", "bbb"],
+            transform_specs={"bbb": diststat.TransformSpec(
+                diststat.LOG10_SHIFT, -10.0, 1.0)})
+        want = [linmod.RollRow(*row) for row in CELL_KINDS]
+        if method == "rls":
+            want[7] = replace(want[7], marker="not-converged")
+        assert report.rows == tuple(want)
 
     def test_csv_round_trip(self, tmp_path, report):
         # an empty window's row has no coefficient

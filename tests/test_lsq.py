@@ -37,9 +37,11 @@ class TestCallersDiffer:
             linmod.ols_fit(design_from_arrays(y, X, ["const", "x"]))
         # the panel takes the core's answer as it is
         beta, xtx_inv = lsq.qr_solve(X, y, ["const", "x"])
-        inf = lsq.classical_inference(X, y, beta, xtx_inv, centered=True)
-        assert math.isnan(inf.r_squared)
-        assert math.isnan(inf.adjusted_r_squared)
+        fit = lsq.classical_inference(X, y, beta, xtx_inv, ["const", "x"],
+                                      centered=True)
+        assert fit.tss == 0.0
+        assert math.isnan(fit.r_squared)
+        assert math.isnan(fit.adjusted_r_squared)
 
     def test_ols_uncentres_without_const_but_the_panel_centres(self):
         # an unbalanced panel: theta differs by country, so the
