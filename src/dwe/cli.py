@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -208,6 +209,10 @@ def write_panel_csv(fit: panel_mod.PanelFit, path: str) -> None:
 
 # -- run context ------------------------------------------------------------
 
+def _json_text(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 class RunContext:
     """What the stages of one run share.
 
@@ -226,11 +231,7 @@ class RunContext:
         self.paths = paths
         self.rud_csv = rud_csv
         self.first_id = first_id
-        self.corpus_rows: list[corpus_mod.RawRecord] | None = None
         self.fitted_specs: dict[str, diststat.TransformSpec] | None = None
-        self._countries = None
-        self._cleaned: corpus_mod.Corpus | None = None
-        self._rud: rud_mod.RudTable | None = None
 
     def value(self, key: Key, *context: Any) -> Any:
         """The key's parsed value, else its parsed default; an unset
@@ -243,33 +244,31 @@ class RunContext:
         except ValueError as exc:
             raise ValueError(f"{key.name}: {exc}") from exc
 
-    @property
-    def countries(self):
-        if self._countries is None:
-            path = self.value(COUNTRIES)
-            self._countries = corpus_mod.load_default_countries() \
-                if path == COUNTRIES.default \
-                else corpus_mod.read_countries_cfg(path)
-        return self._countries
+    def write_text(self, name: str, text: str) -> None:
+        """Write output ``name`` if this run gives it a path."""
+        if self.paths.get(name):
+            Path(self.paths[name]).write_text(text, encoding="utf-8")
 
+    @functools.cached_property
+    def countries(self) -> dict[str, corpus_mod.CountryProfile]:
+        path = self.value(COUNTRIES)
+        return corpus_mod.load_default_countries() \
+            if path == COUNTRIES.default \
+            else corpus_mod.read_countries_cfg(path)
+
+    @functools.cached_property
     def rows(self) -> list[corpus_mod.RawRecord]:
         """The corpus: a harvest stage's records, else the corpus file."""
-        if self.corpus_rows is None:
-            self.corpus_rows = corpus_mod.read_corpus_csv(
-                self.value(CORPUS))
-        return self.corpus_rows
+        return corpus_mod.read_corpus_csv(self.value(CORPUS))
 
+    @functools.cached_property
     def cleaned(self) -> corpus_mod.Corpus:
-        if self._cleaned is None:
-            countries = self.countries
-            self._cleaned = corpus_mod.clean_corpus(self.rows(), countries)
-        return self._cleaned
+        countries = self.countries  # before the rows: its error wins
+        return corpus_mod.clean_corpus(self.rows, countries)
 
+    @functools.cached_property
     def rud(self) -> rud_mod.RudTable:
-        if self._rud is None:
-            self._rud = rud_mod.build_rud_dataset(
-                self.cleaned(), self.value(SCOPE))
-        return self._rud
+        return rud_mod.build_rud_dataset(self.cleaned, self.value(SCOPE))
 
     def ratios_by_scope(self) -> dict[str, list[float]]:
         """The ratios grouped by scope, in scope order: from ``rud_csv``
@@ -280,7 +279,7 @@ class RunContext:
                 by_scope.setdefault(row["scope"], []).append(row["rud"])
         else:
             by_scope = {scope: table.rud.tolist()
-                        for scope, table in self.rud().by_scope().items()}
+                        for scope, table in self.rud.by_scope().items()}
         if not by_scope:
             raise ValueError(
                 f"{self.rud_csv or 'cleaned corpus'}: no observations")
@@ -289,58 +288,42 @@ class RunContext:
 
 # -- stages -----------------------------------------------------------------
 # Each run(ctx) writes the files whose paths ctx gives and returns the
-# paths written and the summary the subcommand prints.
+# summary the subcommand prints.
 
-StageResult = tuple[list[str], str]
-
-
-def _run_harvest(ctx: RunContext) -> StageResult:
+def _run_harvest(ctx: RunContext) -> str:
     in_dir = ctx.value(HARVEST_IN)
     rows, skipped = harvest.harvest_directory(
         in_dir, ctx.value(HARVEST_STYLE), ctx.value(HARVEST_JOURNAL),
         harvest.build_name_lookup(ctx.countries), first_id=ctx.first_id)
-    ctx.corpus_rows = rows
+    ctx.rows = rows
     out = ctx.paths["corpus.csv"]
     corpus_mod.write_corpus_csv(rows, out)
-    written = [out]
-    skip_path = ctx.paths.get("harvest_skipped.txt")
-    if skip_path:
-        with open(skip_path, "w", encoding="utf-8") as fh:
-            for name, reason in skipped:
-                fh.write(f"{name}\t{reason}\n")
-        written.append(skip_path)
+    ctx.write_text("harvest_skipped.txt", "".join(
+        f"{name}\t{reason}\n" for name, reason in skipped))
     lines = [f"harvested {len(rows)} records from {in_dir} -> {out}"]
     lines += [f"skipped {name}: {reason}" for name, reason in skipped]
-    return written, "\n".join(lines)
+    return "\n".join(lines)
 
 
-def _run_clean(ctx: RunContext) -> StageResult:
-    c = ctx.cleaned()
-    out = ctx.paths["cleaned.csv"]
-    corpus_mod.write_corpus_csv(c.records, out)
-    written = [out]
-    report = {"input": len(ctx.rows()), "kept": len(c.records),
+def _run_clean(ctx: RunContext) -> str:
+    c = ctx.cleaned
+    corpus_mod.write_corpus_csv(c.records, ctx.paths["cleaned.csv"])
+    report = {"input": len(ctx.rows), "kept": len(c.records),
               "dropped": dict(c.cleaning_report)}
-    report_path = ctx.paths.get("cleaning_report.json")
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        written.append(report_path)
+    ctx.write_text("cleaning_report.json", _json_text(report))
     dropped = ", ".join(f"{k}={v}"
                         for k, v in sorted(report["dropped"].items()))
-    return written, (f"kept {report['kept']}/{report['input']} records; "
-                     f"dropped {dropped}")
+    return (f"kept {report['kept']}/{report['input']} records; "
+            f"dropped {dropped}")
 
 
-def _run_rud(ctx: RunContext) -> StageResult:
-    observations = ctx.rud()
+def _run_rud(ctx: RunContext) -> str:
     out = ctx.paths["rud.csv"]
-    rud_mod.write_rud_csv(observations, out)
-    return [out], f"wrote {len(observations)} ratio observations -> {out}"
+    rud_mod.write_rud_csv(ctx.rud, out)
+    return f"wrote {len(ctx.rud)} ratio observations -> {out}"
 
 
-def _run_normality(ctx: RunContext) -> StageResult:
+def _run_normality(ctx: RunContext) -> str:
     lines = []
     for scope, values in ctx.ratios_by_scope().items():
         lines.append(f"scope={scope} n={len(values)}")
@@ -354,26 +337,21 @@ def _run_normality(ctx: RunContext) -> StageResult:
                 f"crit={jb.critical_value} "
                 f"{'reject' if jb.reject_null else 'accept'}")
     text = "\n".join(lines)
-    out = ctx.paths.get("normality.txt")
-    if not out:
-        return [], text
-    Path(out).write_text(text + "\n", encoding="utf-8")
-    return [out], text
+    ctx.write_text("normality.txt", text + "\n")
+    return text
 
 
-def _run_transform(ctx: RunContext) -> StageResult:
+def _run_transform(ctx: RunContext) -> str:
     fits = {scope: diststat.fit_transform_spec(values)
             for scope, values in ctx.ratios_by_scope().items()}
     ctx.fitted_specs = {scope: f.spec for scope, f in fits.items()}
-    out = ctx.paths["transform.cfg"]
-    write_transform_cfg(fits, out)
-    return [out], "\n".join(
-        f"{scope}: {f.spec.describe()}  jb={f.jb_statistic:.4f}"
-        for scope, f in fits.items())
+    write_transform_cfg(fits, ctx.paths["transform.cfg"])
+    return "\n".join(f"{scope}: {f.spec.describe()}  jb={f.jb_statistic:.4f}"
+                     for scope, f in fits.items())
 
 
-def _run_regress(ctx: RunContext) -> StageResult:
-    c = ctx.cleaned()
+def _run_regress(ctx: RunContext) -> str:
+    c = ctx.cleaned
     models, method = ctx.value(MODELS), ctx.value(METHOD)
     windows = ctx.value(WINDOWS, _year_span(c))
     scopes = ctx.value(REGRESS_SCOPE, c.columns.journals)
@@ -386,13 +364,13 @@ def _run_regress(ctx: RunContext) -> StageResult:
         transform_specs=specs)
     out = ctx.paths["regress.csv"]
     report.to_csv(out)
-    return [out], f"wrote {len(report.rows)} result rows -> {out}"
+    return f"wrote {len(report.rows)} result rows -> {out}"
 
 
-def _run_panel(ctx: RunContext) -> StageResult:
+def _run_panel(ctx: RunContext) -> str:
     start = ctx.value(PANEL_FROM)
     data = panel_mod.build_panel(
-        ctx.cleaned(), start=start, end=ctx.value(PANEL_TO, start),
+        ctx.cleaned, start=start, end=ctx.value(PANEL_TO, start),
         top_n=ctx.value(PANEL_TOP), scope=ctx.value(SCOPE))
     fit = panel_mod.re_egls_fit(
         data, weighted=ctx.value(PANEL_WEIGHTED),
@@ -401,13 +379,13 @@ def _run_panel(ctx: RunContext) -> StageResult:
     out = ctx.paths["panel.csv"]
     write_panel_csv(fit, out)
     clamped = " (country variance clamped to 0)" if fit.clamped else ""
-    return [out], (f"panel: {fit.n_cells} cells, {fit.n_countries} "
-                   f"countries, rho_share={fit.rho_share:.6f}{clamped}\n"
-                   f"wrote -> {out}")
+    return (f"panel: {fit.n_cells} cells, {fit.n_countries} "
+            f"countries, rho_share={fit.rho_share:.6f}{clamped}\n"
+            f"wrote -> {out}")
 
 
-def _run_lq(ctx: RunContext) -> StageResult:
-    c = ctx.cleaned()
+def _run_lq(ctx: RunContext) -> str:
+    c = ctx.cleaned
     selection, classes = ctx.value(SELECT), ctx.value(CLASSES)
     entries = geo.localization_quotient(c, selection)
     breaks = geo.jenks_breaks([e.lq for e in entries], classes)
@@ -418,7 +396,7 @@ def _run_lq(ctx: RunContext) -> StageResult:
                f"classes -> {csv_path}, {geojson_path}")
     if skipped:
         summary += "\nskipped (not joinable): " + ", ".join(skipped)
-    return [csv_path, geojson_path], summary
+    return summary
 
 
 @dataclass(frozen=True)
@@ -427,7 +405,7 @@ class Stage:
     help: str
     keys: tuple[Key, ...]     # config keys read, through ctx included
     outputs: tuple[str, ...]  # files written, as named in out_dir
-    run: Callable[[RunContext], StageResult]
+    run: Callable[[RunContext], str]
 
 
 STAGES: tuple[Stage, ...] = (
@@ -463,26 +441,14 @@ KNOWN_KEYS = {"stages", "out_dir"} | {key.name for key in KEYS}
 
 # -- pipeline ---------------------------------------------------------------
 
-def _stage_names(value: str) -> list[str]:
-    return [s.strip() for s in value.split(",") if s.strip()]
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated pipeline configuration; raw holds the parsed keys."""
+    """Validated pipeline configuration: the parsed keys, the configured
+    stage names in table order and the sha256 of the config text."""
 
     raw: dict
-    text: str
-
-    @property
-    def sha256(self) -> str:
-        return hashlib.sha256(self.text.encode()).hexdigest()
-
-    @property
-    def stages(self) -> tuple[str, ...]:
-        """The configured stage names in table order."""
-        names = _stage_names(self.raw.get("stages", ""))
-        return tuple(s.name for s in STAGES if s.name in names)
+    stages: tuple[str, ...]
+    sha256: str
 
     def get(self, key: str, default=None):
         return self.raw.get(key, default)
@@ -506,7 +472,7 @@ def load_run_config(path: str) -> RunConfig:
         if key in raw:
             raise ValueError(f"{path} line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
-    names = _stage_names(raw.get("stages", ""))
+    names = [s.strip() for s in raw.get("stages", "").split(",") if s.strip()]
     for i, stage in enumerate(names):
         if stage not in STAGE_BY_NAME:
             raise ValueError(f"{path}: unknown stage {stage!r}")
@@ -516,12 +482,15 @@ def load_run_config(path: str) -> RunConfig:
         value = raw.get(key.name)
         if value and value != key.default and not Path(value).exists():
             raise ValueError(f"{path}: {key.name} file not found: {value}")
-    return RunConfig(raw=raw, text=text)
+    return RunConfig(raw=raw,
+                     stages=tuple(s.name for s in STAGES if s.name in names),
+                     sha256=hashlib.sha256(text.encode()).hexdigest())
 
 
 def run_pipeline(config: RunConfig) -> int:
-    stages = config.stages
-    if not stages:
+    """Run the configured stages into ``out_dir``; the first that raises
+    writes the ``FAILED`` marker and ends the run."""
+    if not config.stages:
         print("no stages configured; nothing to do")
         return 0
     out_dir = config.get("out_dir")
@@ -530,38 +499,33 @@ def run_pipeline(config: RunConfig) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     failed_marker = out / "FAILED"
-    if failed_marker.exists():
-        failed_marker.unlink()
+    failed_marker.unlink(missing_ok=True)
 
     ctx = RunContext(config.raw, {name: str(out / name) for s in STAGES
                                   for name in s.outputs})
-    ctx.countries  # a bad country table fails before any stage runs
-    report_stages = []
-    for name in stages:
+    stages: list[dict] = []
+    error = None
+    for name in config.stages:
+        stage = STAGE_BY_NAME[name]
         try:
-            outputs, _ = STAGE_BY_NAME[name].run(ctx)
+            stage.run(ctx)
         except (ValueError, OSError) as exc:
+            error = exc
             failed_marker.write_text(f"stage={name}\nerror={exc}\n",
                                      encoding="utf-8")
-            report_stages.append({"name": name, "status": "failed",
-                                  "error": str(exc)})
-            _write_run_report(out, config, report_stages)
-            print(f"error: stage {name} failed: {exc}", file=sys.stderr)
-            return 1
-        report_stages.append({"name": name, "status": "ok",
-                              "outputs": [Path(o).name for o in outputs]})
-
-    _write_run_report(out, config, report_stages)
-    print(f"pipeline complete: {', '.join(stages)} -> {out_dir}")
+            stages.append({"name": name, "status": "failed",
+                           "error": str(exc)})
+            break
+        stages.append({"name": name, "status": "ok",
+                       "outputs": list(stage.outputs)})
+    (out / "run_report.json").write_text(_json_text(
+        {"config_sha256": config.sha256, "version": __version__,
+         "stages": stages}), encoding="utf-8")
+    if error is not None:
+        print(f"error: stage {name} failed: {error}", file=sys.stderr)
+        return 1
+    print(f"pipeline complete: {', '.join(config.stages)} -> {out_dir}")
     return 0
-
-
-def _write_run_report(out: Path, config: RunConfig, stages: list) -> None:
-    report = {"config_sha256": config.sha256, "version": __version__,
-              "stages": stages}
-    with open(out / "run_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def cmd_stage(args) -> int:
@@ -576,7 +540,7 @@ def cmd_stage(args) -> int:
              for name, dest in zip(stage.outputs, args.outputs)}
     ctx = RunContext(config, paths, rud_csv=getattr(args, "rud_csv", None),
                      first_id=getattr(args, "first_id", 1))
-    print(stage.run(ctx)[1])
+    print(stage.run(ctx))
     return 0
 
 

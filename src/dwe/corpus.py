@@ -341,26 +341,29 @@ def write_corpus_csv(rows: Iterable[RawRecord], path: str) -> None:
 def read_csv_rows(path: str, columns: Sequence[str], kind: str,
                   parse: Callable[[list[str]], Row]) -> list[Row]:
     """``parse`` of every row of a CSV whose header is exactly ``columns``;
-    a bad header, or a row with the wrong number of fields or that ``parse``
-    rejects with a ValueError, raises a ValueError naming the file (and
-    line)."""
+    a bad header, a line the csv module cannot split, or a row with the
+    wrong number of fields or that ``parse`` rejects with a ValueError,
+    raises a ValueError naming the file (and line)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != tuple(columns):
-            raise ValueError(f"{path}: bad {kind} header {header!r}")
-        rows = []
-        for line in reader:
-            if not line:
-                continue
-            try:
-                if len(line) != len(columns):
-                    raise ValueError(f"expected {len(columns)} fields, "
-                                     f"got {len(line)}")
-                rows.append(parse(line))
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path} line {reader.line_num}: {exc}") from exc
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != tuple(columns):
+                raise ValueError(f"{path}: bad {kind} header {header!r}")
+            rows = []
+            for line in reader:
+                if not line:
+                    continue
+                try:
+                    if len(line) != len(columns):
+                        raise ValueError(f"expected {len(columns)} fields, "
+                                         f"got {len(line)}")
+                    rows.append(parse(line))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path} line {reader.line_num}: {exc}") from exc
+        except csv.Error as exc:  # a field over the size limit
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     return rows
 
 
@@ -424,20 +427,28 @@ def parse_countries_cfg(text: str) -> dict[str, CountryProfile]:
                 iso, fields["continent"], float(fields["hdi"]), lto,
                 schedule=schedule, names=names)
         except (KeyError, ValueError) as exc:
-            raise ValueError(f"countries.cfg line {lineno}: {exc}") from exc
+            raise ValueError(f"line {lineno}: {exc}") from exc
         if iso in profiles:
-            raise ValueError(f"countries.cfg line {lineno}: duplicate {iso}")
+            raise ValueError(f"line {lineno}: duplicate {iso}")
         profiles[iso] = profile
     return profiles
 
 
+def _parse_named(text: str, name: str) -> dict[str, CountryProfile]:
+    try:
+        return parse_countries_cfg(text)
+    except ValueError as exc:
+        raise ValueError(f"{name} {exc}") from exc
+
+
 def read_countries_cfg(path: str) -> dict[str, CountryProfile]:
+    """A country table file; an error names the file and line."""
     with open(path, encoding="utf-8") as fh:
-        return parse_countries_cfg(fh.read())
+        return _parse_named(fh.read(), path)
 
 
 def load_default_countries() -> dict[str, CountryProfile]:
     """The country table shipped with the package (editable starter data)."""
     text = resources.files("dwe.data").joinpath("countries.cfg") \
         .read_text(encoding="utf-8")
-    return parse_countries_cfg(text)
+    return _parse_named(text, "countries.cfg")

@@ -215,19 +215,21 @@ class TestPipeline:
         return cfg
 
     def test_full_run_and_report(self, tmp_path, corpus_csv):
-        cfg = self.write_config(tmp_path, corpus_csv,
-                                "clean, rud, normality, transform, "
-                                "regress, lq")
+        names = ("clean", "rud", "normality", "transform", "regress", "lq")
+        cfg = self.write_config(tmp_path, corpus_csv, ", ".join(names))
         assert run(["pipeline", "--config", cfg]) == 0
         out = tmp_path / "out"
-        for name in ("cleaned.csv", "rud.csv", "normality.txt",
-                     "transform.cfg", "regress.csv", "lq.csv",
-                     "lq.geojson", "run_report.json"):
-            assert (out / name).exists(), name
+        # the stage table names every file a stage writes, and the report
+        # copies it
+        stages = [cli.STAGE_BY_NAME[name] for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [name for s in stages for name in s.outputs]
+            + ["run_report.json"])
         report = json.loads((out / "run_report.json").read_text())
-        assert all(s["status"] == "ok" for s in report["stages"])
+        assert report["stages"] == [
+            {"name": s.name, "status": "ok", "outputs": list(s.outputs)}
+            for s in stages]
         assert report["config_sha256"]
-        assert not (out / "FAILED").exists()
 
     def test_file_io_ignores_the_locale(self, tmp_path, corpus_csv):
         # under warn_default_encoding, an open() that would fall back to
@@ -261,6 +263,32 @@ class TestPipeline:
         assert run(["pipeline", "--config", cfg]) == 0
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="one core gives one BLAS thread either way")
+    def test_outputs_ignore_blas_threads(self, tmp_path):
+        # about 31k articles: enough for OpenBLAS to split the moment
+        # kernel's dot products, which moves the last digits of jb=
+        cfg = synth.SynthConfig(seed=17, start_year=2010, end_year=2015,
+                                articles_per_week=99.0,
+                                journals=("alpha", "beta", "gamma"))
+        corpus_csv = tmp_path / "corpus.csv"
+        cm.write_corpus_csv(synth.make_corpus_rows(cfg), str(corpus_csv))
+        run_cfg = self.write_config(tmp_path, corpus_csv,
+                                    "clean, rud, transform")
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        outputs = []
+        for threads in ({}, dict.fromkeys(names, "1")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "dwe.cli", "pipeline", "--config",
+                 str(run_cfg)], capture_output=True, text=True,
+                timeout=600, env={**env, **threads})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes()
+                            for p in (tmp_path / "out").iterdir()})
+        assert outputs[0] == outputs[1]
 
     def test_journal_scope_through_regress(self, tmp_path, corpus_csv):
         # rud and transform write per-journal ratios and specs, and
@@ -308,16 +336,35 @@ class TestPipeline:
         assert statuses["clean"] == "ok"
         assert statuses["panel"] == "failed"
 
-    def test_bad_corpus_row_fails_with_marker(self, tmp_path, corpus_csv):
-        bad = tmp_path / "bad.csv"
-        lines = corpus_csv.read_text().splitlines()
-        bad.write_text("\n".join(lines[:3] + ["1,j,2010-01-04,,,2,3"]
-                                 + lines[3:]) + "\n")
-        cfg = self.write_config(tmp_path, bad, "clean, rud")
+    @pytest.mark.parametrize("key,line,message", [
+        ("corpus", "1,j,2010-01-04,,,2,3", "line 4: expected 8 fields, got 7"),
+        ("corpus", "1," + "j" * 200_000 + ",2010-01-04,,,2,3,US",
+         "line 4: field larger than field limit (131072)"),
+        ("countries", "iso=XX continent=mars hdi=0.5",
+         "line 1: unknown continent 'mars'")],
+        ids=["short-row", "oversized-field", "bad-country-table"])
+    def test_bad_corpus_row_fails_with_marker(self, tmp_path, corpus_csv,
+                                              key, line, message):
+        # a bad corpus line 4 or country table line 1 fails the first
+        # stage, and replaces the report of an earlier successful run
+        assert run(["pipeline", "--config", self.write_config(
+            tmp_path, corpus_csv, "clean, rud")]) == 0
+        bad = tmp_path / "bad.txt"
+        if key == "corpus":
+            lines = corpus_csv.read_text().splitlines()
+            bad.write_text("\n".join(lines[:3] + [line] + lines[3:]) + "\n")
+            cfg = self.write_config(tmp_path, bad, "clean, rud")
+        else:
+            bad.write_text(line + "\n")
+            cfg = self.write_config(tmp_path, corpus_csv, "clean, rud",
+                                    extra=f"countries = {bad}\n")
         assert run(["pipeline", "--config", cfg]) == 1
-        marker = (tmp_path / "out" / "FAILED").read_text()
-        assert "stage=clean" in marker
-        assert f"{bad} line 4: expected 8 fields, got 7" in marker
+        out = tmp_path / "out"
+        marker = (out / "FAILED").read_text()
+        assert marker.startswith(f"stage=clean\nerror={bad} {message}")
+        report = json.loads((out / "run_report.json").read_text())
+        assert [(s["name"], s["status"]) for s in report["stages"]] \
+            == [("clean", "failed")]
 
     @pytest.mark.parametrize("stage", ["normality", "transform"])
     def test_ratio_stage_fails_on_empty_table(self, tmp_path, stage):
@@ -477,7 +524,7 @@ class TestStageTable:
 
         def record(ctx):
             seen.append(dict(ctx.config))
-            return [], ""
+            return ""
 
         monkeypatch.setitem(cli.STAGE_BY_NAME, stage.name,
                             dataclasses.replace(stage, run=record))

@@ -283,7 +283,9 @@ class TestCsvRoundTrip:
         ("1,j,2010-01-04,,, 3 ,3,US", "not a canonical integer: ' 3 '"),
         ("1,j,20100105,,,2,3,US", "not a YYYY-MM-DD date: '20100105'"),
         ("1,j,2010-01-04,,2010-W01-1,2,3,US",
-         "not a YYYY-MM-DD date: '2010-W01-1'")])
+         "not a YYYY-MM-DD date: '2010-W01-1'"),
+        pytest.param("1," + "j" * 200_000 + ",2010-01-04,,,2,3,US",
+                     "field larger than field limit", id="oversized-field")])
     def test_bad_row_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(cm.CSV_COLUMNS) + "\n"
