@@ -94,15 +94,13 @@ class Key:
     """A config key: the text an unset or empty key takes (None: the key
     is required), ``parse(text, *corpus facts)`` with its range or enum
     checks, its subcommand flag (``--<name>`` with dashes by default) and
-    the flag's choices.  A ``path`` key names an input file unless it
-    holds its default."""
+    the flag's choices."""
 
     name: str
     default: str | None
     parse: Callable[..., Any] = str
     flag: str = ""
     choices: tuple[str, ...] = ()
-    path: bool = False
 
 
 def _enum(name: str, default: str | None, what: str,
@@ -115,9 +113,9 @@ def _enum(name: str, default: str | None, what: str,
     return Key(name, default, parse, flag, choices=values)
 
 
-CORPUS = Key("corpus", None, flag="--in", path=True)
-COUNTRIES = Key("countries", "builtin", path=True)
-HARVEST_IN = Key("harvest_in", None, flag="--in", path=True)
+CORPUS = Key("corpus", None, flag="--in")
+COUNTRIES = Key("countries", "builtin")
+HARVEST_IN = Key("harvest_in", None, flag="--in")
 HARVEST_STYLE = _enum("harvest_style", None, "history style",
                       harvest.HISTORY_STYLES, flag="--style")
 HARVEST_JOURNAL = Key("harvest_journal", None, flag="--journal")
@@ -128,7 +126,7 @@ REGRESS_SCOPE = Key("scope", "all", _regress_scopes)
 MODELS = Key("models", "M1..M9", _parse_models)
 METHOD = _enum("method", "ols", "method", linmod.METHODS)
 WINDOWS = Key("windows", "default", _parse_windows)
-TRANSFORM = Key("transform", "fit", path=True)
+TRANSFORM = Key("transform", "fit")
 PANEL_FROM = Key("panel_from", None, date.fromisoformat, "--from")
 PANEL_TO = Key("panel_to", None, lambda text, start: panel_mod.check_end(
     start, date.fromisoformat(text)), "--to")
@@ -455,8 +453,8 @@ class RunConfig:
 
 
 def load_run_config(path: str) -> RunConfig:
-    """Parse `key = value` lines; unknown keys and stages, repeated keys
-    and stages, and missing files reject."""
+    """Parse `key = value` lines; unknown or repeated keys and stages
+    reject.  The stages themselves read the files the keys name."""
     text = Path(path).read_text(encoding="utf-8")
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -478,10 +476,6 @@ def load_run_config(path: str) -> RunConfig:
             raise ValueError(f"{path}: unknown stage {stage!r}")
         if stage in names[:i]:
             raise ValueError(f"{path}: duplicate stage {stage!r}")
-    for key in filter(lambda k: k.path, KEYS):
-        value = raw.get(key.name)
-        if value and value != key.default and not Path(value).exists():
-            raise ValueError(f"{path}: {key.name} file not found: {value}")
     return RunConfig(raw=raw,
                      stages=tuple(s.name for s in STAGES if s.name in names),
                      sha256=hashlib.sha256(text.encode()).hexdigest())

@@ -136,7 +136,7 @@ def chi_square_critical(df: int) -> float:
 
 def jarque_bera(m: MomentSummary) -> TestResult:
     """JB = n (Skew^2/6 + Kurt^2/24) against chi-square(2) at 5%."""
-    jb = m.n * (m.skewness ** 2 / 6.0 + m.excess_kurtosis ** 2 / 24.0)
+    jb = _jb((m.mean, m.skewness, m.excess_kurtosis), m.n)
     crit = chi_square_critical(2)
     return TestResult(statistic=jb, df=2, critical_value=crit,
                       p_value=float(chi2_sf(jb, 2)), reject_null=jb > crit)

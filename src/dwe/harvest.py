@@ -11,8 +11,8 @@ house styles:
 * ``nature-like``   -- ``Received 2006-08-07`` (ISO numeric)
 
 All parsers are total over arbitrary text: they return typed results with
-absent fields or per-field error notes instead of raising mid-document.
-Only malformed XML and explicit non-research-article subjects raise.
+absent fields instead of raising mid-document.  Only malformed XML and
+explicit non-research-article subjects raise.
 """
 
 from __future__ import annotations
@@ -87,17 +87,10 @@ class RawArticleMetadata:
 
 
 @dataclass(frozen=True)
-class FieldError:
-    field: str
-    reason: str
-
-
-@dataclass(frozen=True)
 class HistoryDates:
     received: date | None = None
     revised: date | None = None
     online: date | None = None
-    errors: tuple[FieldError, ...] = ()
 
 
 # -- history strings --------------------------------------------------------
@@ -167,15 +160,13 @@ def _build_date(style: str, groups: tuple[str, ...]) -> date:
 def parse_history_string(text: str, style: str) -> HistoryDates:
     """Extract (received, revised, online) dates from a history line.
 
-    First occurrence of each slot wins.  A keyword whose slot stays empty
-    (date missing or malformed) is reported in ``errors`` rather than
-    raising.
+    First occurrence of each slot wins.  A keyword whose date is missing
+    or malformed leaves its slot empty rather than raising.
     """
     if style not in HISTORY_STYLES:
         raise ValueError(f"unknown history style {style!r}")
     slots: dict[str, date | None] = {"received": None, "revised": None,
                                      "online": None}
-    errors: list[FieldError] = []
     rx, slot_of = _HISTORY[style]
     for m in rx.finditer(text):
         keyword = m.group(1).lower()
@@ -185,17 +176,10 @@ def parse_history_string(text: str, style: str) -> HistoryDates:
             continue
         try:
             slots[slot] = _build_date(style, m.groups()[1:])
-        except ValueError as exc:
-            errors.append(FieldError(field=slot, reason=str(exc)))
-    # keywords present in the text whose slot never got a date
-    lowered = text.lower()
-    for keyword, slot in _SLOTS[style]:
-        if slots[slot] is None and keyword in lowered:
-            if not any(e.field == slot for e in errors):
-                errors.append(FieldError(
-                    field=slot, reason=f"no parseable date after {keyword!r}"))
+        except ValueError:
+            pass  # a later occurrence may still fill the slot
     return HistoryDates(received=slots["received"], revised=slots["revised"],
-                        online=slots["online"], errors=tuple(errors))
+                        online=slots["online"])
 
 
 def extract_pages(text: str) -> tuple[int, int]:
@@ -466,12 +450,12 @@ def resolve_article_country(meta: RawArticleMetadata,
 
 # -- article cards ----------------------------------------------------------
 
+#: the keys a card line may have; a block with any of them is a card
 _CARD_KEYS = ("title", "authors", "pages", "history", "country")
 
 
 @dataclass(frozen=True)
 class ArticleCard:
-    title: str = ""
     authors: str = ""
     pages: str = ""
     history: str = ""
@@ -503,8 +487,8 @@ def parse_article_cards(text: str) -> list[ArticleCard]:
             if sep and key in _CARD_KEYS:
                 fields[key] = value.strip()
         if fields:
-            cards.append(ArticleCard(**{k: fields.get(k, "")
-                                        for k in _CARD_KEYS}))
+            fields.pop("title", None)  # it makes a card, but is not kept
+            cards.append(ArticleCard(**fields))
     return cards
 
 
@@ -541,11 +525,13 @@ def harvest_directory(directory: str, style: str, journal: str,
     assigned sequentially from ``first_id``, so a rerun over the same tree
     is identical.  Returns (rows, skipped) where skipped pairs each failed
     file with the reason: a parse error, a file that is not UTF-8, or one
-    that cannot be read.  An unknown ``style`` raises before any file is
-    read.
+    that cannot be read.  An unknown ``style``, or a ``directory`` that is
+    not a directory, raises before any file is read.
     """
     if style not in HISTORY_STYLES:
         raise ValueError(f"unknown history style {style!r}")
+    if not Path(directory).is_dir():
+        raise ValueError(f"{directory}: not a directory")
     rows: list[RawRecord] = []
     skipped: list[tuple[str, str]] = []
     next_id = first_id

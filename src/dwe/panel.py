@@ -159,8 +159,6 @@ class PanelFit(FitResult):
     theta: Mapping[str, float]
     n_cells: int
     n_countries: int
-    weighted: bool
-    weight_mode: str
     clamped: bool
     dropped_columns: tuple[str, ...]
     n_dropped_rows: int
@@ -262,7 +260,5 @@ def _egls_fit(X: np.ndarray, y: np.ndarray, n_ct: np.ndarray,
                    else math.inf if sigma2_country > 0 else math.nan),
         theta={iso: float(theta_by_code[i])
                for i, iso in enumerate(countries)},
-        n_cells=M, n_countries=N, weighted=weighted,
-        weight_mode=weight_mode if weighted else "",
-        clamped=clamped, dropped_columns=tuple(dropped),
-        n_dropped_rows=n_dropped_rows)
+        n_cells=M, n_countries=N, clamped=clamped,
+        dropped_columns=tuple(dropped), n_dropped_rows=n_dropped_rows)

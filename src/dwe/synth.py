@@ -1,10 +1,10 @@
 """Synthetic corpora and panels with planted effects.
 
-Experiment support: generate article flows whose weekday mix, Christmas
-clustering, country mix, and panel variance components are known, then
-check that the estimators recover them.  Everything is driven by a single
-integer seed through numpy's Generator, so a given config is reproducible
-bit for bit.
+Experiment support: generate article flows whose weekday mix and country
+mix are known, and panels whose coefficients (a Christmas effect among
+them) and variance components are known, then check that the estimators
+recover them.  Everything is driven by a single integer seed through
+numpy's Generator, so a given config is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -35,13 +35,8 @@ class SynthConfig:
     end_year: int = 2014
     articles_per_week: float = 40.0
     journals: tuple[str, ...] = ("plos-one",)
-    journal_weights: tuple[float, ...] | None = None
     countries: tuple[str, ...] = DEFAULT_COUNTRIES
     country_weights: tuple[float, ...] | None = None
-    weekday_weights: tuple[float, ...] = OFFICE_WEEK
-    christmas_weekday_weights: tuple[float, ...] | None = None
-    christmas_volume_factor: float = 1.0
-    mean_authors: float = 4.0
 
 
 def _norm(weights, size) -> np.ndarray:
@@ -54,35 +49,26 @@ def _norm(weights, size) -> np.ndarray:
 
 
 def make_corpus_rows(config: SynthConfig) -> list[RawRecord]:
-    """Draw raw article rows day by day over the configured years."""
+    """Draw raw article rows day by day over the configured years: the
+    journals are equally likely, submissions follow ``OFFICE_WEEK``, and
+    an article has 1 + Poisson(3) authors."""
     rng = np.random.default_rng(config.seed)
-    jw = _norm(config.journal_weights, len(config.journals))
+    jw = np.full(len(config.journals), 1.0 / len(config.journals))
     cw = _norm(config.country_weights, len(config.countries))
-    base = np.asarray(config.weekday_weights, dtype=float)
-    if base.size != 7 or np.any(base < 0) or base.sum() <= 0:
-        raise ValueError("weekday_weights needs 7 non-negative entries")
-    festive = config.christmas_weekday_weights
-    festive = base if festive is None else np.asarray(festive, dtype=float)
-    if festive.size != 7:
-        raise ValueError("christmas_weekday_weights needs 7 entries")
+    profile = np.asarray(OFFICE_WEEK)
 
     rows: list[RawRecord] = []
     next_id = 1
     day = date(config.start_year, 1, 1)
     last = date(config.end_year, 12, 31)
     while day <= last:
-        if in_christmas_window(day):
-            profile, volume = festive, config.christmas_volume_factor
-        else:
-            profile, volume = base, 1.0
-        rate = config.articles_per_week * volume \
+        rate = config.articles_per_week \
             * profile[day.isoweekday() - 1] / profile.sum()
         count = int(rng.poisson(rate))
         for _ in range(count):
             journal = config.journals[int(rng.choice(len(jw), p=jw))]
             country = config.countries[int(rng.choice(len(cw), p=cw))]
-            authors = 1 + int(rng.poisson(max(config.mean_authors - 1.0,
-                                              0.0)))
+            authors = 1 + int(rng.poisson(3.0))
             rows.append(RawRecord(
                 id=next_id, journal=journal, received=day,
                 revised=day + timedelta(days=int(rng.integers(20, 80))),

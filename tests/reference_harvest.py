@@ -15,7 +15,7 @@ from typing import Mapping
 
 from dwe.corpus import CountryProfile
 from dwe.harvest import (_DATE_BODY, _SLOTS, HISTORY_STYLES, US_STATE_NAMES,
-                         FieldError, HistoryDates, _build_date)
+                         HistoryDates, _build_date)
 
 
 def build_name_lookup(profiles: Mapping[str, CountryProfile]
@@ -71,15 +71,13 @@ def normalize_country(country_raw: str,
 def parse_history_string(text: str, style: str) -> HistoryDates:
     """Extract (received, revised, online) dates from a history line.
 
-    First occurrence of each slot wins.  A keyword whose slot stays empty
-    (date missing or malformed) is reported in ``errors`` rather than
-    raising.
+    First occurrence of each slot wins.  A keyword whose date is missing
+    or malformed leaves its slot empty rather than raising.
     """
     if style not in HISTORY_STYLES:
         raise ValueError(f"unknown history style {style!r}")
     slots: dict[str, date | None] = {"received": None, "revised": None,
                                      "online": None}
-    errors: list[FieldError] = []
     keyword_alt = "|".join(re.escape(kw).replace(r"\ ", r"\s+")
                            for kw, _ in _SLOTS[style])
     rx = re.compile(rf"({keyword_alt})\s*:?\s*{_DATE_BODY[style]}",
@@ -91,14 +89,7 @@ def parse_history_string(text: str, style: str) -> HistoryDates:
             continue
         try:
             slots[slot] = _build_date(style, m.groups()[1:])
-        except ValueError as exc:
-            errors.append(FieldError(field=slot, reason=str(exc)))
-    # keywords present in the text whose slot never got a date
-    lowered = text.lower()
-    for keyword, slot in _SLOTS[style]:
-        if slots[slot] is None and keyword in lowered:
-            if not any(e.field == slot for e in errors):
-                errors.append(FieldError(
-                    field=slot, reason=f"no parseable date after {keyword!r}"))
+        except ValueError:
+            pass
     return HistoryDates(received=slots["received"], revised=slots["revised"],
-                        online=slots["online"], errors=tuple(errors))
+                        online=slots["online"])

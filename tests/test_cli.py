@@ -179,12 +179,6 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="duplicate"):
             cli.load_run_config(str(cfg))
 
-    def test_missing_file_named_in_error(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("stages = clean\ncorpus = /does/not/exist.csv\n")
-        with pytest.raises(ValueError, match="/does/not/exist.csv"):
-            cli.load_run_config(str(cfg))
-
     def test_stages_sorted_into_run_order(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("stages = rud, clean\n")
@@ -365,6 +359,53 @@ class TestPipeline:
         report = json.loads((out / "run_report.json").read_text())
         assert [(s["name"], s["status"]) for s in report["stages"]] \
             == [("clean", "failed")]
+
+    @pytest.mark.parametrize("key,stages,stage", [
+        ("corpus", "clean, rud", "clean"),
+        ("countries", "clean, rud", "clean"),
+        ("harvest_in", "harvest, clean", "harvest"),
+        ("transform", "clean, regress", "regress")],
+        ids=["corpus", "countries", "harvest_in", "transform"])
+    def test_missing_input_file_fails_its_stage(self, tmp_path, corpus_csv,
+                                                key, stages, stage):
+        # the stage that reads the file fails, and its report replaces
+        # the one of an earlier successful run
+        assert run(["pipeline", "--config", self.write_config(
+            tmp_path, corpus_csv, "clean, rud")]) == 0
+        missing = tmp_path / "missing.csv"
+        if key == "corpus":
+            cfg = self.write_config(tmp_path, missing, stages)
+        else:
+            cfg = self.write_config(
+                tmp_path, corpus_csv, stages,
+                extra=f"{key} = {missing}\nharvest_style = physica-like\n"
+                      "harvest_journal = j\n")
+        assert run(["pipeline", "--config", cfg]) == 1
+        marker = (tmp_path / "out" / "FAILED").read_text()
+        assert marker.startswith(f"stage={stage}\nerror=")
+        assert str(missing) in marker
+        report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        names = stages.split(", ")
+        assert [(s["name"], s["status"]) for s in report["stages"]] \
+            == [(name, "ok") for name in names[:names.index(stage)]] \
+            + [(stage, "failed")]
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_harvest_in_not_a_directory(self, tmp_path, capsys, kind):
+        # neither holds a file to harvest: an empty corpus would hide that
+        target = tmp_path / "archive"
+        if kind == "file":
+            target.write_text(CARDS, encoding="utf-8")
+        assert run(["harvest", "--style", "physica-like", "--in", target,
+                    "--journal", "j", "--out", tmp_path / "h.csv"]) == 2
+        assert f"{target}: not a directory" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"stages = harvest, clean\nout_dir = {tmp_path}/out\n"
+                       f"harvest_in = {target}\n"
+                       "harvest_style = physica-like\nharvest_journal = j\n")
+        assert run(["pipeline", "--config", cfg]) == 1
+        assert (tmp_path / "out" / "FAILED").read_text() \
+            == f"stage=harvest\nerror={target}: not a directory\n"
 
     @pytest.mark.parametrize("stage", ["normality", "transform"])
     def test_ratio_stage_fails_on_empty_table(self, tmp_path, stage):

@@ -73,15 +73,13 @@ class TestHistoryStrings:
                                          "physica-like")
         assert h.received == date(2005, 12, 9)
         assert h.revised is None and h.online is None
-        assert not h.errors
 
-    def test_keyword_without_date_reports_field_error(self):
+    def test_keyword_without_date_leaves_slot_empty(self):
         h = harvest.parse_history_string(
             "Received ; received in revised form 10 February 2006",
             "physica-like")
         assert h.received is None
         assert h.revised == date(2006, 2, 10)
-        assert any(e.field == "received" for e in h.errors)
 
     def test_short_month_names(self):
         h = harvest.parse_history_string("Received 3 Sept 2011",
@@ -356,6 +354,23 @@ class TestCards:
                                          lookup)
         assert rec.page_count == 0
         assert rec.country == "DE"
+
+    def test_title_only_block_is_a_card(self, country_table):
+        # a title alone still makes a card, and so a row with no dates,
+        # authors or country, which the clean stage then drops
+        full = CARDS.split("\n\n")[0]
+        cards = harvest.parse_article_cards("Title: Only a title\n\n" + full)
+        assert len(cards) == 2
+        lookup = harvest.build_name_lookup(country_table)
+        rows = [harvest.card_to_raw_record(card, i, "j", "physica-like",
+                                           lookup)
+                for i, card in enumerate(cards, start=1)]
+        assert rows[0].received is None
+        assert rows[0].author_count == 0 and rows[0].country == ""
+        assert cards[1] == harvest.parse_article_cards(full)[0]
+        assert (rows[1].id, rows[1].received, rows[1].author_count,
+                rows[1].page_count, rows[1].country) \
+            == (2, date(2005, 12, 9), 3, 10, "IT")
 
 
 class TestHarvestDirectory:
