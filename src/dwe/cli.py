@@ -162,8 +162,10 @@ def read_transform_cfg(path: str) -> dict[str, diststat.TransformSpec]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = dict(tok.split("=", 1) for tok in line.split()
-                          if "=" in tok)
+            # the scope, which may hold spaces, is all before the last
+            # three tokens
+            fields = dict(tok.partition("=")[::2]
+                          for tok in line.rsplit(" ", 3))
             try:
                 scope = fields["scope"]
                 fam, _, param = fields["step1"].partition(":")
@@ -216,18 +218,16 @@ class RunContext:
 
     ``config`` maps config keys to their string values.  ``paths`` maps
     each stage output file name to where it is written, or to None when
-    this run does not write it.  ``rud_csv`` and ``first_id`` are inputs
-    only the subcommands give.  The countries, corpus rows, cleaned corpus
+    this run does not write it.  ``first_id`` is an input only the
+    harvest subcommand gives.  The countries, corpus rows, cleaned corpus
     and the RUD table load on first use and are kept for the later
     stages.
     """
 
     def __init__(self, config: Mapping[str, str],
-                 paths: Mapping[str, str | None],
-                 rud_csv: str | None = None, first_id: int = 1) -> None:
+                 paths: Mapping[str, str | None], first_id: int = 1) -> None:
         self.config = config
         self.paths = paths
-        self.rud_csv = rud_csv
         self.first_id = first_id
         self.fitted_specs: dict[str, diststat.TransformSpec] | None = None
 
@@ -268,20 +268,19 @@ class RunContext:
     def rud(self) -> rud_mod.RudTable:
         return rud_mod.build_rud_dataset(self.cleaned, self.value(SCOPE))
 
-    def ratios_by_scope(self) -> dict[str, list[float]]:
-        """The ratios grouped by scope, in scope order: from ``rud_csv``
-        when given, else from this run's observations; none is an error."""
-        if self.rud_csv is not None:
-            by_scope: dict[str, list[float]] = {}
-            for row in rud_mod.read_rud_csv(self.rud_csv):
-                by_scope.setdefault(row["scope"], []).append(row["rud"])
-        else:
-            by_scope = {scope: table.rud.tolist()
-                        for scope, table in self.rud.by_scope().items()}
-        if not by_scope:
-            raise ValueError(
-                f"{self.rud_csv or 'cleaned corpus'}: no observations")
-        return dict(sorted(by_scope.items()))
+    def by_scope(self, fn: Callable[[list[float]], Any]) -> dict[str, Any]:
+        """``fn`` of each scope's ratios, in scope order; its ValueError
+        is prefixed with ``scope=<name>: ``, and no ratios is an error."""
+        tables = self.rud.by_scope()
+        if not tables:
+            raise ValueError("cleaned corpus: no observations")
+        results = {}
+        for scope, table in tables.items():
+            try:
+                results[scope] = fn(table.rud.tolist())
+            except ValueError as exc:
+                raise ValueError(f"scope={scope}: {exc}") from exc
+        return results
 
 
 # -- stages -----------------------------------------------------------------
@@ -321,27 +320,29 @@ def _run_rud(ctx: RunContext) -> str:
     return f"wrote {len(ctx.rud)} ratio observations -> {out}"
 
 
+def _normality_block(values: list[float]) -> str:
+    lines = [f"n={len(values)}"]
+    for label, sample in (("raw", values),
+                          ("log10", [math.log10(v) for v in values])):
+        m = diststat.moments(sample)
+        jb = diststat.jarque_bera(m)
+        lines.append(
+            f"  {label:<6} mean={m.mean:.6f} skew={m.skewness:.6f} "
+            f"kurt={m.excess_kurtosis:.6f} jb={jb.statistic:.4f} "
+            f"crit={jb.critical_value} "
+            f"{'reject' if jb.reject_null else 'accept'}")
+    return "\n".join(lines)
+
+
 def _run_normality(ctx: RunContext) -> str:
-    lines = []
-    for scope, values in ctx.ratios_by_scope().items():
-        lines.append(f"scope={scope} n={len(values)}")
-        for label, sample in (("raw", values),
-                              ("log10", [math.log10(v) for v in values])):
-            m = diststat.moments(sample)
-            jb = diststat.jarque_bera(m)
-            lines.append(
-                f"  {label:<6} mean={m.mean:.6f} skew={m.skewness:.6f} "
-                f"kurt={m.excess_kurtosis:.6f} jb={jb.statistic:.4f} "
-                f"crit={jb.critical_value} "
-                f"{'reject' if jb.reject_null else 'accept'}")
-    text = "\n".join(lines)
+    text = "\n".join(f"scope={scope} {block}" for scope, block
+                     in ctx.by_scope(_normality_block).items())
     ctx.write_text("normality.txt", text + "\n")
     return text
 
 
 def _run_transform(ctx: RunContext) -> str:
-    fits = {scope: diststat.fit_transform_spec(values)
-            for scope, values in ctx.ratios_by_scope().items()}
+    fits = ctx.by_scope(diststat.fit_transform_spec)
     ctx.fitted_specs = {scope: f.spec for scope, f in fits.items()}
     write_transform_cfg(fits, ctx.paths["transform.cfg"])
     return "\n".join(f"{scope}: {f.spec.describe()}  jb={f.jb_statistic:.4f}"
@@ -532,8 +533,7 @@ def cmd_stage(args) -> int:
               if getattr(args, key.name, None) is not None}
     paths = {name: getattr(args, dest) if dest else None
              for name, dest in zip(stage.outputs, args.outputs)}
-    ctx = RunContext(config, paths, rud_csv=getattr(args, "rud_csv", None),
-                     first_id=getattr(args, "first_id", 1))
+    ctx = RunContext(config, paths, first_id=getattr(args, "first_id", 1))
     print(stage.run(ctx))
     return 0
 
@@ -547,14 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def stage_parser(name: str, outputs: tuple, rud_flag: str = ""
-                     ) -> argparse.ArgumentParser:
-        # one string flag per key, absent unless given; a subcommand that
-        # reads a RUD CSV from its rud_flag has no corpus, so no key
+    def stage_parser(name: str, outputs: tuple) -> argparse.ArgumentParser:
+        # one string flag per key, absent unless given
         stage = STAGE_BY_NAME[name]
         p = sub.add_parser(name, help=stage.help)
         p.set_defaults(func=cmd_stage, outputs=outputs)
-        for key in () if rud_flag else stage.keys:
+        for key in stage.keys:
             flag = key.flag or "--" + key.name.replace("_", "-")
             if key.parse is _boolean:
                 p.add_argument(flag, dest=key.name, action="store_const",
@@ -565,16 +563,14 @@ def build_parser() -> argparse.ArgumentParser:
                                choices=key.choices or None)
         if "out" in outputs:
             p.add_argument("--out", required=True)
-        if rud_flag:
-            p.add_argument(rud_flag, dest="rud_csv", required=True)
         return p
 
     stage_parser("harvest", ("out", None)).add_argument(
         "--first-id", type=int, default=1)
     stage_parser("clean", ("out", "report")).add_argument("--report")
     stage_parser("rud", ("out",))
-    stage_parser("normality", (None,), rud_flag="--test")
-    stage_parser("transform", ("out",), rud_flag="--fit")
+    stage_parser("normality", (None,))
+    stage_parser("transform", ("out",))
     stage_parser("regress", ("out",))
     stage_parser("panel", ("out",))
     stage_parser("lq", ("out", "geojson")).add_argument("--geojson",

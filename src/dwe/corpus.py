@@ -28,7 +28,7 @@ import shlex
 from dataclasses import dataclass
 from datetime import date
 from importlib import resources
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,8 +42,6 @@ DEFAULT_WEEKEND = frozenset({SATURDAY, SUNDAY})
 #: column order of the corpus CSV format; fixed, a different header is rejected.
 CSV_COLUMNS = ("id", "journal", "received", "revised", "online",
                "author_count", "page_count", "country")
-
-Row = TypeVar("Row")
 
 _SEASON_BY_MONTH = {
     3: "spring", 4: "spring", 5: "spring",
@@ -250,13 +248,11 @@ def _derive_columns(rows: Sequence[RawRecord],
 
 @dataclass(frozen=True)
 class Corpus:
-    """The kept rows in article-id order, their features as columns, the
-    country table, and the counts of rows dropped during cleaning keyed by
-    reason."""
+    """The kept rows in article-id order, their features as columns, and
+    the counts of rows dropped during cleaning keyed by reason."""
 
     records: tuple[RawRecord, ...]
     columns: FeatureColumns
-    countries: Mapping[str, CountryProfile]
     cleaning_report: Mapping[str, int]
 
 
@@ -296,7 +292,7 @@ def clean_corpus(rows: Iterable[RawRecord],
     kept.sort(key=lambda r: r.id)
     return Corpus(records=tuple(kept),
                   columns=_derive_columns(kept, countries),
-                  countries=dict(countries), cleaning_report=dropped)
+                  cleaning_report=dropped)
 
 
 @functools.lru_cache(maxsize=4096)  # a corpus has few distinct dates
@@ -338,43 +334,39 @@ def write_corpus_csv(rows: Iterable[RawRecord], path: str) -> None:
                         r.author_count, r.page_count, r.country])
 
 
-def read_csv_rows(path: str, columns: Sequence[str], kind: str,
-                  parse: Callable[[list[str]], Row]) -> list[Row]:
-    """``parse`` of every row of a CSV whose header is exactly ``columns``;
-    a bad header, a line the csv module cannot split, or a row with the
-    wrong number of fields or that ``parse`` rejects with a ValueError,
-    raises a ValueError naming the file (and line)."""
+def read_corpus_csv(path: str) -> list[RawRecord]:
+    """Read a corpus CSV whose header is exactly ``CSV_COLUMNS``; numbers
+    and dates must be written as ``write_corpus_csv`` writes them.  A bad
+    header, a line the csv module cannot split, or a row with the wrong
+    number of fields or a bad value raises a ValueError naming the file
+    (and line)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header is None or tuple(header) != tuple(columns):
-                raise ValueError(f"{path}: bad {kind} header {header!r}")
+            if header is None or tuple(header) != CSV_COLUMNS:
+                raise ValueError(f"{path}: bad corpus header {header!r}")
             rows = []
             for line in reader:
                 if not line:
                     continue
                 try:
-                    if len(line) != len(columns):
-                        raise ValueError(f"expected {len(columns)} fields, "
-                                         f"got {len(line)}")
-                    rows.append(parse(line))
+                    if len(line) != len(CSV_COLUMNS):
+                        raise ValueError(f"expected {len(CSV_COLUMNS)} "
+                                         f"fields, got {len(line)}")
+                    rows.append(RawRecord(
+                        id=_parse_int(line[0]), journal=line[1],
+                        received=_parse_date(line[2]),
+                        revised=_parse_date(line[3]),
+                        online=_parse_date(line[4]),
+                        author_count=_parse_count(line[5]),
+                        page_count=_parse_count(line[6]), country=line[7]))
                 except ValueError as exc:
                     raise ValueError(
                         f"{path} line {reader.line_num}: {exc}") from exc
         except csv.Error as exc:  # a field over the size limit
             raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     return rows
-
-
-def read_corpus_csv(path: str) -> list[RawRecord]:
-    """Read a corpus CSV (see ``read_csv_rows``); numbers and dates must
-    be written as ``write_corpus_csv`` writes them."""
-    return read_csv_rows(path, CSV_COLUMNS, "corpus", lambda line: RawRecord(
-        id=_parse_int(line[0]), journal=line[1],
-        received=_parse_date(line[2]), revised=_parse_date(line[3]),
-        online=_parse_date(line[4]), author_count=_parse_count(line[5]),
-        page_count=_parse_count(line[6]), country=line[7]))
 
 
 # -- countries.cfg ----------------------------------------------------------

@@ -252,33 +252,11 @@ def apply_transform_array(x, spec: TransformSpec) -> np.ndarray:
     return apply_transform_steps_array(x, spec)[1]
 
 
-@dataclass(frozen=True)
-class TransformSearchGrid:
-    """Parameter grids for the fit; endpoints inclusive."""
-
-    c_min: float = -0.2
-    c_max: float = 0.2
-    c_step: float = 0.01
-    lam1_min: float = -8.0
-    lam1_max: float = 8.0
-    lam1_step: float = 0.05
-    lam2_min: float = -2.0
-    lam2_max: float = 3.0
-    lam2_step: float = 0.005
-
-    @staticmethod
-    def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-        count = int(round((hi - lo) / step)) + 1
-        return np.round(lo + step * np.arange(count), 10)
-
-    def c_values(self) -> np.ndarray:
-        return self._axis(self.c_min, self.c_max, self.c_step)
-
-    def lam1_values(self) -> np.ndarray:
-        return self._axis(self.lam1_min, self.lam1_max, self.lam1_step)
-
-    def lam2_values(self) -> np.ndarray:
-        return self._axis(self.lam2_min, self.lam2_max, self.lam2_step)
+#: the search's parameter grids, endpoints inclusive: c in -0.2..0.2 by
+#: 0.01, l1 in -8..8 by 0.05, l2 in -2..3 by 0.005
+C_GRID = np.round(-0.2 + 0.01 * np.arange(41), 10)
+LAM1_GRID = np.round(-8.0 + 0.05 * np.arange(321), 10)
+LAM2_GRID = np.round(-2.0 + 0.005 * np.arange(1001), 10)
 
 
 @dataclass(frozen=True)
@@ -293,8 +271,7 @@ def _jb(m: tuple[float, float, float], n: int) -> float:
     return n * (skew ** 2 / 6.0 + kurt ** 2 / 24.0)
 
 
-def fit_transform_spec(sample, grid: TransformSearchGrid | None = None
-                       ) -> FittedTransform:
+def fit_transform_spec(sample) -> FittedTransform:
     """Grid-search the two-step transform on a positive ratio sample.
 
     Stage 1 picks the step-1 family and parameter minimizing |skewness| of
@@ -316,14 +293,13 @@ def fit_transform_spec(sample, grid: TransformSearchGrid | None = None
         raise ValueError(f"need at least 4 observations, got {n}")
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise ValueError("sample values must be positive and finite")
-    grid = grid or TransformSearchGrid()
 
     # (abs_skew, abs_param, family_rank, family, param)
     candidates: list[tuple[float, float, int, str, float]] = []
 
     ln_x = np.log(x)
     log10_min = float(np.log10(x).min())
-    feasible_c = [float(c) for c in grid.c_values()
+    feasible_c = [float(c) for c in C_GRID
                   if log10_min + float(c) + 1.0 > 0.0]
     if feasible_c:
         m = _moment_kernel(ln_x)
@@ -332,7 +308,7 @@ def fit_transform_spec(sample, grid: TransformSearchGrid | None = None
             candidates.append((abs(m[1]), abs(c_rep), 0, LOG10_SHIFT, c_rep))
 
     with np.errstate(over="ignore"):
-        for lam in grid.lam1_values():
+        for lam in LAM1_GRID:
             lam = float(lam)
             y1 = ln_x if lam == 0.0 else np.expm1(lam * ln_x) / lam
             # a NaN or -inf fails the first test, +inf the second
@@ -352,7 +328,7 @@ def fit_transform_spec(sample, grid: TransformSearchGrid | None = None
 
     best2: tuple[float, float, float] | None = None  # (jb, abs_lam2, lam2)
     with np.errstate(over="ignore"):
-        for lam2 in grid.lam2_values():
+        for lam2 in LAM2_GRID:
             lam2 = float(lam2)
             y2 = log1p_y1 if lam2 == 0.0 \
                 else np.expm1(lam2 * log1p_y1) / lam2

@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import Corpus, FeatureColumns, read_csv_rows
+from .corpus import Corpus, FeatureColumns
 from .diststat import apply_transform_steps_array
 
 CONSOLIDATED = "consolidated"
@@ -149,15 +149,6 @@ def write_rud_csv(table: RudTable, path: str) -> None:
                         cols.weekday[table.row].tolist(),
                         table.day_count.tolist(), table.week_total.tolist(),
                         map(repr, table.rud.tolist())))
-
-
-def read_rud_csv(path: str) -> list[dict]:
-    """Read back the numeric columns of a RUD CSV (no feature snapshot;
-    see ``read_csv_rows``)."""
-    return read_csv_rows(path, RUD_CSV_COLUMNS, "rud", lambda line: {
-        "article_id": int(line[0]), "scope": line[1], "year": int(line[2]),
-        "week": int(line[3]), "weekday": int(line[4]), "n_k": int(line[5]),
-        "N": int(line[6]), "rud": float(line[7])})
 
 
 def attach_transform(table: RudTable, spec

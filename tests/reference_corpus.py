@@ -133,12 +133,11 @@ def gather_columns(pairs: Sequence[Pair]) -> FeatureColumns:
 
 
 def corpus_of(pairs: Sequence[Pair],
-              countries: Mapping[str, CountryProfile] | None = None,
               cleaning_report: Mapping[str, int] | None = None) -> Corpus:
     """A Corpus whose columns are the row-wise gather of ``pairs``."""
     return Corpus(
         records=tuple(sorted((row for row, _ in pairs), key=lambda r: r.id)),
-        columns=gather_columns(pairs), countries=dict(countries or {}),
+        columns=gather_columns(pairs),
         cleaning_report=dict(cleaning_report or {}))
 
 

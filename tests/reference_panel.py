@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
+from typing import Mapping
 
 import numpy as np
 
-from dwe.corpus import (Corpus, classify_weekend, derive_season,
-                        derive_weekday, in_christmas_window)
+from dwe.corpus import (Corpus, CountryProfile, classify_weekend,
+                        derive_season, derive_weekday, in_christmas_window)
 from dwe.panel import PANEL_COLUMNS, PanelFit, _egls_fit
 from dwe.rud import CONSOLIDATED, build_rud_dataset
 from dwe.synth import PanelPlant
@@ -49,9 +50,11 @@ class RowPanel:
     countries: tuple[str, ...]
 
 
-def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
+def build_panel(corpus: Corpus, countries: Mapping[str, CountryProfile],
+                start: date, end: date, top_n: int = 11,
                 scope: str = CONSOLIDATED) -> RowPanel:
-    """The cells one at a time, each with its own calendar rules."""
+    """The cells one at a time, each with its own calendar rules, under
+    ``countries``, the table the corpus was cleaned with."""
     if end < start:
         raise ValueError(f"range ends before it starts: {start}..{end}")
     ratios = build_rud_dataset(corpus, scope)  # row i is article i
@@ -81,7 +84,7 @@ def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
             starts.tolist(), stops, cols.country[picked[starts]].tolist(),
             cols.received[picked[starts]].tolist()):
         iso = cols.countries[code]
-        profile = corpus.countries[iso]
+        profile = countries[iso]
         d = date.fromordinal(ordinal)
         lto = profile.lto
         cells.append(PanelCell(

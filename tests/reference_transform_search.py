@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from dwe.diststat import (IDENTITY_SPEC, LOG10_SHIFT, POWER, FittedTransform,
-                          TransformSearchGrid, TransformSpec)
+from dwe.diststat import (C_GRID, IDENTITY_SPEC, LAM1_GRID, LAM2_GRID,
+                          LOG10_SHIFT, POWER, FittedTransform, TransformSpec)
 
 
 def _step1(x, family, param):
@@ -76,11 +76,10 @@ def _gap(best, second):
 def reference_fit(sample, log10_on_ln: bool = False
                   ) -> tuple[FittedTransform, float]:
     x = np.asarray(sample, dtype=float)
-    grid = TransformSearchGrid()
     candidates = []
 
     log_y = np.log10(x)
-    feasible_c = [float(c) for c in grid.c_values()
+    feasible_c = [float(c) for c in C_GRID
                   if float(log_y.min()) + float(c) + 1.0 > 0.0]
     if feasible_c:
         sk = _skew_kurt(np.log(x) if log10_on_ln else log_y)
@@ -89,7 +88,7 @@ def reference_fit(sample, log10_on_ln: bool = False
             candidates.append((abs(sk[0]), abs(c_rep), 0,
                                LOG10_SHIFT, c_rep, log_y + c_rep))
 
-    for lam in grid.lam1_values():
+    for lam in LAM1_GRID:
         lam = float(lam)
         y1 = _step1(x, POWER, lam)
         if not np.all(np.isfinite(y1)) or float(y1.min()) + 1.0 <= 0.0:
@@ -108,7 +107,7 @@ def reference_fit(sample, log10_on_ln: bool = False
 
     best2 = None  # (jb, abs_lam2, lam2)
     scores = []
-    for lam2 in grid.lam2_values():
+    for lam2 in LAM2_GRID:
         lam2 = float(lam2)
         y2 = _step2(y1, lam2)
         if not np.all(np.isfinite(y2)):

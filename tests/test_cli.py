@@ -4,13 +4,15 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import pytest
 
-from dwe import cli, corpus as cm, rud, synth
+from dwe import cli, corpus as cm, diststat, linmod, synth
 
 CARDS = """Title: One
 Authors: A. B., C. D.
@@ -108,13 +110,42 @@ class TestSubcommands:
     def test_transform_cfg_round_trip(self, tmp_path, corpus_csv):
         cleaned = tmp_path / "cleaned.csv"
         run(["clean", "--in", corpus_csv, "--out", cleaned])
-        rud_csv = tmp_path / "rud.csv"
-        run(["rud", "--in", cleaned, "--out", rud_csv])
         spec_cfg = tmp_path / "transform.cfg"
-        assert run(["transform", "--fit", rud_csv,
-                    "--out", spec_cfg]) == 0
+        assert run(["transform", "--in", cleaned, "--out", spec_cfg]) == 0
         specs = cli.read_transform_cfg(str(spec_cfg))
         assert "consolidated" in specs
+
+    def test_transform_cfg_keeps_a_spaced_scope(self, tmp_path):
+        spec = diststat.TransformSpec("power", -0.25, 0.5)
+        path = tmp_path / "transform.cfg"
+        cli.write_transform_cfg(
+            {"physica a": diststat.FittedTransform(spec, 1.5, 0.25)},
+            str(path))
+        assert path.read_text().startswith("scope=physica a step1=")
+        assert cli.read_transform_cfg(str(path)) == {"physica a": spec}
+
+    def test_regress_reads_a_spaced_journal_spec(self, tmp_path):
+        # the identity is not what regress would fit for this journal
+        cfg = synth.SynthConfig(seed=31, start_year=2005, end_year=2006,
+                                journals=("physica a", "bbb"))
+        rows = synth.make_corpus_rows(cfg)
+        src = tmp_path / "corpus.csv"
+        cm.write_corpus_csv(rows, str(src))
+        spec_cfg = tmp_path / "transform.cfg"
+        cli.write_transform_cfg({"physica a": diststat.FittedTransform(
+            diststat.IDENTITY_SPEC, 0.0, 0.0)}, str(spec_cfg))
+        out = tmp_path / "regress.csv"
+        assert run(["regress", "--in", src, "--scope", "physica a",
+                    "--models", "M1", "--windows", "2005-2006",
+                    "--transform", spec_cfg, "--out", out]) == 0
+        want = tmp_path / "want.csv"
+        linmod.roll_window_run(
+            cm.clean_corpus(rows, cm.load_default_countries()),
+            windows=((2005, 2006),), model_ids=("M1",),
+            scopes=["physica a"],
+            transform_specs={"physica a": diststat.IDENTITY_SPEC}
+        ).to_csv(str(want))
+        assert out.read_bytes() == want.read_bytes()
 
     def test_regress_writes_rows(self, tmp_path, corpus_csv):
         cleaned = tmp_path / "cleaned.csv"
@@ -143,21 +174,6 @@ class TestSubcommands:
                     "--to", "2006-12-31", "--top", 5, "--out", out,
                     *flags]) == 0
         assert out.read_text().startswith("term,coefficient,")
-
-    @pytest.mark.parametrize("stage,row,message", [
-        ("normality", "1,consolidated,2005,1,6,2",
-         "expected 8 fields, got 6"),
-        ("transform", "1,consolidated,2005,1,6,2,9,abc",
-         "could not convert string to float: 'abc'")])
-    def test_bad_rud_row_names_file_and_line(self, tmp_path, capsys, stage,
-                                             row, message):
-        path = tmp_path / "rud.csv"
-        path.write_text(",".join(rud.RUD_CSV_COLUMNS) + "\n" + row + "\n")
-        argv = [stage, "--test" if stage == "normality" else "--fit", path]
-        if stage == "transform":
-            argv += ["--out", tmp_path / "transform.cfg"]
-        assert run(argv) == 2
-        assert f"{path} line 2: {message}" in capsys.readouterr().err
 
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         rc = run(["clean", "--in", tmp_path / "nope.csv",
@@ -195,13 +211,14 @@ class TestRunConfig:
 
 
 class TestPipeline:
-    def write_config(self, tmp_path, corpus_csv, stages, extra=""):
+    def write_config(self, tmp_path, corpus_csv, stages, extra="",
+                     scope="consolidated"):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             f"stages = {stages}\n"
             f"out_dir = {tmp_path / 'out'}\n"
             f"corpus = {corpus_csv}\n"
-            "scope = consolidated\n"
+            f"scope = {scope}\n"
             "models = M1\n"
             "windows = 2005-2006\n"
             "select = weekday in 6, 7\n"
@@ -420,6 +437,48 @@ class TestPipeline:
         assert f"stage={stage}" in marker and "no observations" in marker
         assert not (tmp_path / "out" / "transform.cfg").exists()
 
+    def test_ratio_subcommands_are_their_stages(self, tmp_path, corpus_csv,
+                                                capsys):
+        cfg = self.write_config(tmp_path, corpus_csv,
+                                "clean, normality, transform",
+                                scope="journal")
+        assert run(["pipeline", "--config", cfg]) == 0
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(["normality", "--in", out / "cleaned.csv",
+                    "--scope", "journal"]) == 0
+        assert capsys.readouterr().out \
+            == (out / "normality.txt").read_text(encoding="utf-8")
+        spec_cfg = tmp_path / "transform.cfg"
+        assert run(["transform", "--in", out / "cleaned.csv", "--scope",
+                    "journal", "--out", spec_cfg]) == 0
+        assert spec_cfg.read_bytes() == (out / "transform.cfg").read_bytes()
+        assert sorted(cli.read_transform_cfg(str(spec_cfg))) \
+            == ["aaa", "bbb"]
+
+    @pytest.mark.parametrize("stage", ["normality", "transform"])
+    def test_failed_scope_is_named(self, tmp_path, corpus_csv, capsys,
+                                   stage):
+        rows = cm.read_corpus_csv(str(corpus_csv))
+        rows += [cm.RawRecord(id=len(rows) + k, journal="tiny",
+                              received=date(2005, 3, k), revised=None,
+                              online=None, author_count=2, page_count=3,
+                              country="US") for k in (1, 2, 3)]
+        src = tmp_path / "tiny.csv"
+        cm.write_corpus_csv(rows, str(src))
+        error = "scope=tiny: need at least 4 observations, got 3"
+        cfg = self.write_config(tmp_path, src, f"clean, {stage}",
+                                scope="journal")
+        assert run(["pipeline", "--config", cfg]) == 1
+        assert (tmp_path / "out" / "FAILED").read_text() \
+            == f"stage={stage}\nerror={error}\n"
+        capsys.readouterr()
+        argv = [stage, "--in", src, "--scope", "journal"]
+        if stage == "transform":
+            argv += ["--out", tmp_path / "transform.cfg"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     @pytest.mark.parametrize("key,value,message", [
         ("panel_top", "-3", "the panel needs at least 1 country, "
                             "got top_n = -3"),
@@ -532,8 +591,8 @@ REQUIRED_FLAGS = {
                 {"harvest_in", "harvest_style", "harvest_journal"}),
     "clean": (["--in", "c", "--out", "o"], {"corpus"}),
     "rud": (["--in", "c", "--out", "o"], {"corpus"}),
-    "normality": (["--test", "r"], set()),
-    "transform": (["--fit", "r", "--out", "o"], set()),
+    "normality": (["--in", "c"], {"corpus"}),
+    "transform": (["--in", "c", "--out", "o"], {"corpus"}),
     "regress": (["--in", "c", "--out", "o"], {"corpus"}),
     "panel": (["--in", "c", "--out", "o", "--from", "2005-01-01",
                "--to", "2006-12-31"], {"corpus", "panel_from", "panel_to"}),
@@ -697,3 +756,17 @@ def test_readme_stage_table_matches_stages():
     assert rows == {s.name: (tuple((k.name, k.default) for k in s.keys),
                              s.outputs) for s in cli.STAGES}
     assert list(rows) == [s.name for s in cli.STAGES]
+
+
+def test_readme_command_lines_parse():
+    # every `dwe ...` line of the Command line section's sh blocks
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = text.split("\n## Command line\n")[1].split("\n## ")[0]
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", section,
+                                          re.DOTALL)
+             for line in block.splitlines() if line.startswith("dwe ")]
+    assert len(lines) == len(cli.STAGES) + 1
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

@@ -412,6 +412,10 @@ class TestSearchMatchesReference:
         assert got.jb_statistic == pytest.approx(ref.jb_statistic, rel=1e-12)
 
 
+#: a c grid without 0: 0.05..0.1 by 0.01
+NO_ZERO_C = np.round(0.05 + 0.01 * np.arange(6), 10)
+
+
 class TestTieBreaks:
     # {1, 2, 1, 2}: every step-1 map sends 1 to 0, so y* is {0, v, 0, v} and
     # the normalized deviations are exactly -1, 1, -1, 1 for every v; every
@@ -437,7 +441,7 @@ class TestTieBreaks:
         assert fit.spec == diststat.TransformSpec("log10-shift", 0.0, 0.0)
         assert fit.jb_statistic == pytest.approx(6.0, rel=1e-15)
 
-    def test_log10_shift_and_power_zero_tie_exactly(self):
+    def test_log10_shift_and_power_zero_tie_exactly(self, monkeypatch):
         # their skewness is one number in exact arithmetic, so both are
         # scored on ln(x) and the rule, not the last bit, picks the family
         xs = [0.61, 1.15, 2.01, 2.67, 8.88, 9.97, 1.24, 2.24, 2.45, 3.4,
@@ -447,16 +451,15 @@ class TestTieBreaks:
         assert fit.spec.step1_param == 0.0
         assert fit.step1_abs_skewness == abs(
             diststat._moment_kernel(np.log(xs))[1])
-        no_zero_c = diststat.TransformSearchGrid(c_min=0.05, c_max=0.1)
-        fit = diststat.fit_transform_spec(xs, no_zero_c)
+        monkeypatch.setattr(diststat, "C_GRID", NO_ZERO_C)
+        fit = diststat.fit_transform_spec(xs)
         assert (fit.spec.step1_family, fit.spec.step1_param) \
             == ("power", 0.0)
 
-    def test_smaller_param_then_first_in_grid_order(self):
-        grid = diststat.TransformSearchGrid(c_min=0.05, c_max=0.1,
-                                            lam2_min=-0.5, lam2_max=0.5,
-                                            lam2_step=1.0)
-        fit = diststat.fit_transform_spec(self.SAMPLE, grid)
+    def test_smaller_param_then_first_in_grid_order(self, monkeypatch):
+        monkeypatch.setattr(diststat, "C_GRID", NO_ZERO_C)
+        monkeypatch.setattr(diststat, "LAM2_GRID", np.array([-0.5, 0.5]))
+        fit = diststat.fit_transform_spec(self.SAMPLE)
         # step 1: power l1=0 (|param| 0) beats log10 c=0.05.  Step 2:
         # -0.5 and 0.5 tie on (JB, |l2|), so the first in grid order stays.
         assert fit.spec == diststat.TransformSpec("power", 0.0, -0.5)

@@ -187,12 +187,12 @@ class TestJenks:
 
 
 class TestExport:
-    def test_outputs_are_deterministic(self, tmp_path):
+    def test_outputs_are_deterministic(self, tmp_path, country_table):
         corpus = lq_corpus(5)
         sel = geo.parse_selection("weekday in 6,7")
         entries = geo.localization_quotient(corpus, sel)
         br = geo.jenks_breaks([e.lq for e in entries], 3)
-        allc = sorted(corpus.countries)
+        allc = sorted(country_table)
         outs = []
         for tag in ("a", "b"):
             csv_p = tmp_path / f"{tag}.csv"
@@ -202,13 +202,13 @@ class TestExport:
             outs.append((csv_p.read_bytes(), gj_p.read_bytes()))
         assert outs[0] == outs[1]
 
-    def test_geojson_shape(self, tmp_path):
+    def test_geojson_shape(self, tmp_path, country_table):
         corpus = lq_corpus(6)
         sel = geo.parse_selection("weekday in 1")
         entries = geo.localization_quotient(corpus, sel)
         br = geo.jenks_breaks([e.lq for e in entries], 2)
         csv_p, gj_p = tmp_path / "x.csv", tmp_path / "x.geojson"
-        allc = sorted(corpus.countries)
+        allc = sorted(country_table)
         geo.export_choropleth(entries, br, str(csv_p), str(gj_p),
                               all_countries=allc)
         doc = json.loads(gj_p.read_text())
@@ -222,14 +222,14 @@ class TestExport:
             else:
                 assert props["lq"] is None
 
-    def test_null_rows_in_csv(self, tmp_path):
+    def test_null_rows_in_csv(self, tmp_path, country_table):
         corpus = lq_corpus(7)
         sel = geo.parse_selection("weekday in 2")
         entries = geo.localization_quotient(corpus, sel)
         br = geo.jenks_breaks([e.lq for e in entries], 2)
         csv_p, gj_p = tmp_path / "y.csv", tmp_path / "y.geojson"
         geo.export_choropleth(entries, br, str(csv_p), str(gj_p),
-                              all_countries=sorted(corpus.countries)
+                              all_countries=sorted(country_table)
                               + ["ZZ_NOT_REAL"])
         lines = csv_p.read_text().splitlines()
         assert lines[0] == "country,lq,class_index"

@@ -77,9 +77,10 @@ SUBCOMMANDS = (
                "--report", "sub/cleaning_report.json"]),
     ("rud", ["rud", "--in", "sub/cleaned.csv", "--scope", "journal",
              "--out", "sub/rud.csv"]),
-    ("normality", ["normality", "--test", "sub/rud.csv"]),
-    ("transform", ["transform", "--fit", "sub/rud.csv",
-                   "--out", "sub/transform.cfg"]),
+    ("normality", ["normality", "--in", "sub/cleaned.csv",
+                   "--scope", "journal"]),
+    ("transform", ["transform", "--in", "sub/cleaned.csv",
+                   "--scope", "journal", "--out", "sub/transform.cfg"]),
     ("regress", ["regress", "--in", "sub/cleaned.csv", "--models", "M1..M3",
                  "--windows", "none", "--transform", "sub/transform.cfg",
                  "--out", "sub/regress.csv"]),

@@ -74,13 +74,14 @@ def assert_same_fit(got, want):
             assert a == b, field.name
 
 
-def assert_same_panel(corpus, start, end, top_n):
-    """build_panel and every fit equal the row-wise reference's: the
-    same cells, the same PanelFit fields bit for bit, or the same error.
-    Returns the number of fits that succeeded."""
+def assert_same_panel(corpus, countries, start, end, top_n):
+    """build_panel and every fit equal the row-wise reference's (given
+    ``countries``, the corpus's table): the same cells, the same PanelFit
+    fields bit for bit, or the same error.  Returns the number of fits
+    that succeeded."""
     data, error = _outcome(panel.build_panel, corpus, start, end, top_n)
-    ref, ref_error = _outcome(reference_panel.build_panel, corpus, start,
-                              end, top_n)
+    ref, ref_error = _outcome(reference_panel.build_panel, corpus,
+                              countries, start, end, top_n)
     assert error == ref_error
     if ref is None:
         return 0
@@ -159,7 +160,8 @@ class TestColumnarPanel:
         table = {**country_table,
                  "NP": dataclasses.replace(country_table["NP"], lto=40.0)}
         start, end = sorted((a, b))
-        assert_same_panel(cm.clean_corpus(rows, table), start, end, top_n)
+        assert_same_panel(cm.clean_corpus(rows, table), table, start, end,
+                          top_n)
 
     def test_fits_equal_row_wise_reference(self, synth_corpus,
                                            country_table):
@@ -168,10 +170,11 @@ class TestColumnarPanel:
             seed=4, start_year=2012, end_year=2014, journals=("a", "b"),
             countries=("SA", "KW", "NP", "US", "DE", "FR", "JP", "CN"))
         switch = synth.make_corpus(cfg, country_table)
-        assert assert_same_panel(switch, date(2012, 1, 1),
+        assert assert_same_panel(switch, country_table, date(2012, 1, 1),
                                  date(2014, 12, 31), 8) == 8
-        assert assert_same_panel(synth_corpus, date(2004, 1, 1),
-                                 date(2005, 12, 31), 5) == 8
+        assert assert_same_panel(synth_corpus, country_table,
+                                 date(2004, 1, 1), date(2005, 12, 31),
+                                 5) == 8
 
     @pytest.mark.parametrize("plant", [
         synth.PanelPlant(seed=3, n_countries=4, T=400, sigma_country=0.2),

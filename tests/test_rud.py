@@ -1,5 +1,6 @@
 """Weekly concentration ratio: worked-example oracle and invariants."""
 
+import csv
 import math
 from dataclasses import replace
 
@@ -38,14 +39,15 @@ class TestWorkedExample:
         assert len(monday) == 16 and all(o.day_count == 16 for o in monday)
 
 
-def _pairs(corpus):
-    """The corpus's rows with their row-wise reference features."""
-    pairs, _ = reference_clean(corpus.records, corpus.countries)
+def _pairs(corpus, countries):
+    """The corpus's rows with their row-wise reference features under
+    ``countries``, the table the corpus was cleaned with."""
+    pairs, _ = reference_clean(corpus.records, countries)
     return pairs
 
 
-def assert_table_matches_week_groups(corpus, scope):
-    pairs = _pairs(corpus)
+def assert_table_matches_week_groups(corpus, countries, scope):
+    pairs = _pairs(corpus, countries)
     groups = build_week_groups(pairs, scope)
     features = {row.id: f for row, f in pairs}
     table = rud.build_rud_dataset(corpus, scope)
@@ -61,12 +63,14 @@ def assert_table_matches_week_groups(corpus, scope):
 
 
 class TestWeekGroups:
-    def test_group_totals_match_membership(self, sample_corpus):
-        groups = build_week_groups(_pairs(sample_corpus), rud.CONSOLIDATED)
+    def test_group_totals_match_membership(self, sample_corpus,
+                                           country_table):
+        groups = build_week_groups(_pairs(sample_corpus, country_table),
+                                   rud.CONSOLIDATED)
         assert sum(g.total for g in groups.values()) == 47
 
-    def test_journal_scope_splits(self, synth_corpus):
-        pairs = _pairs(synth_corpus)
+    def test_journal_scope_splits(self, synth_corpus, country_table):
+        pairs = _pairs(synth_corpus, country_table)
         per_journal = build_week_groups(pairs, "journal")
         consolidated = build_week_groups(pairs, rud.CONSOLIDATED)
         assert sum(g.total for g in per_journal.values()) \
@@ -79,16 +83,17 @@ class TestWeekGroups:
 
     @pytest.mark.parametrize("scope", ["journal", rud.CONSOLIDATED])
     @pytest.mark.parametrize("fixture", ["sample_corpus", "synth_corpus"])
-    def test_table_matches_week_groups(self, request, fixture, scope):
+    def test_table_matches_week_groups(self, request, country_table,
+                                       fixture, scope):
         assert_table_matches_week_groups(request.getfixturevalue(fixture),
-                                         scope)
+                                         country_table, scope)
 
     @settings(max_examples=60, deadline=None)
     @given(raw_rows(), st.sampled_from(["journal", rud.CONSOLIDATED]))
     def test_drawn_table_matches_week_groups(self, country_table, rows,
                                              scope):
         corpus = cm.clean_corpus(rows, country_table)
-        assert_table_matches_week_groups(corpus, scope)
+        assert_table_matches_week_groups(corpus, country_table, scope)
         for o, row in zip(rud.build_rud_dataset(corpus, scope),
                           corpus.records):
             assert (o.article_id, o.journal, o.received) \
@@ -150,12 +155,15 @@ class TestCsv:
         obs = rud.build_rud_dataset(sample_corpus, rud.CONSOLIDATED)
         path = tmp_path / "rud.csv"
         rud.write_rud_csv(obs, str(path))
-        back = rud.read_rud_csv(str(path))
-        assert len(back) == len(obs)
-        for row, o in zip(back, obs):
-            assert row["article_id"] == o.article_id
-            assert row["rud"] == o.rud  # repr round-trip is exact
-            assert row["N"] == o.week_total
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *back = csv.reader(fh)
+        assert tuple(header) == rud.RUD_CSV_COLUMNS
+        assert back == [[str(o.article_id), o.scope, str(o.year),
+                         str(o.week_number), str(o.weekday),
+                         str(o.day_count), str(o.week_total), repr(o.rud)]
+                        for o in obs]
+        # repr round-trip is exact
+        assert [float(row[7]) for row in back] == obs.rud.tolist()
 
     def test_attach_transform_populates_both_steps(self, sample_corpus):
         from dwe import diststat
