@@ -199,6 +199,8 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C) -> FitResult:
     n, p = X.shape
     # the OLS start; its (X'X)^-1 also serves the final covariance
     beta, xtx_inv = qr_solve(X, y, design.columns)
+    # dgeqrf reads Fortran order, so weight a Fortran-ordered copy of X
+    X_f = np.asfortranarray(X)
     w = np.ones(n)
     scale = 1.0
     converged = False
@@ -219,7 +221,7 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C) -> FitResult:
                 f"every observation lies beyond c={c} scale units; "
                 "robust fit impossible")
         sw = np.sqrt(w)
-        beta_new, _ = qr_solve(X * sw[:, None], y * sw, design.columns)
+        beta_new, _ = qr_solve(X_f * sw[:, None], y * sw, design.columns)
         delta = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
         if delta < RLS_TOL:

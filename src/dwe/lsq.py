@@ -10,27 +10,42 @@ from typing import Sequence
 
 import numpy as np
 from scipy import linalg as _sla
+from scipy.linalg import lapack as _lapack
 
 from .diststat import norm_sf, t_sf
 
 CONST = "const"
 
 
+def _rank_tolerance(shape: tuple[int, int], diag: np.ndarray) -> float:
+    """max(n, p) eps max|R_ii|, for an n x p matrix whose R has the
+    absolute diagonal ``diag``: both QR rank tests count an entry at or
+    below it as zero."""
+    return max(shape) * np.finfo(float).eps * (diag.max() if diag.size
+                                               else 0.0)
+
+
 def qr_solve(X: np.ndarray, y: np.ndarray,
              columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(beta, (X'X)^-1) via QR; raises naming dependent columns."""
-    Q, R = np.linalg.qr(X)
+    """(beta, (X'X)^-1) from the Householder factor of X; Q is never
+    formed, dormqr applies Q' to y.  Raises naming dependent columns."""
+    n, p = X.shape
+    lwork = int(_lapack.dgeqrf_lwork(n, p)[0])
+    qr, tau, _, _ = _lapack.dgeqrf(X, lwork=lwork)
+    R = np.triu(qr[:p])
     diag = np.abs(np.diag(R))
-    tol = max(X.shape) * np.finfo(float).eps * (diag.max() if diag.size
-                                                else 0.0)
+    tol = _rank_tolerance(X.shape, diag)
     if diag.size and diag.min() <= tol:
-        _, _, piv = _sla.qr(X, mode="economic", pivoting=True)
+        _, piv = _sla.qr(X, mode="r", pivoting=True)
         rank = int(np.sum(diag > tol))
         dependent = [columns[i] for i in sorted(piv[rank:])]
         raise ValueError(f"design is rank deficient; dependent columns: "
                          f"{', '.join(dependent)}")
-    beta = _sla.solve_triangular(R, Q.T @ y)
-    r_inv = _sla.solve_triangular(R, np.eye(R.shape[0]))
+    c = y[:, None]
+    lwork = int(_lapack.dormqr("L", "T", qr, tau, c, -1)[1][0])
+    qty = _lapack.dormqr("L", "T", qr, tau, c, lwork)[0]
+    beta = _sla.solve_triangular(R, qty[:p, 0])
+    r_inv = _sla.solve_triangular(R, np.eye(p))
     return beta, r_inv @ r_inv.T
 
 
@@ -50,10 +65,9 @@ def drop_degenerate_columns(X: np.ndarray, columns: Sequence[str]
     columns = [columns[j] for j in keep]
     if X.shape[1] == 0:
         return X, columns, dropped
-    _, R, piv = _sla.qr(X, mode="economic", pivoting=True)
+    R, piv = _sla.qr(X, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
-    tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
+    rank = int(np.sum(diag > _rank_tolerance(X.shape, diag)))
     if rank == X.shape[1]:
         return X, columns, dropped
     keep = sorted(piv[:rank])

@@ -662,10 +662,10 @@ BAD_KEY_VALUES = [
 #: the keys with no value a stage rejects, and why
 UNCHECKED_KEYS = {
     cli.HARVEST_JOURNAL: "any string names the journal",
-    cli.HARVEST_IN: "a path: load_run_config rejects a missing file",
-    cli.CORPUS: "a path: load_run_config rejects a missing file",
-    cli.COUNTRIES: "a path: load_run_config rejects a missing file",
-    cli.TRANSFORM: "a path: load_run_config rejects a missing file",
+    cli.HARVEST_IN: "a path: the stage that reads it fails on a missing file",
+    cli.CORPUS: "a path: the stage that reads it fails on a missing file",
+    cli.COUNTRIES: "a path: the stage that reads it fails on a missing file",
+    cli.TRANSFORM: "a path: the stage that reads it fails on a missing file",
 }
 
 #: a config under which every stage runs
