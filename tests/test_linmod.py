@@ -278,17 +278,17 @@ _STEP2 = "failed: step 2 domain: y*+1 = -8.75696 <= 0 at ratio 1.75"
 #: negative for every ratio, so its supplied spec fails every cell
 CELL_KINDS = [
     ("consolidated", "1990-1991", "M1", "", None, "", "empty", 0),
-    ("consolidated", "2004-2004", "M1", "const", 0.25913131394485306,
+    ("consolidated", "2004-2004", "M1", "const", 0.25913131394485284,
      "***", "", 2048),
-    ("consolidated", "2004-2004", "M1", "monday", 0.31163243942470426,
+    ("consolidated", "2004-2004", "M1", "monday", 0.31163243942470437,
      "***", "", 2048),
-    ("consolidated", "2004-2004", "M1", "tuesday", 0.3482421338694627,
+    ("consolidated", "2004-2004", "M1", "tuesday", 0.3482421338694631,
      "***", "", 2048),
-    ("consolidated", "2004-2004", "M1", "wednesday", 0.20267736016155163,
+    ("consolidated", "2004-2004", "M1", "wednesday", 0.2026773601615522,
      "***", "", 2048),
     ("consolidated", "2004-2004", "M1", "thursday", 0.09701781132053791,
      "***", "", 2048),
-    ("consolidated", "2004-2004", "M1", "weekend", -0.8084301097919345,
+    ("consolidated", "2004-2004", "M1", "weekend", -0.8084301097919335,
      "***", "", 2048),
     ("consolidated", "2004-2004", "M1", "_adjusted_r2", 0.30537648570957754,
      "", "", 2048),
