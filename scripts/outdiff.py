@@ -3,9 +3,8 @@
 
     python scripts/outdiff.py A B
 
-A and B are two output directories (compared file by file, recursively,
-by relative path) or two files.  Each file is reported as identical or
-summarised:
+A and B are two output directories, compared file by file (recursively,
+by relative path).  Each file is reported as identical or summarised:
 
 - ``regress.csv`` and ``panel.csv``: the rows that differ, the largest
   absolute and relative change of each numeric column, and every changed
@@ -153,15 +152,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("a", type=Path)
     ap.add_argument("b", type=Path)
     args = ap.parse_args(argv)
-    if args.a.is_dir() and args.b.is_dir():
-        files_a, files_b = _files(args.a), _files(args.b)
-        pairs = [(name, files_a.get(name), files_b.get(name))
-                 for name in sorted(files_a.keys() | files_b.keys())]
-    else:
-        pairs = [(args.b.name, args.a, args.b)]
+    for d in (args.a, args.b):
+        if not d.is_dir():
+            ap.error(f"{d}: not a directory")
+    files_a, files_b = _files(args.a), _files(args.b)
     differ = False
-    for name, a, b in pairs:
-        summary = file_diff(a, b)
+    for name in sorted(files_a.keys() | files_b.keys()):
+        summary = file_diff(files_a.get(name), files_b.get(name))
         differ |= bool(summary)
         print(f"{name}: identical" if not summary else
               "\n  ".join([f"{name}: differs"] + summary))

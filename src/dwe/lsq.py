@@ -36,7 +36,7 @@ def qr_solve(X: np.ndarray, y: np.ndarray,
     diag = np.abs(np.diag(R))
     tol = _rank_tolerance(X.shape, diag)
     if diag.size and diag.min() <= tol:
-        _, piv = _sla.qr(X, mode="r", pivoting=True)
+        _, _, piv = _sla.qr(X, mode="raw", pivoting=True)
         rank = int(np.sum(diag > tol))
         dependent = [columns[i] for i in sorted(piv[rank:])]
         raise ValueError(f"design is rank deficient; dependent columns: "
@@ -65,7 +65,7 @@ def drop_degenerate_columns(X: np.ndarray, columns: Sequence[str]
     columns = [columns[j] for j in keep]
     if X.shape[1] == 0:
         return X, columns, dropped
-    R, piv = _sla.qr(X, mode="r", pivoting=True)
+    _, R, piv = _sla.qr(X, mode="raw", pivoting=True)
     diag = np.abs(np.diag(R))
     rank = int(np.sum(diag > _rank_tolerance(X.shape, diag)))
     if rank == X.shape[1]:
