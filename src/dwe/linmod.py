@@ -36,7 +36,8 @@ from .diststat import (TestResult, TransformSpec, chi2_sf,
                        chi_square_critical, fit_transform_spec, jarque_bera,
                        moments)
 from .lsq import (CONST, FitResult, classical_inference,
-                  drop_degenerate_columns, qr_solve, t_inference)
+                  drop_degenerate_columns, qr_solve, t_inference,
+                  xtx_inverse)
 from .rud import CONSOLIDATED, attach_transform, \
     build_rud_dataset
 
@@ -162,8 +163,8 @@ def ols_fit(design: DesignMatrix) -> FitResult:
     uncentred otherwise; a constant dependent variable raises.
     """
     X, y = design.X, design.y
-    beta, xtx_inv = qr_solve(X, y, design.columns)
-    fit = classical_inference(X, y, beta, xtx_inv, design.columns,
+    beta, R = qr_solve(X, y, design.columns)
+    fit = classical_inference(X, y, beta, R, design.columns,
                               centered=CONST in design.columns)
     if fit.tss <= 0.0:
         raise ValueError("constant dependent variable")
@@ -197,8 +198,8 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C) -> FitResult:
     """
     X, y = design.X, design.y
     n, p = X.shape
-    # the OLS start; its (X'X)^-1 also serves the final covariance
-    beta, xtx_inv = qr_solve(X, y, design.columns)
+    # the OLS start; its R also gives the final covariance's (X'X)^-1
+    beta, R = qr_solve(X, y, design.columns)
     # dgeqrf reads Fortran order, so weight a Fortran-ordered copy of X
     X_f = np.asfortranarray(X)
     w = np.ones(n)
@@ -242,7 +243,7 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C) -> FitResult:
         if mean_dpsi > 0.0:
             kappa = (float(np.sum(psi ** 2)) / df) * scale ** 2 \
                 / mean_dpsi ** 2
-            se = np.sqrt(np.maximum(kappa * np.diag(xtx_inv), 0.0))
+            se = np.sqrt(np.maximum(kappa * np.diag(xtx_inverse(R)), 0.0))
         else:
             se = np.full(p, math.nan)
     else:
@@ -266,17 +267,6 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C) -> FitResult:
 
 # -- diagnostics ------------------------------------------------------------
 
-def _aux_r_squared(target: np.ndarray, X: np.ndarray) -> float:
-    """R^2 of a least-squares regression of target on X (const included)."""
-    beta, _ = np.linalg.lstsq(X, target, rcond=None)[:2]
-    resid = target - X @ beta
-    rss = float(resid @ resid)
-    tss = float(np.sum((target - target.mean()) ** 2))
-    if tss <= 0.0:
-        return 0.0
-    return 1.0 - rss / tss
-
-
 def _with_const(design: DesignMatrix) -> tuple[np.ndarray, tuple[str, ...]]:
     """The design's matrix and columns, led by a constant column unless
     ``const`` is already one of them."""
@@ -287,24 +277,28 @@ def _with_const(design: DesignMatrix) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 def vif(design: DesignMatrix) -> dict[str, float]:
-    """Variance inflation factors of the non-constant columns."""
+    """Variance inflation factors of the non-constant columns off one
+    factorisation of the const-led design: VIF_j = 1/(1 - R_j^2) =
+    [(X'X)^-1]_jj sum((x_j - mean x_j)^2), inf from 1e12 on."""
     X, columns = _with_const(design)
-    out: dict[str, float] = {}
-    for j, name in enumerate(columns):
-        if name != CONST:
-            r2 = _aux_r_squared(X[:, j], np.delete(X, j, axis=1))
-            out[name] = math.inf if r2 >= 1.0 - 1e-12 else 1.0 / (1.0 - r2)
-    return out
+    xtx_inv = xtx_inverse(qr_solve(X, design.y, columns)[1])
+    tss = np.sum((X - X.mean(axis=0)) ** 2, axis=0)
+    return {name: math.inf if v >= 1e12 else float(v)
+            for name, v in zip(columns, np.diag(xtx_inv) * tss)
+            if name != CONST}
 
 
-def _lm_test(e2: np.ndarray, X: np.ndarray, name: str) -> TestResult:
-    """n R^2 of the auxiliary regression of e2 on X, against chi^2 at 5%
-    with one degree of freedom per non-constant column of X; raises when X
-    has none."""
+def _lm_test(e2: np.ndarray, X: np.ndarray, columns: Sequence[str],
+             name: str) -> TestResult:
+    """n R^2 of the auxiliary regression of e2 on X (const-led), against
+    chi^2 at 5% with one degree of freedom per non-constant column of X;
+    a constant e2 scores 0.  Raises when X has no such column."""
     df = X.shape[1] - 1
     if df < 1:
         raise ValueError(f"no auxiliary regressors for the {name} test")
-    stat = X.shape[0] * _aux_r_squared(e2, X)
+    beta, R = qr_solve(X, e2, columns)
+    fit = classical_inference(X, e2, beta, R, columns, centered=True)
+    stat = X.shape[0] * fit.r_squared if fit.tss > 0.0 else 0.0
     crit = chi_square_critical(df)
     return TestResult(statistic=stat, df=df, critical_value=crit,
                       p_value=float(chi2_sf(stat, df)),
@@ -313,8 +307,7 @@ def _lm_test(e2: np.ndarray, X: np.ndarray, name: str) -> TestResult:
 
 def breusch_pagan(design: DesignMatrix, fit: FitResult) -> TestResult:
     """n R^2 of the squared-residual auxiliary regression on the design."""
-    return _lm_test(fit.residuals ** 2, _with_const(design)[0],
-                    "Breusch-Pagan")
+    return _lm_test(fit.residuals ** 2, *_with_const(design), "Breusch-Pagan")
 
 
 def white_test(design: DesignMatrix, fit: FitResult) -> TestResult:
@@ -329,8 +322,8 @@ def white_test(design: DesignMatrix, fit: FitResult) -> TestResult:
     aux = base + [(c * c, f"{l}^2") for c, l in base] + [
         (a * b, f"{la}*{lb}") for (a, la), (b, lb) in combinations(base, 2)]
     X = np.column_stack([np.ones(design.n)] + [c for c, _ in aux])
-    X, _, _ = drop_degenerate_columns(X, [CONST] + [l for _, l in aux])
-    return _lm_test(fit.residuals ** 2, X, "White")
+    X, columns, _ = drop_degenerate_columns(X, [CONST] + [l for _, l in aux])
+    return _lm_test(fit.residuals ** 2, X, columns, "White")
 
 
 def residual_jb(fit: FitResult) -> TestResult:

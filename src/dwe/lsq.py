@@ -1,6 +1,6 @@
-"""Least-squares core shared by the model ladder and the country panel:
-the QR solve, the degenerate-column drop, the classical inference and the
-one record of a fit, ``FitResult``."""
+"""Least-squares core shared by the model ladder, its diagnostics and the
+country panel: the QR solve, the degenerate-column drop, the classical
+inference and the one record of a fit, ``FitResult``."""
 
 from __future__ import annotations
 
@@ -27,8 +27,8 @@ def _rank_tolerance(shape: tuple[int, int], diag: np.ndarray) -> float:
 
 def qr_solve(X: np.ndarray, y: np.ndarray,
              columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(beta, (X'X)^-1) from the Householder factor of X; Q is never
-    formed, dormqr applies Q' to y.  Raises naming dependent columns."""
+    """(beta, R) from the Householder factor X = QR; Q is never formed,
+    dormqr applies Q' to y.  Raises naming dependent columns."""
     n, p = X.shape
     lwork = int(_lapack.dgeqrf_lwork(n, p)[0])
     qr, tau, _, _ = _lapack.dgeqrf(X, lwork=lwork)
@@ -44,9 +44,14 @@ def qr_solve(X: np.ndarray, y: np.ndarray,
     c = y[:, None]
     lwork = int(_lapack.dormqr("L", "T", qr, tau, c, -1)[1][0])
     qty = _lapack.dormqr("L", "T", qr, tau, c, lwork)[0]
-    beta = _sla.solve_triangular(R, qty[:p, 0])
-    r_inv = _sla.solve_triangular(R, np.eye(p))
-    return beta, r_inv @ r_inv.T
+    return _sla.solve_triangular(R, qty[:p, 0]), R
+
+
+def xtx_inverse(R: np.ndarray) -> np.ndarray:
+    """(X'X)^-1 = R^-1 R^-T from the triangular factor ``qr_solve``
+    returns."""
+    r_inv = _sla.solve_triangular(R, np.eye(R.shape[0]))
+    return r_inv @ r_inv.T
 
 
 def drop_degenerate_columns(X: np.ndarray, columns: Sequence[str]
@@ -87,11 +92,11 @@ def stars(p: float) -> str:
 
 def t_inference(beta: np.ndarray, se: np.ndarray, df: int | None = None
                 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """t = beta/se (a zero se gives a signed infinity), two-sided p-values
-    from Student's t on ``df`` degrees of freedom, or from the normal
-    distribution when ``df`` is None, and their stars."""
+    """t = beta/se (a zero se gives a signed infinity, a NaN se a NaN t
+    and p and no star), two-sided p-values from Student's t on ``df``
+    degrees of freedom, or the normal when ``df`` is None, and stars."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(se > 0, beta / se, np.inf * np.sign(beta))
+        t = beta / se
     a = np.abs(t)
     pvals = 2.0 * (norm_sf(a) if df is None else t_sf(a, df))
     return t, pvals, tuple(stars(pv) for pv in pvals)
@@ -121,18 +126,19 @@ class FitResult:
 
 
 def classical_inference(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
-                        xtx_inv: np.ndarray, columns: Sequence[str],
+                        R: np.ndarray, columns: Sequence[str],
                         centered: bool) -> FitResult:
-    """se = sqrt(s^2 diag((X'X)^-1)) with s^2 = RSS/(n - p), t-based
-    p-values, and R^2 against the centred total sum of squares, or the
-    uncentred one when ``centered`` is false.  A saturated design (n = p)
-    has exact coefficients and NaN inference."""
+    """The inference of ``qr_solve``'s (beta, R): se = sqrt(s^2
+    diag((X'X)^-1)) with s^2 = RSS/(n - p), t-based p-values, and R^2
+    against the centred total sum of squares, or the uncentred one when
+    ``centered`` is false.  A saturated design (n = p) has exact
+    coefficients and NaN inference, and forms no (X'X)^-1."""
     n, p = X.shape
     resid = y - X @ beta
     rss = float(resid @ resid)
     df = n - p
     if df > 0:
-        se = np.sqrt(np.maximum(rss / df * np.diag(xtx_inv), 0.0))
+        se = np.sqrt(np.maximum(rss / df * np.diag(xtx_inverse(R)), 0.0))
         t, pvals, marks = t_inference(beta, se, df)
     else:
         se, t, pvals = np.full((3, p), math.nan)

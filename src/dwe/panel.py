@@ -249,8 +249,8 @@ def _egls_fit(X: np.ndarray, y: np.ndarray, n_ct: np.ndarray,
     X_t = X - theta_by_code[g][:, None] * Xbar[g]
 
     # R^2 is always centred, and a constant transformed outcome gives NaN
-    beta, xtx_inv = qr_solve(X_t, y_t, labels)
-    fit = classical_inference(X_t, y_t, beta, xtx_inv, labels, centered=True)
+    beta, R = qr_solve(X_t, y_t, labels)
+    fit = classical_inference(X_t, y_t, beta, R, labels, centered=True)
 
     denom = sigma2_country + sigma2_idio
     return PanelFit(

@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference_lsq
-from conftest import design_from_arrays, tiny_panel
-from dwe import linmod, lsq, panel
+from conftest import design_from_arrays, make_planted, tiny_panel
+from dwe import diststat, linmod, lsq, panel, rud
 from dwe.panel import PANEL_COLUMNS
 
 
@@ -76,16 +76,16 @@ class TestQrSolveAgainstReference:
                 lsq.qr_solve(X, y, columns)
             assert str(got.value) == str(err)
             return
-        beta, xtx_inv = lsq.qr_solve(X, y, columns)
+        beta, R = lsq.qr_solve(X, y, columns)
         # the same dgeqrf gives the same R
-        assert np.array_equal(xtx_inv, xtx_ref)
+        assert np.array_equal(lsq.xtx_inverse(R), xtx_ref)
         # Q'y is rounded differently; an error of order eps ||y|| in it
         # moves beta by at most ||R^-1|| = cond(X) / ||X|| times as much
         norm_X = np.linalg.norm(X, 2)
         assert np.linalg.norm(beta - beta_ref) <= 1e-14 * np.linalg.cond(X) \
             * (np.linalg.norm(beta_ref) + np.linalg.norm(y) / norm_X)
         se, se_ref = (lsq.classical_inference(
-            X, y, b, xtx_inv, columns, centered=True).standard_errors
+            X, y, b, R, columns, centered=True).standard_errors
             for b in (beta, beta_ref))
         # y - X beta itself is rounded by about eps ||X|| ||beta||, which
         # no solve removes; se = ||y - X beta|| sqrt(diag / df) carries it
@@ -108,6 +108,161 @@ class TestQrSolveAgainstReference:
             "design is rank deficient; dependent columns: ")
 
 
+class TestTInference:
+    def test_nan_standard_error_gives_no_star(self):
+        t, pvals, marks = lsq.t_inference(np.array([1.0, -2.0, 3.0, 0.5]),
+                                          np.array([math.nan, math.nan,
+                                                    0.0, 0.25]))
+        assert np.isnan(t[:2]).all() and np.isnan(pvals[:2]).all()
+        assert t[2] == math.inf and pvals[2] == 0.0
+        assert t[3] == 2.0
+        assert marks[:3] == ("", "", "***")
+
+
+@st.composite
+def diagnostic_designs(draw):
+    """A design of one of four kinds, its columns kept by the pivoted drop
+    of the const-led matrix: a constant, then alternately dummy and
+    normal columns scaled over six decades; the same without the
+    constant; dummy-heavy (one to three categories of two to five levels,
+    some rare, each less its first level); or a constant and a normal a
+    with its near-duplicate a + s noise, s from 1e-10 to 0.1, so that
+    VIF (about 1/s^2) falls on both sides of 1e12.  y's noise grows with
+    the last column."""
+    kind = draw(st.sampled_from(("plain", "no-const", "dummies", "pair")))
+    n = draw(st.integers(12, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "dummies":
+        cols = []
+        for _ in range(draw(st.integers(1, 3))):
+            k = draw(st.integers(2, 5))
+            group = rng.choice(k, size=n, p=rng.dirichlet(np.full(k, 0.5)))
+            cols += [(group == level).astype(float) for level in range(1, k)]
+    elif kind == "pair":
+        a = rng.normal(size=n)
+        s = 10.0 ** draw(st.floats(-10.0, -1.0))
+        cols = [a, a + s * rng.normal(size=n)]
+    else:
+        cols = [rng.integers(0, 2, n).astype(float) if j % 2
+                else rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+                for j in range(draw(st.integers(1, 7)))]
+    X = np.column_stack([np.ones(n)] + cols)
+    X, columns, _ = lsq.drop_degenerate_columns(
+        X, ["const"] + [f"x{j}" for j in range(len(cols))])
+    if kind == "no-const":
+        X, columns = X[:, 1:], columns[1:]
+    assume(X.shape[1] >= 1)
+    y = X @ rng.normal(size=X.shape[1]) \
+        + rng.normal(size=n) * (1.0 + np.abs(X[:, -1]))
+    return design_from_arrays(y, X, columns)
+
+
+def assert_diagnostics_match_reference(design):
+    """``vif``, ``breusch_pagan`` and ``white_test`` against the
+    ``lstsq`` oracle, within bounds set by the conditioning."""
+    fit = linmod.ols_fit(design)
+    X = linmod._with_const(design)[0]
+    cond = np.linalg.cond(X)
+    want = reference_lsq.vif(design)
+    got = linmod.vif(design)
+    assert got.keys() == want.keys()
+    for name, value in got.items():
+        ref = want[name]
+        if math.isinf(value) and math.isinf(ref):
+            continue
+        if math.isinf(value) or math.isinf(ref):
+            # the two sides of the threshold: only within the bound of it
+            finite = ref if math.isinf(value) else value
+            assert finite >= 1e12 * (1.0 - 1e-14 * max(cond, 1e12))
+            continue
+        # the reference's 1 - R^2 cancels to eps VIF relative; a row of
+        # R^-1 carries eps cond(X)
+        assert abs(value - ref) <= 1e-14 * max(cond, ref) * ref
+    e2 = fit.residuals ** 2
+    tss = float(np.sum((e2 - e2.mean()) ** 2))
+    for test, oracle, M in (
+            (linmod.breusch_pagan, reference_lsq.breusch_pagan_statistic, X),
+            (linmod.white_test, reference_lsq.white_statistic,
+             reference_lsq.white_matrix(design))):
+        if M.shape[1] < 2:
+            with pytest.raises(ValueError, match="no auxiliary regressors"):
+                test(design, fit)
+            continue
+        result = test(design, fit)
+        stat, df = oracle(design, fit)
+        assert result.df == df
+        # a solve's residual moves by about eps cond(M) ||e2||, its square
+        # sum by twice that times ||resid||, and R^2 by that over tss
+        resid = e2 - M @ np.linalg.lstsq(M, e2, rcond=None)[0]
+        slack = 1e-14 * np.linalg.cond(M) * np.linalg.norm(e2) \
+            * np.linalg.norm(resid) / tss
+        assert abs(result.statistic - stat) <= M.shape[0] * slack
+
+
+class TestDiagnosticsAgainstReference:
+    """The diagnostics through ``qr_solve`` against one ``lstsq`` fit per
+    auxiliary regression (``reference_lsq``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(diagnostic_designs())
+    def test_matches_reference(self, design):
+        assert_diagnostics_match_reference(design)
+
+    @pytest.mark.parametrize("model_id", ["M5", "M9"])
+    def test_ladder_designs(self, synth_corpus, model_id):
+        # qr_solve's unpivoted rank test accepts every White auxiliary
+        # matrix the pivoted drop kept, or white_test would raise
+        table = rud.build_rud_dataset(synth_corpus, rud.CONSOLIDATED)
+        _, y = rud.attach_transform(table, diststat.IDENTITY_SPEC)
+        design = linmod.build_design(
+            linmod.superset_matrix(synth_corpus.columns), y,
+            linmod.standard_model(model_id))
+        assert_diagnostics_match_reference(design)
+
+    @pytest.mark.parametrize("s, finite", [(1e-5, True), (1e-7, False)])
+    def test_vif_threshold(self, s, finite):
+        # VIF of the pair is about 1/s^2: 1e10 on one side of 1e12,
+        # 1e14 on the other, on both solves
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=200)
+        X = np.column_stack([np.ones(200), a, a + s * rng.normal(size=200)])
+        design = design_from_arrays(rng.normal(size=200), X,
+                                    ["const", "a", "b"])
+        got, want = linmod.vif(design), reference_lsq.vif(design)
+        for name in ("a", "b"):
+            assert math.isfinite(got[name]) == finite
+            assert math.isfinite(want[name]) == finite
+            if finite:
+                assert got[name] == pytest.approx(want[name], rel=1e-4)
+                assert 1e9 < got[name] < 1e11
+
+    def test_columns_spanning_the_constant_are_named(self):
+        # no const column, but a + b = 1: the const-led matrix is rank
+        # deficient.  The oracle read inf VIFs for a and b and gave
+        # Breusch-Pagan df = 3 for two independent regressors; the solve
+        # names the dependent column instead
+        rng = np.random.default_rng(1)
+        a = (rng.uniform(size=50) < 0.5).astype(float)
+        X = np.column_stack([a, 1.0 - a, rng.normal(size=50)])
+        design = design_from_arrays(rng.normal(size=50) + a, X,
+                                    ["a", "b", "z"])
+        fit = linmod.ols_fit(design)
+        assert reference_lsq.vif(design)["a"] == math.inf
+        assert reference_lsq.breusch_pagan_statistic(design, fit)[1] == 3
+        message = "design is rank deficient; dependent columns: a"
+        with pytest.raises(ValueError, match=message):
+            linmod.vif(design)
+        with pytest.raises(ValueError, match=message):
+            linmod.breusch_pagan(design, fit)
+
+    def test_constant_squared_residuals_score_zero(self):
+        design, _ = make_planted(9)
+        fit = replace(linmod.ols_fit(design),
+                      residuals=np.full(design.n, 0.5))
+        assert linmod.breusch_pagan(design, fit).statistic == 0.0
+        assert linmod.white_test(design, fit).statistic == 0.0
+
+
 class TestCallersDiffer:
     def test_constant_outcome_raises_in_ols_but_is_nan_in_the_core(self):
         X = np.column_stack([np.ones(6), np.arange(6.0)])
@@ -115,8 +270,8 @@ class TestCallersDiffer:
         with pytest.raises(ValueError, match="constant dependent"):
             linmod.ols_fit(design_from_arrays(y, X, ["const", "x"]))
         # the panel takes the core's answer as it is
-        beta, xtx_inv = lsq.qr_solve(X, y, ["const", "x"])
-        fit = lsq.classical_inference(X, y, beta, xtx_inv, ["const", "x"],
+        beta, R = lsq.qr_solve(X, y, ["const", "x"])
+        fit = lsq.classical_inference(X, y, beta, R, ["const", "x"],
                                       centered=True)
         assert fit.tss == 0.0
         assert math.isnan(fit.r_squared)
