@@ -16,16 +16,18 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Mapping
+
+import numpy as np
 
 from . import __version__, corpus as corpus_mod, diststat, geo, harvest, \
     linmod, panel as panel_mod, rud as rud_mod
@@ -213,6 +215,15 @@ def _json_text(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+@contextlib.contextmanager
+def _named(key: Key):
+    """Prefix a ValueError raised in the block with ``key``'s name."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{key.name}: {exc}") from exc
+
+
 class RunContext:
     """What the stages of one run share.
 
@@ -235,12 +246,10 @@ class RunContext:
         """The key's parsed value, else its parsed default; an unset
         required key or a rejected value raises naming the key."""
         text = self.config.get(key.name) or key.default
-        try:
+        with _named(key):
             if text is None:
                 raise ValueError("required, not set")
             return key.parse(text, *context)
-        except ValueError as exc:
-            raise ValueError(f"{key.name}: {exc}") from exc
 
     def write_text(self, name: str, text: str) -> None:
         """Write output ``name`` if this run gives it a path."""
@@ -268,7 +277,7 @@ class RunContext:
     def rud(self) -> rud_mod.RudTable:
         return rud_mod.build_rud_dataset(self.cleaned, self.value(SCOPE))
 
-    def by_scope(self, fn: Callable[[list[float]], Any]) -> dict[str, Any]:
+    def by_scope(self, fn: Callable[[np.ndarray], Any]) -> dict[str, Any]:
         """``fn`` of each scope's ratios, in scope order; its ValueError
         is prefixed with ``scope=<name>: ``, and no ratios is an error."""
         tables = self.rud.by_scope()
@@ -277,7 +286,7 @@ class RunContext:
         results = {}
         for scope, table in tables.items():
             try:
-                results[scope] = fn(table.rud.tolist())
+                results[scope] = fn(table.rud)
             except ValueError as exc:
                 raise ValueError(f"scope={scope}: {exc}") from exc
         return results
@@ -320,10 +329,10 @@ def _run_rud(ctx: RunContext) -> str:
     return f"wrote {len(ctx.rud)} ratio observations -> {out}"
 
 
-def _normality_block(values: list[float]) -> str:
+def _normality_block(values: np.ndarray) -> str:
     lines = [f"n={len(values)}"]
     for label, sample in (("raw", values),
-                          ("log10", [math.log10(v) for v in values])):
+                          ("log10", np.log10(values))):
         m = diststat.moments(sample)
         jb = diststat.jarque_bera(m)
         lines.append(
@@ -368,9 +377,12 @@ def _run_regress(ctx: RunContext) -> str:
 
 def _run_panel(ctx: RunContext) -> str:
     start = ctx.value(PANEL_FROM)
-    data = panel_mod.build_panel(
-        ctx.cleaned, start=start, end=ctx.value(PANEL_TO, start),
-        top_n=ctx.value(PANEL_TOP), scope=ctx.value(SCOPE))
+    end, top_n, scope = (ctx.value(PANEL_TO, start), ctx.value(PANEL_TOP),
+                         ctx.value(SCOPE))
+    c = ctx.cleaned
+    with _named(PANEL_TOP):  # fewer countries in range than top_n
+        data = panel_mod.build_panel(c, start=start, end=end, top_n=top_n,
+                                     scope=scope)
     fit = panel_mod.re_egls_fit(
         data, weighted=ctx.value(PANEL_WEIGHTED),
         weight_mode=ctx.value(PANEL_WEIGHT_MODE),
@@ -387,7 +399,8 @@ def _run_lq(ctx: RunContext) -> str:
     c = ctx.cleaned
     selection, classes = ctx.value(SELECT), ctx.value(CLASSES)
     entries = geo.localization_quotient(c, selection)
-    breaks = geo.jenks_breaks([e.lq for e in entries], classes)
+    with _named(CLASSES):  # fewer distinct quotients than classes
+        breaks = geo.jenks_breaks([e.lq for e in entries], classes)
     csv_path, geojson_path = ctx.paths["lq.csv"], ctx.paths["lq.geojson"]
     skipped = geo.export_choropleth(entries, breaks, csv_path, geojson_path,
                                     all_countries=sorted(ctx.countries))

@@ -339,8 +339,8 @@ def read_corpus_csv(path: str) -> list[RawRecord]:
     and dates must be written as ``write_corpus_csv`` writes them.  A bad
     header, a line the csv module cannot split, or a row with the wrong
     number of fields or a bad value raises a ValueError naming the file
-    (and line)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    (and line).  A leading UTF-8 byte-order mark is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -11,7 +11,11 @@ in excess form (normal = 0).  The Jarque-Bera statistic built from these is
 JB = n (Skew^2/6 + Kurt^2/24), chi-square with 2 df under normality.
 
 One scale-normalized kernel computes both, for ``moments`` and for every
-candidate of the transform search.
+candidate of the transform search.  It sums over a sample's distinct values
+weighted by their counts: the search maps and scores only the distinct
+ratios, and ``moments`` groups its sample the same way, so ``moments`` of a
+mapped sample gives the bits the search scored, unless the map sends two
+distinct ratios to one float.
 
 The dependent-variable transform is a two-step map: step 1 is either
 log10(y)+c or the power map (y^l1 - 1)/l1 applied to the raw ratio, step 2
@@ -51,14 +55,27 @@ class TestResult:
     reject_null: bool
 
 
-def _moment_kernel(y: np.ndarray) -> tuple[float, float, float] | None:
+#: numpy's pairwise sum without ``ndarray.sum``'s wrapper, which costs as
+#: much as the sum itself on the few hundred values the search scores
+_sum = np.add.reduce
+
+
+def _moment_kernel(values: np.ndarray, counts: np.ndarray | None = None
+                   ) -> tuple[float, float, float] | None:
     """(mean, skewness, excess kurtosis), or None when constant or not finite.
 
+    The sample is ``values`` each taken ``counts`` times; without counts,
+    ``values`` is the sample itself and is grouped into its distinct values
+    first, so every caller sums the same numbers in the same order.
     Deviations are divided by their largest magnitude, so every power sum
     lies in [0, n], clear of overflow and underflow; both ratios are
-    scale-free.
+    scale-free.  Every sum is numpy's pairwise one, never a BLAS dot, whose
+    rounding follows the thread count.
     """
-    n = y.size
+    if counts is None:
+        values, counts = np.unique(values, return_counts=True)
+    y, w = values, np.asarray(counts, dtype=float)
+    n = int(_sum(w))
     lo, hi = float(y.min()), float(y.max())
     # a mean of values this small rounds in the subnormals; scaling them by
     # a power of two is exact
@@ -66,15 +83,21 @@ def _moment_kernel(y: np.ndarray) -> tuple[float, float, float] | None:
     if e < -900:
         y, lo, hi = np.ldexp(y, -e), math.ldexp(lo, -e), math.ldexp(hi, -e)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(y.mean())
+        mean = float(_sum(w * y)) / n
         spread = max(hi - mean, mean - lo)
     if not (spread > 0.0 and math.isfinite(spread)):
         return None
-    dev = (y - mean) / spread
+    # the mean's rounding shifts every deviation alike, and a skewness near
+    # 0 magnifies that shift; one correction step takes it out
+    centred = y - mean
+    shift = float(_sum(w * centred)) / n
+    mean += shift
+    dev = (centred - shift) / spread
     d2 = dev * dev
-    s2 = float(d2.sum())
-    s3 = float(d2 @ dev)
-    s4 = float(d2 @ d2)
+    wd2 = w * d2
+    s2 = float(_sum(wd2))
+    s3 = float(_sum(wd2 * dev))
+    s4 = float(_sum(wd2 * d2))
     skew = (s3 / n) / (s2 / n) ** 1.5 * (math.sqrt(n * (n - 1)) / (n - 2))
     v = s2 / (n - 1)
     kurt = (n * (n + 1) / ((n - 1) * (n - 2) * (n - 3))) * s4 / (v * v) \
@@ -284,6 +307,10 @@ def fit_transform_spec(sample) -> FittedTransform:
     Candidates whose y* is non-finite, degenerate, or has min(y*)+1 <= 0
     (no admissible second step) are skipped.  The result never has a
     higher JB than the identity map (power 1, power 1).
+
+    Each candidate maps and scores only the sample's distinct values,
+    weighted by their counts: a ratio 7 n_k / N of small integers repeats
+    many times, so a scope of 30k ratios has under a thousand distinct ones.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != 1:
@@ -291,18 +318,20 @@ def fit_transform_spec(sample) -> FittedTransform:
     n = x.size
     if n < 4:
         raise ValueError(f"need at least 4 observations, got {n}")
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
+    u, counts = np.unique(x, return_counts=True)
+    if np.any(u <= 0.0) or not np.all(np.isfinite(u)):
         raise ValueError("sample values must be positive and finite")
+    w = counts.astype(float)
 
     # (abs_skew, abs_param, family_rank, family, param)
     candidates: list[tuple[float, float, int, str, float]] = []
 
-    ln_x = np.log(x)
-    log10_min = float(np.log10(x).min())
+    ln_u = np.log(u)
+    log10_min = float(np.log10(u).min())
     feasible_c = [float(c) for c in C_GRID
                   if log10_min + float(c) + 1.0 > 0.0]
     if feasible_c:
-        m = _moment_kernel(ln_x)
+        m = _moment_kernel(ln_u, w)
         if m is not None:
             c_rep = min(feasible_c, key=lambda c: (abs(c), c))
             candidates.append((abs(m[1]), abs(c_rep), 0, LOG10_SHIFT, c_rep))
@@ -310,12 +339,12 @@ def fit_transform_spec(sample) -> FittedTransform:
     with np.errstate(over="ignore"):
         for lam in LAM1_GRID:
             lam = float(lam)
-            y1 = ln_x if lam == 0.0 else np.expm1(lam * ln_x) / lam
+            y1 = ln_u if lam == 0.0 else np.expm1(lam * ln_u) / lam
             # a NaN or -inf fails the first test, +inf the second
             if not (float(y1.min()) + 1.0 > 0.0
                     and math.isfinite(float(y1.max()))):
                 continue
-            m = _moment_kernel(y1)
+            m = _moment_kernel(y1, w)
             if m is not None:
                 candidates.append((abs(m[1]), abs(lam), 1, POWER, lam))
 
@@ -324,7 +353,7 @@ def fit_transform_spec(sample) -> FittedTransform:
 
     step1_abs_skew, _, _, family, param = min(
         candidates, key=lambda c: (c[0], c[1], c[2]))
-    log1p_y1 = np.log1p(_step1_array(x, family, param))
+    log1p_y1 = np.log1p(_step1_array(u, family, param))
 
     best2: tuple[float, float, float] | None = None  # (jb, abs_lam2, lam2)
     with np.errstate(over="ignore"):
@@ -332,7 +361,7 @@ def fit_transform_spec(sample) -> FittedTransform:
             lam2 = float(lam2)
             y2 = log1p_y1 if lam2 == 0.0 \
                 else np.expm1(lam2 * log1p_y1) / lam2
-            m = _moment_kernel(y2)
+            m = _moment_kernel(y2, w)
             if m is None:
                 continue
             jb = _jb(m, n)
@@ -341,7 +370,7 @@ def fit_transform_spec(sample) -> FittedTransform:
     if best2 is None:
         raise ValueError("empty feasible grid for step 2")
 
-    identity = _moment_kernel(x - 1.0)
+    identity = _moment_kernel(u - 1.0, w)
     if identity is not None and _jb(identity, n) < best2[0]:
         return FittedTransform(spec=IDENTITY_SPEC,
                                jb_statistic=_jb(identity, n),

@@ -107,6 +107,17 @@ class TestSubcommands:
         assert [r.id for r in rows] == [1, 2]
         assert rows[0].country == "IT" and rows[1].country == "JP"
 
+    def test_bom_corpus_cleans_like_the_plain_one(self, tmp_path,
+                                                  corpus_csv):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + corpus_csv.read_bytes())
+        cleaned = []
+        for src in (corpus_csv, bom):
+            out = tmp_path / f"cleaned-{src.stem}.csv"
+            assert run(["clean", "--in", src, "--out", out]) == 0
+            cleaned.append(out.read_bytes())
+        assert cleaned[0] == cleaned[1]
+
     def test_transform_cfg_round_trip(self, tmp_path, corpus_csv):
         cleaned = tmp_path / "cleaned.csv"
         run(["clean", "--in", corpus_csv, "--out", cleaned])
@@ -278,8 +289,8 @@ class TestPipeline:
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="one core gives one BLAS thread either way")
     def test_outputs_ignore_blas_threads(self, tmp_path):
-        # about 31k articles: enough for OpenBLAS to split the moment
-        # kernel's dot products, which moves the last digits of jb=
+        # about 31k articles: enough for OpenBLAS to split a dot product
+        # over every ratio, which would move the last digits of jb=
         cfg = synth.SynthConfig(seed=17, start_year=2010, end_year=2015,
                                 articles_per_week=99.0,
                                 journals=("alpha", "beta", "gamma"))
@@ -299,6 +310,31 @@ class TestPipeline:
             assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes()
                             for p in (tmp_path / "out").iterdir()})
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="one core gives one BLAS thread either way")
+    def test_transform_ignores_the_blas_thread_count(self, tmp_path):
+        # one scope of over 10k ratios, the size from which OpenBLAS
+        # splits a dot product between its threads
+        cfg = synth.SynthConfig(seed=17, start_year=2010, end_year=2012,
+                                articles_per_week=80.0, journals=("alpha",))
+        rows = synth.make_corpus_rows(cfg)
+        assert len(rows) > 10_000
+        corpus_csv = tmp_path / "corpus.csv"
+        cm.write_corpus_csv(rows, str(corpus_csv))
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"transform-{threads}.cfg"
+            proc = subprocess.run(
+                [sys.executable, "-m", "dwe.cli", "transform", "--in",
+                 str(corpus_csv), "--out", str(out)], capture_output=True,
+                text=True, timeout=600,
+                env={**env, **dict.fromkeys(names, threads)})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
     def test_journal_scope_through_regress(self, tmp_path, corpus_csv):
@@ -545,6 +581,23 @@ class TestPipeline:
         assert run(["pipeline", "--config", cfg]) == 1
         marker = (tmp_path / "out" / "FAILED").read_text()
         assert f"stage={stage}\nerror={key}: {message}" in marker
+
+    @pytest.mark.parametrize("stage,key,value,message", [
+        ("lq", "classes", "50", "11 distinct values cannot fill 50 classes"),
+        ("panel", "panel_top", "99",
+         "only 11 countries have articles in range, need 99")])
+    def test_data_range_error_named_in_marker(self, tmp_path, corpus_csv,
+                                              stage, key, value, message):
+        # the value parses, and only the data shows it is out of range
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {
+            "stages": f"clean, {stage}", "out_dir": tmp_path / "out",
+            "corpus": corpus_csv, "panel_from": "2005-01-01",
+            "panel_to": "2006-12-31", "select": "weekday in 6, 7",
+            key: value}.items()))
+        assert run(["pipeline", "--config", cfg]) == 1
+        assert (tmp_path / "out" / "FAILED").read_text() \
+            == f"stage={stage}\nerror={key}: {message}\n"
 
     def test_marker_cleared_on_success(self, tmp_path, corpus_csv):
         bad = self.write_config(tmp_path, corpus_csv, "clean, panel")

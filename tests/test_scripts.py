@@ -1,5 +1,6 @@
 """The experiment scripts run end to end on small inputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +23,30 @@ def test_script_runs(tmp_path, script, args):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_scale_run_one_tiny_pair(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scale_run.py"),
+         "--a", str(ROOT), "--b", str(ROOT), "--per-week", "5",
+         "--pairs", "1", "--work", str(tmp_path), "--json", "runs.json"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "corpus: 1542 articles at 5 a week"
+    assert lines[1].startswith("pair 1: a ")
+    assert lines[1].endswith("; outputs equal")
+    record = json.loads((tmp_path / "runs.json").read_text())
+    [pair] = record["pairs"]
+    assert pair["differ"] == []
+    for side in "ab":
+        assert pair[side]["exit"] == 0
+        assert pair[side]["wall_s"] > 0 and pair[side]["peak_rss_mb"] > 0
+    # the ladder stages wrote every output
+    assert sorted(p.name for p in (tmp_path / "b" / "out").iterdir()) == [
+        "cleaned.csv", "cleaning_report.json", "normality.txt",
+        "regress.csv", "rud.csv", "run_report.json", "transform.cfg"]
 
 
 REGRESS = """scope,window,model,term,coefficient,stars,marker,n
