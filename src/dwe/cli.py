@@ -376,10 +376,9 @@ def _run_regress(ctx: RunContext) -> str:
 
 
 def _run_panel(ctx: RunContext) -> str:
-    start = ctx.value(PANEL_FROM)
-    end, top_n, scope = (ctx.value(PANEL_TO, start), ctx.value(PANEL_TOP),
-                         ctx.value(SCOPE))
-    c = ctx.cleaned
+    start, c = ctx.value(PANEL_FROM), ctx.cleaned
+    end, top_n = ctx.value(PANEL_TO, start), ctx.value(PANEL_TOP)
+    scope = ctx.value(SCOPE)
     with _named(PANEL_TOP):  # fewer countries in range than top_n
         data = panel_mod.build_panel(c, start=start, end=end, top_n=top_n,
                                      scope=scope)

@@ -85,7 +85,8 @@ def _moment_kernel(values: np.ndarray, counts: np.ndarray | None = None
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(_sum(w * y)) / n
         spread = max(hi - mean, mean - lo)
-    if not (spread > 0.0 and math.isfinite(spread)):
+    # lo < hi, not spread > 0: a constant sample's mean can round off it
+    if not (lo < hi and math.isfinite(spread)):
         return None
     # the mean's rounding shifts every deviation alike, and a skewness near
     # 0 magnifies that shift; one correction step takes it out

@@ -567,7 +567,11 @@ class TestPipeline:
          "invalid literal for int() with base 10: '20x6'"),
         ("regress", "models", "M1,M10", "unknown model 'M10'"),
         ("lq", "select", "weekday in 9",
-         "weekday values out of 1..7: ['9']")])
+         "weekday values out of 1..7: ['9']"),
+        # values that parse, which only the data puts out of range
+        ("lq", "classes", "50", "11 distinct values cannot fill 50 classes"),
+        ("panel", "panel_top", "99",
+         "only 11 countries have articles in range, need 99")])
     def test_unparsable_key_named_in_marker(self, tmp_path, corpus_csv,
                                             stage, key, value, message):
         keys = {"panel_from": "2005-01-01", "panel_to": "2006-12-31",
@@ -581,23 +585,6 @@ class TestPipeline:
         assert run(["pipeline", "--config", cfg]) == 1
         marker = (tmp_path / "out" / "FAILED").read_text()
         assert f"stage={stage}\nerror={key}: {message}" in marker
-
-    @pytest.mark.parametrize("stage,key,value,message", [
-        ("lq", "classes", "50", "11 distinct values cannot fill 50 classes"),
-        ("panel", "panel_top", "99",
-         "only 11 countries have articles in range, need 99")])
-    def test_data_range_error_named_in_marker(self, tmp_path, corpus_csv,
-                                              stage, key, value, message):
-        # the value parses, and only the data shows it is out of range
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {
-            "stages": f"clean, {stage}", "out_dir": tmp_path / "out",
-            "corpus": corpus_csv, "panel_from": "2005-01-01",
-            "panel_to": "2006-12-31", "select": "weekday in 6, 7",
-            key: value}.items()))
-        assert run(["pipeline", "--config", cfg]) == 1
-        assert (tmp_path / "out" / "FAILED").read_text() \
-            == f"stage={stage}\nerror={key}: {message}\n"
 
     def test_marker_cleared_on_success(self, tmp_path, corpus_csv):
         bad = self.write_config(tmp_path, corpus_csv, "clean, panel")

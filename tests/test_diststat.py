@@ -61,6 +61,9 @@ class TestMoments:
             diststat.moments([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             diststat.moments([5.0, 5.0, 5.0, 5.0])
+        # the mean of six 0.1s rounds to 0.09999999999999999
+        with pytest.raises(ValueError, match="zero-variance"):
+            diststat.moments([0.1] * 6)
 
 
 class TestJarqueBera:
@@ -421,8 +424,13 @@ def _weekly_ratios(weeks):
 
 _week = st.lists(st.integers(min_value=0, max_value=12), min_size=7,
                  max_size=7).filter(any)
+# at the ends of the lambda1 grid, values this far apart flatten together
+_wide = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)
 _weighted_samples = st.one_of(
     st.lists(_week, min_size=1, max_size=25).map(_weekly_ratios),
+    st.lists(_wide, min_size=3, max_size=5, unique=True).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=8,
+                              max_size=40)),
     st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=8,
              max_size=300),
     st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=2,
