@@ -20,7 +20,8 @@ def main(argv=None) -> int:
     ap.add_argument("--countries", type=int, default=11)
     ap.add_argument("--days", type=int, default=2435)
     ap.add_argument("--sigma-country", type=float, default=0.05)
-    ap.add_argument("--weighted", action="store_true")
+    ap.add_argument("--weighting", choices=panel.WEIGHTINGS,
+                    default="none", help="cell-size weighting")
     args = ap.parse_args(argv)
 
     header = f"{'seed':>4} {'term':<16} {'planted':>10} {'fitted':>10} " \
@@ -31,7 +32,7 @@ def main(argv=None) -> int:
                                  T=args.days,
                                  sigma_country=args.sigma_country)
         data, truth = synth.make_synthetic_panel(plant)
-        fit = panel.re_egls_fit(data, weighted=args.weighted)
+        fit = panel.re_egls_fit(data, weighting=args.weighting)
         truth_rho = truth["rho_share"]
         print(header if seed == 0 else "")
         for term, planted in plant.betas:

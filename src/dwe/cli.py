@@ -76,12 +76,6 @@ def _regress_scopes(text: str, journals: tuple[str, ...]
     return {"all": None, "journal": list(journals)}.get(text, [text])
 
 
-def _boolean(text: str) -> bool:
-    if text.lower() not in ("true", "false"):
-        raise ValueError(f"must be true or false, got {text!r}")
-    return text.lower() == "true"
-
-
 def _year_span(c: corpus_mod.Corpus) -> tuple[int, int]:
     years = c.columns.year
     if not years.size:
@@ -134,9 +128,8 @@ PANEL_TO = Key("panel_to", None, lambda text, start: panel_mod.check_end(
     start, date.fromisoformat(text)), "--to")
 PANEL_TOP = Key("panel_top", "11",
                 lambda text: panel_mod.check_top_n(int(text)), "--top")
-PANEL_WEIGHTED = Key("panel_weighted", "false", _boolean, "--weighted")
-PANEL_WEIGHT_MODE = _enum("panel_weight_mode", "multiply", "weight mode",
-                          panel_mod.WEIGHT_MODES, flag="--weight-mode")
+PANEL_WEIGHTING = _enum("panel_weighting", "none", "weighting",
+                        panel_mod.WEIGHTINGS, flag="--weighting")
 TREND_BASE = _enum("trend_base", "log10", "trend base",
                    panel_mod.TREND_BASES)
 SELECT = Key("select", None, geo.parse_selection)
@@ -172,13 +165,16 @@ def read_transform_cfg(path: str) -> dict[str, diststat.TransformSpec]:
                 scope = fields["scope"]
                 fam, _, param = fields["step1"].partition(":")
                 _, _, lam2 = fields["step2"].partition(":")
-                specs[scope] = diststat.TransformSpec(
+                spec = diststat.TransformSpec(
                     step1_family=fam, step1_param=float(param),
                     step2_power=float(lam2))
             except (KeyError, ValueError) as exc:
                 raise ValueError(
                     f"{path} line {lineno}: bad transform spec: {exc}") \
                     from exc
+            if specs.setdefault(scope, spec) is not spec:
+                raise ValueError(
+                    f"{path} line {lineno}: duplicate scope {scope!r}")
     return specs
 
 
@@ -382,10 +378,8 @@ def _run_panel(ctx: RunContext) -> str:
     with _named(PANEL_TOP):  # fewer countries in range than top_n
         data = panel_mod.build_panel(c, start=start, end=end, top_n=top_n,
                                      scope=scope)
-    fit = panel_mod.re_egls_fit(
-        data, weighted=ctx.value(PANEL_WEIGHTED),
-        weight_mode=ctx.value(PANEL_WEIGHT_MODE),
-        trend_base=ctx.value(TREND_BASE))
+    fit = panel_mod.re_egls_fit(data, weighting=ctx.value(PANEL_WEIGHTING),
+                                trend_base=ctx.value(TREND_BASE))
     out = ctx.paths["panel.csv"]
     write_panel_csv(fit, out)
     clamped = " (country variance clamped to 0)" if fit.clamped else ""
@@ -436,7 +430,7 @@ STAGES: tuple[Stage, ...] = (
            TRANSFORM), ("regress.csv",), _run_regress),
     Stage("panel", "daily country panel EGLS",
           (CORPUS, COUNTRIES, SCOPE, PANEL_FROM, PANEL_TO, PANEL_TOP,
-           PANEL_WEIGHTED, PANEL_WEIGHT_MODE, TREND_BASE),
+           PANEL_WEIGHTING, TREND_BASE),
           ("panel.csv",), _run_panel),
     Stage("lq", "localization quotients and breaks",
           (CORPUS, COUNTRIES, SELECT, CLASSES), ("lq.csv", "lq.geojson"),
@@ -505,8 +499,7 @@ def run_pipeline(config: RunConfig) -> int:
         raise ValueError("out_dir is required when stages are configured")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    failed_marker = out / "FAILED"
-    failed_marker.unlink(missing_ok=True)
+    (out / "FAILED").unlink(missing_ok=True)
 
     ctx = RunContext(config.raw, {name: str(out / name) for s in STAGES
                                   for name in s.outputs})
@@ -518,8 +511,8 @@ def run_pipeline(config: RunConfig) -> int:
             stage.run(ctx)
         except (ValueError, OSError) as exc:
             error = exc
-            failed_marker.write_text(f"stage={name}\nerror={exc}\n",
-                                     encoding="utf-8")
+            (out / "FAILED").write_text(f"stage={name}\nerror={exc}\n",
+                                        encoding="utf-8")
             stages.append({"name": name, "status": "failed",
                            "error": str(exc)})
             break
@@ -533,6 +526,24 @@ def run_pipeline(config: RunConfig) -> int:
         return 1
     print(f"pipeline complete: {', '.join(config.stages)} -> {out_dir}")
     return 0
+
+
+def cmd_pipeline(args) -> int:
+    """Run a config's stages; a rejected one marks its out_dir failed."""
+    try:
+        config = load_run_config(args.config)
+    except ValueError as exc:
+        pairs = [line.partition("=") for line in Path(args.config)
+                 .read_text(encoding="utf-8", errors="replace").splitlines()]
+        out = next((Path(v.strip()) for k, _, v in pairs
+                    if k.strip() == "out_dir" and v.strip()), None)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "run_report.json").unlink(missing_ok=True)
+            (out / "FAILED").write_text(f"stage=config\nerror={exc}\n",
+                                        encoding="utf-8")
+        raise
+    return run_pipeline(config)
 
 
 def cmd_stage(args) -> int:
@@ -566,13 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_stage, outputs=outputs)
         for key in stage.keys:
             flag = key.flag or "--" + key.name.replace("_", "-")
-            if key.parse is _boolean:
-                p.add_argument(flag, dest=key.name, action="store_const",
-                               const="true")
-            else:
-                p.add_argument(flag, dest=key.name,
-                               required=key.default is None,
-                               choices=key.choices or None)
+            p.add_argument(flag, dest=key.name, required=key.default is None,
+                           choices=key.choices or None)
         if "out" in outputs:
             p.add_argument("--out", required=True)
         return p
@@ -590,8 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run stages from a config file")
     p.add_argument("--config", required=True)
-    p.set_defaults(
-        func=lambda args: run_pipeline(load_run_config(args.config)))
+    p.set_defaults(func=cmd_pipeline)
 
     return parser
 

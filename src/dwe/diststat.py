@@ -228,22 +228,22 @@ IDENTITY_SPEC = TransformSpec(POWER, 1.0, 1.0)
 _LOG_LIMIT = float(np.finfo(float).tiny)
 
 
+def _power_map(log_x: np.ndarray, lam: float) -> np.ndarray:
+    # (x^lam - 1)/lam of x = e^log_x, in both steps and every search
+    # candidate; expm1 keeps its digits as lam -> 0.  Callers set errstate.
+    return log_x if abs(lam) < _LOG_LIMIT else np.expm1(lam * log_x) / lam
+
+
 def _step1_array(x: np.ndarray, family: str, param: float) -> np.ndarray:
-    # expm1/log keeps (x^l - 1)/l accurate down to l -> 0, where the naive
-    # power expression loses every significant digit
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if family == LOG10_SHIFT:
             return np.log10(x) + param
-        if abs(param) < _LOG_LIMIT:
-            return np.log(x)
-        return np.expm1(param * np.log(x)) / param
+        return _power_map(np.log(x), param)
 
 
 def _step2_array(y1: np.ndarray, power: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if abs(power) < _LOG_LIMIT:
-            return np.log1p(y1)
-        return np.expm1(power * np.log1p(y1)) / power
+        return _power_map(np.log1p(y1), power)
 
 
 def apply_transform_steps_array(x, spec: TransformSpec
@@ -340,7 +340,7 @@ def fit_transform_spec(sample) -> FittedTransform:
     with np.errstate(over="ignore"):
         for lam in LAM1_GRID:
             lam = float(lam)
-            y1 = ln_u if lam == 0.0 else np.expm1(lam * ln_u) / lam
+            y1 = _power_map(ln_u, lam)
             # a NaN or -inf fails the first test, +inf the second
             if not (float(y1.min()) + 1.0 > 0.0
                     and math.isfinite(float(y1.max()))):
@@ -360,8 +360,7 @@ def fit_transform_spec(sample) -> FittedTransform:
     with np.errstate(over="ignore"):
         for lam2 in LAM2_GRID:
             lam2 = float(lam2)
-            y2 = log1p_y1 if lam2 == 0.0 \
-                else np.expm1(lam2 * log1p_y1) / lam2
+            y2 = _power_map(log1p_y1, lam2)
             m = _moment_kernel(y2, w)
             if m is None:
                 continue

@@ -18,10 +18,10 @@ share, for the country effect), then each country is quasi-demeaned by
 and the transformed data refit by OLS.  A negative country-variance moment
 is clamped to zero (flagged), which collapses the estimator to pooled OLS.
 
-The "weighted" variant reproduces a literal cell-size weighting: the
-outcome and the continuous regressors (not the dummies) of every cell are
-multiplied by the cell's article count before estimation.  A conventional
-sqrt-weight WLS is available as weight_mode="wls".
+The cells are unweighted by default (weighting "none").  "multiply"
+reproduces a literal cell-size weighting: the outcome and the continuous
+regressors (not the dummies) of every cell are multiplied by the cell's
+article count before estimation.  "wls" is a conventional sqrt-weight WLS.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ PANEL_COLUMNS = tuple(t for t in DESIGN_TERMS
 
 CONTINUOUS_COLUMNS = ("log10_authors", "log10_hdi", "log10_lto", "trend")
 
-#: re_egls_fit's weight modes and panel_design's trend bases
-WEIGHT_MODES = ("multiply", "wls")
+#: re_egls_fit's cell-size weightings and panel_design's trend bases
+WEIGHTINGS = ("none", "multiply", "wls")
 TREND_BASES = ("log10", "ln")
 
 
@@ -164,39 +164,34 @@ class PanelFit(FitResult):
     n_dropped_rows: int
 
 
-def re_egls_fit(panel: PanelData, weighted: bool = False,
-                weight_mode: str = "multiply",
+def re_egls_fit(panel: PanelData, weighting: str = "none",
                 trend_base: str = "log10") -> PanelFit:
     """Random-effects EGLS over the panel cells (see module docstring)."""
-    if weight_mode not in WEIGHT_MODES:
-        raise ValueError(f"unknown weight mode {weight_mode!r}")
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"unknown weighting {weighting!r}")
     X = panel_design(panel, trend_base)
     usable = ~np.isnan(X[:, PANEL_COLUMNS.index("log10_lto")])
     codes, g = np.unique(panel.country[usable], return_inverse=True)
     return _egls_fit(X[usable], panel.y[usable],
                      panel.n_ct[usable].astype(float), g,
                      [panel.countries[c] for c in codes.tolist()],
-                     weighted, weight_mode,
-                     n_dropped_rows=int(np.count_nonzero(~usable)))
+                     weighting, n_dropped_rows=int(np.count_nonzero(~usable)))
 
 
 def _egls_fit(X: np.ndarray, y: np.ndarray, n_ct: np.ndarray,
-              g: np.ndarray, countries: Sequence[str], weighted: bool,
-              weight_mode: str, n_dropped_rows: int) -> PanelFit:
+              g: np.ndarray, countries: Sequence[str], weighting: str,
+              n_dropped_rows: int) -> PanelFit:
     """The estimator on the usable cells' design rows: ``g`` maps each
     row to its country, an index into ``countries``."""
     if not y.size:
         raise ValueError("no usable panel cells")
-    if weighted:
-        if weight_mode == "multiply":
-            y = y * n_ct
-            for name in CONTINUOUS_COLUMNS:
-                j = PANEL_COLUMNS.index(name)
-                X[:, j] = X[:, j] * n_ct
-        else:
-            sw = np.sqrt(n_ct)
-            y = y * sw
-            X = X * sw[:, None]
+    if weighting == "multiply":
+        y = y * n_ct
+        for j in map(PANEL_COLUMNS.index, CONTINUOUS_COLUMNS):
+            X[:, j] = X[:, j] * n_ct
+    elif weighting == "wls":
+        sw = np.sqrt(n_ct)
+        y, X = y * sw, X * sw[:, None]
 
     X, labels, dropped = drop_degenerate_columns(X, PANEL_COLUMNS)
 

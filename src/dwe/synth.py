@@ -81,10 +81,9 @@ def make_corpus_rows(config: SynthConfig) -> list[RawRecord]:
     return rows
 
 
-def make_corpus(config: SynthConfig, countries=None) -> Corpus:
-    """Cleaned synthetic corpus against the shipped (or given) country table."""
-    table = countries if countries is not None else load_default_countries()
-    return clean_corpus(make_corpus_rows(config), table)
+def make_corpus(config: SynthConfig) -> Corpus:
+    """Cleaned synthetic corpus against the shipped country table."""
+    return clean_corpus(make_corpus_rows(config), load_default_countries())
 
 
 # -- synthetic panels -------------------------------------------------------

@@ -141,20 +141,18 @@ def panel_rows(panel: RowPanel, trend_base: str = "log10"):
             np.asarray(sizes, dtype=float), groups, n_dropped_rows)
 
 
-def re_egls_fit(panel: RowPanel, weighted: bool = False,
-                weight_mode: str = "multiply",
+def re_egls_fit(panel: RowPanel, weighting: str = "none",
                 trend_base: str = "log10") -> PanelFit:
     """The row loop, the ISO-string grouping, then the package's core."""
-    if weight_mode not in ("multiply", "wls"):
-        raise ValueError(f"unknown weight mode {weight_mode!r}")
+    if weighting not in ("none", "multiply", "wls"):
+        raise ValueError(f"unknown weighting {weighting!r}")
     if trend_base not in ("log10", "ln"):
         raise ValueError(f"unknown trend base {trend_base!r}")
     X, y, n_ct, groups, n_dropped_rows = panel_rows(panel, trend_base)
     codes = sorted(set(groups))
     index_of = {c: i for i, c in enumerate(codes)}
     g = np.asarray([index_of[c] for c in groups], dtype=np.intp)
-    return _egls_fit(X, y, n_ct, g, codes, weighted, weight_mode,
-                     n_dropped_rows)
+    return _egls_fit(X, y, n_ct, g, codes, weighting, n_dropped_rows)
 
 
 def synthetic_panel(plant: PanelPlant) -> tuple[RowPanel, dict]:

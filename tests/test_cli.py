@@ -135,6 +135,15 @@ class TestSubcommands:
         assert path.read_text().startswith("scope=physica a step1=")
         assert cli.read_transform_cfg(str(path)) == {"physica a": spec}
 
+    def test_transform_cfg_rejects_a_repeated_scope(self, tmp_path):
+        path = tmp_path / "transform.cfg"
+        line = "scope=consolidated step1=power:0.5 step2=power:1.0 jb=3.25\n"
+        path.write_text(line + "# again\n" + line.replace(":0.5", ":0.25"),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} line 3: duplicate scope 'consolidated'")):
+            cli.read_transform_cfg(str(path))
+
     def test_regress_reads_a_spaced_journal_spec(self, tmp_path):
         # the identity is not what regress would fit for this journal
         cfg = synth.SynthConfig(seed=31, start_year=2005, end_year=2006,
@@ -177,14 +186,40 @@ class TestSubcommands:
         assert rc == 2
         assert "got top_n = 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [[], ["--weighted"]])
+    @pytest.mark.parametrize("flags", [[], ["--weighting", "multiply"],
+                                       ["--weighting", "wls"]])
     def test_panel_weighted_flag(self, tmp_path, corpus_csv, flags):
-        # the flag reaches the stage as "true", its absence as no key
+        # the flag's value reaches the stage, its absence as no key
         out = tmp_path / "panel.csv"
         assert run(["panel", "--in", corpus_csv, "--from", "2005-01-01",
                     "--to", "2006-12-31", "--top", 5, "--out", out,
                     *flags]) == 0
         assert out.read_text().startswith("term,coefficient,")
+
+    def test_panel_weighting_default_is_none(self, tmp_path, corpus_csv):
+        # none is the unset key's fit; each weighting fits another panel
+        written = {}
+        for weighting in ("", "none", "multiply", "wls"):
+            out = tmp_path / f"panel-{weighting}.csv"
+            flags = ["--weighting", weighting] if weighting else []
+            assert run(["panel", "--in", corpus_csv, "--from", "2005-01-01",
+                        "--to", "2006-12-31", "--top", 5, "--out", out,
+                        *flags]) == 0
+            written[weighting] = out.read_bytes()
+        assert written[""] == written["none"]
+        assert len(set(written.values())) == 3
+
+    @pytest.mark.parametrize("flags", [["--weighted"],
+                                       ["--weight-mode", "wls"],
+                                       ["--weighting", "true"]])
+    def test_old_panel_weight_flags_rejected(self, tmp_path, corpus_csv,
+                                             capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            run(["panel", "--in", corpus_csv, "--from", "2005-01-01",
+                 "--to", "2006-12-31", "--out", tmp_path / "panel.csv",
+                 *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         rc = run(["clean", "--in", tmp_path / "nope.csv",
@@ -369,6 +404,40 @@ class TestPipeline:
         assert run(["pipeline", "--config", cfg]) == 0
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit,error", [
+        (lambda text: text + "bogus = 1\n", " line 9: unknown key 'bogus'"),
+        (lambda text: "bogus = 1\n" + text, " line 1: unknown key 'bogus'"),
+        (lambda text: text + "classes = 4\n",
+         " line 9: duplicate key 'classes'"),
+        (lambda text: text.replace("clean, rud", "clean, wat"),
+         ": unknown stage 'wat'")], ids=["key", "key-first", "repeated-key",
+                                         "stage"])
+    def test_rejected_config_replaces_the_old_report(self, tmp_path,
+                                                     corpus_csv, capsys,
+                                                     edit, error):
+        # the last run's outputs stay; its success report does not
+        good = self.write_config(tmp_path, corpus_csv, "clean, rud")
+        assert run(["pipeline", "--config", good]) == 0
+        out = tmp_path / "out"
+        kept = {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != "run_report.json"}
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(edit(good.read_text()))
+        capsys.readouterr()
+        assert run(["pipeline", "--config", bad]) == 2
+        assert capsys.readouterr().err == f"error: {bad}{error}\n"
+        assert (out / "FAILED").read_text() \
+            == f"stage=config\nerror={bad}{error}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != "FAILED"} == kept
+
+    def test_rejected_config_without_out_dir_touches_nothing(self,
+                                                            tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stages = clean\nout_dir =\nbogus = 1\n")
+        assert run(["pipeline", "--config", cfg]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_failed_stage_leaves_marker(self, tmp_path, corpus_csv):
         # panel without its date range must fail after clean succeeded
         cfg = self.write_config(tmp_path, corpus_csv, "clean, panel")
@@ -518,7 +587,9 @@ class TestPipeline:
     @pytest.mark.parametrize("key,value,message", [
         ("panel_top", "-3", "the panel needs at least 1 country, "
                             "got top_n = -3"),
-        ("panel_weighted", "yes", "must be true or false, got 'yes'")])
+        pytest.param("panel_weighting", "yes",
+                     "unknown weighting 'yes'; have none or multiply or wls",
+                     id="panel_weighting-yes")])
     def test_bad_panel_key_fails_with_marker(self, tmp_path, corpus_csv,
                                              key, value, message):
         keys = {"panel_from": "2005-01-01", "panel_to": "2006-12-31",
@@ -623,6 +694,17 @@ class TestStageNames:
         with pytest.raises(ValueError, match="unknown key 'seed'"):
             cli.load_run_config(str(cfg))
 
+    @pytest.mark.parametrize("line", ["panel_weighted = true",
+                                      "panel_weight_mode = wls"])
+    def test_old_panel_weight_keys_rejected(self, tmp_path, line):
+        # folded into panel_weighting; an old config fails, never silently
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"stages = clean, panel\n{line}\n")
+        key = line.partition(" ")[0]
+        with pytest.raises(ValueError,
+                           match=f"run.cfg line 2: unknown key '{key}'"):
+            cli.load_run_config(str(cfg))
+
 
 #: each subcommand's required flags, and the config keys they give
 REQUIRED_FLAGS = {
@@ -691,8 +773,8 @@ BAD_KEY_VALUES = [
      "range ends before it starts: 2005-01-01..2004-12-31"),
     (cli.PANEL_TOP, "panel", "0",
      "the panel needs at least 1 country, got top_n = 0"),
-    (cli.PANEL_WEIGHTED, "panel", "yes", "must be true or false, got 'yes'"),
-    (cli.PANEL_WEIGHT_MODE, "panel", "add", "unknown weight mode 'add'"),
+    (cli.PANEL_WEIGHTING, "panel", "yes",
+     "unknown weighting 'yes'; have none or multiply or wls"),
     (cli.TREND_BASE, "panel", "log3", "unknown trend base 'log3'"),
     (cli.SELECT, "lq", "weekday in 9", "weekday values out of 1..7: ['9']"),
     (cli.CLASSES, "lq", "0", "need at least 1 class, got 0"),
@@ -778,17 +860,20 @@ def test_stages_read_only_their_keys(tmp_path, corpus_csv, card_archive,
 def test_readme_stage_table_matches_stages():
     # per row: the backticked config keys, each with the default in the
     # parentheses after it (a required key's say "required"), then the
-    # backticked file names
+    # backticked file names; every other backticked word in the keys
+    # column is a value some key takes, so no stale key name is left
     lines = (Path(__file__).parents[1] / "README.md").read_text(
         encoding="utf-8").splitlines()
     start = lines.index(
         "| stage | keys it reads (default) | files in `out_dir` |")
+    values = {value for key in cli.KEYS for value in key.choices}
     rows = {}
     for line in lines[start + 2:]:
         if not line.startswith("|"):
             break
         name, keys, files = (cell.strip()
                              for cell in line.strip("|").split("|"))
+        assert set(re.findall(r"`([^`]+)`", keys)) <= cli.KNOWN_KEYS | values
         found = [(k, d if d and "required" not in d else None)
                  for k, d in re.findall(r"`([^`]+)`(?: \(([^:;)]*))?", keys)
                  if k in cli.KNOWN_KEYS]

@@ -1,7 +1,6 @@
 """Country-day panel assembly and random-effects EGLS."""
 
 import dataclasses
-import itertools
 import math
 from datetime import date, timedelta
 
@@ -88,12 +87,11 @@ def assert_same_panel(corpus, countries, start, end, top_n):
     fitted = 0
     for trend_base in ("log10", "ln"):
         assert_same_cells(data, ref, trend_base)
-        for weighted, mode in itertools.product((False, True),
-                                                ("multiply", "wls")):
-            fit, error = _outcome(panel.re_egls_fit, data, weighted, mode,
+        for weighting in panel.WEIGHTINGS:
+            fit, error = _outcome(panel.re_egls_fit, data, weighting,
                                   trend_base)
             want, ref_error = _outcome(reference_panel.re_egls_fit, ref,
-                                       weighted, mode, trend_base)
+                                       weighting, trend_base)
             assert error == ref_error
             if want is not None:
                 assert_same_fit(fit, want)
@@ -169,12 +167,12 @@ class TestColumnarPanel:
         cfg = synth.SynthConfig(
             seed=4, start_year=2012, end_year=2014, journals=("a", "b"),
             countries=("SA", "KW", "NP", "US", "DE", "FR", "JP", "CN"))
-        switch = synth.make_corpus(cfg, country_table)
+        switch = synth.make_corpus(cfg)
         assert assert_same_panel(switch, country_table, date(2012, 1, 1),
-                                 date(2014, 12, 31), 8) == 8
+                                 date(2014, 12, 31), 8) == 6
         assert assert_same_panel(synth_corpus, country_table,
                                  date(2004, 1, 1), date(2005, 12, 31),
-                                 5) == 8
+                                 5) == 6
 
     @pytest.mark.parametrize("plant", [
         synth.PanelPlant(seed=3, n_countries=4, T=400, sigma_country=0.2),
@@ -251,22 +249,22 @@ class TestWeightedModes:
         plant = synth.PanelPlant(seed=8, n_countries=5, T=300)
         data, _ = synth.make_synthetic_panel(plant)
         base = panel.re_egls_fit(data)
-        weighted = panel.re_egls_fit(data, weighted=True)
+        weighted = panel.re_egls_fit(data, weighting="multiply")
         assert not np.array_equal(weighted.coefficients, base.coefficients)
 
     def test_unit_weights_match_unweighted(self):
         # every n_ct is 1 in tiny_panel, so weighting must be a no-op
         data = tiny_panel(2)
         a = panel.re_egls_fit(data)
-        b = panel.re_egls_fit(data, weighted=True, weight_mode="multiply")
-        c = panel.re_egls_fit(data, weighted=True, weight_mode="wls")
+        b = panel.re_egls_fit(data, weighting="multiply")
+        c = panel.re_egls_fit(data, weighting="wls")
         assert b.coefficients == pytest.approx(a.coefficients, rel=1e-10)
         assert c.coefficients == pytest.approx(a.coefficients, rel=1e-10)
 
     def test_unknown_mode_rejected(self):
         data = tiny_panel(3)
-        with pytest.raises(ValueError):
-            panel.re_egls_fit(data, weighted=True, weight_mode="wat")
+        with pytest.raises(ValueError, match="unknown weighting 'wat'"):
+            panel.re_egls_fit(data, weighting="wat")
 
 
 class TestDegenerateInputs:

@@ -15,7 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
     ("planted_weekday_effect.py", ["--years", "1", "--per-week", "30"]),
     ("panel_recovery.py", ["--seeds", "1", "--days", "120",
                            "--countries", "5"]),
-    ("map_quotients.py", ["--classes", "3", "--out-dir", "map"])])
+    ("map_quotients.py", ["--classes", "3", "--out-dir", "map"]),
+    ("panel_recovery.py", ["--seeds", "1", "--days", "120",
+                           "--countries", "5", "--weighting", "multiply"])])
 def test_script_runs(tmp_path, script, args):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
