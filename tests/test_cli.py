@@ -186,8 +186,7 @@ class TestSubcommands:
         assert rc == 2
         assert "got top_n = 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [[], ["--weighting", "multiply"],
-                                       ["--weighting", "wls"]])
+    @pytest.mark.parametrize("flags", [[], ["--weighting", "multiply"]])
     def test_panel_weighted_flag(self, tmp_path, corpus_csv, flags):
         # the flag's value reaches the stage, its absence as no key
         out = tmp_path / "panel.csv"
@@ -695,7 +694,8 @@ class TestStageNames:
             cli.load_run_config(str(cfg))
 
     @pytest.mark.parametrize("line", ["panel_weighted = true",
-                                      "panel_weight_mode = wls"])
+                                      "panel_weight_mode = wls"],
+                             ids=["panel_weighted", "panel_weight_mode"])
     def test_old_panel_weight_keys_rejected(self, tmp_path, line):
         # folded into panel_weighting; an old config fails, never silently
         cfg = tmp_path / "run.cfg"
