@@ -130,8 +130,6 @@ PANEL_TOP = Key("panel_top", "11",
                 lambda text: panel_mod.check_top_n(int(text)), "--top")
 PANEL_WEIGHTING = _enum("panel_weighting", "none", "weighting",
                         panel_mod.WEIGHTINGS, flag="--weighting")
-TREND_BASE = _enum("trend_base", "log10", "trend base",
-                   panel_mod.TREND_BASES)
 SELECT = Key("select", None, geo.parse_selection)
 CLASSES = Key("classes", "5", lambda text: geo.check_classes(int(text)))
 
@@ -152,29 +150,28 @@ def write_transform_cfg(fits: dict[str, diststat.FittedTransform],
 
 def read_transform_cfg(path: str) -> dict[str, diststat.TransformSpec]:
     specs: dict[str, diststat.TransformSpec] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            # the scope, which may hold spaces, is all before the last
-            # three tokens
-            fields = dict(tok.partition("=")[::2]
-                          for tok in line.rsplit(" ", 3))
-            try:
-                scope = fields["scope"]
-                fam, _, param = fields["step1"].partition(":")
-                _, _, lam2 = fields["step2"].partition(":")
-                spec = diststat.TransformSpec(
-                    step1_family=fam, step1_param=float(param),
-                    step2_power=float(lam2))
-            except (KeyError, ValueError) as exc:
-                raise ValueError(
-                    f"{path} line {lineno}: bad transform spec: {exc}") \
-                    from exc
-            if specs.setdefault(scope, spec) is not spec:
-                raise ValueError(
-                    f"{path} line {lineno}: duplicate scope {scope!r}")
+    text = corpus_mod.read_text(path)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        # the scope, which may hold spaces, is all before the last three
+        # tokens
+        fields = dict(tok.partition("=")[::2]
+                      for tok in line.rsplit(" ", 3))
+        try:
+            scope = fields["scope"]
+            fam, _, param = fields["step1"].partition(":")
+            _, _, lam2 = fields["step2"].partition(":")
+            spec = diststat.TransformSpec(
+                step1_family=fam, step1_param=float(param),
+                step2_power=float(lam2))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(
+                f"{path} line {lineno}: bad transform spec: {exc}") from exc
+        if specs.setdefault(scope, spec) is not spec:
+            raise ValueError(
+                f"{path} line {lineno}: duplicate scope {scope!r}")
     return specs
 
 
@@ -378,8 +375,7 @@ def _run_panel(ctx: RunContext) -> str:
     with _named(PANEL_TOP):  # fewer countries in range than top_n
         data = panel_mod.build_panel(c, start=start, end=end, top_n=top_n,
                                      scope=scope)
-    fit = panel_mod.re_egls_fit(data, weighting=ctx.value(PANEL_WEIGHTING),
-                                trend_base=ctx.value(TREND_BASE))
+    fit = panel_mod.re_egls_fit(data, weighting=ctx.value(PANEL_WEIGHTING))
     out = ctx.paths["panel.csv"]
     write_panel_csv(fit, out)
     clamped = " (country variance clamped to 0)" if fit.clamped else ""
@@ -430,8 +426,7 @@ STAGES: tuple[Stage, ...] = (
            TRANSFORM), ("regress.csv",), _run_regress),
     Stage("panel", "daily country panel EGLS",
           (CORPUS, COUNTRIES, SCOPE, PANEL_FROM, PANEL_TO, PANEL_TOP,
-           PANEL_WEIGHTING, TREND_BASE),
-          ("panel.csv",), _run_panel),
+           PANEL_WEIGHTING), ("panel.csv",), _run_panel),
     Stage("lq", "localization quotients and breaks",
           (CORPUS, COUNTRIES, SELECT, CLASSES), ("lq.csv", "lq.geojson"),
           _run_lq),
@@ -462,7 +457,7 @@ class RunConfig:
 def load_run_config(path: str) -> RunConfig:
     """Parse `key = value` lines; unknown or repeated keys and stages
     reject.  The stages themselves read the files the keys name."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = corpus_mod.read_text(path)
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

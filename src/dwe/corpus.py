@@ -28,6 +28,7 @@ import shlex
 from dataclasses import dataclass
 from datetime import date
 from importlib import resources
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -366,7 +367,31 @@ def read_corpus_csv(path: str) -> list[RawRecord]:
                         f"{path} line {reader.line_num}: {exc}") from exc
         except csv.Error as exc:  # a field over the size limit
             raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path) from exc
     return rows
+
+
+def read_text(path: str) -> str:
+    """A UTF-8 text file; a byte that is not UTF-8 fails as ``not_utf8``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
+
+
+def not_utf8(path: str) -> ValueError:
+    """The error for a file that is not UTF-8, naming the line of its
+    first bad byte; only this error path reads the bytes again."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+        return ValueError(f"{path}: not UTF-8")  # changed since the read
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines ends lines at \n, \r and \r\n, as open() does
+        line = len((data[:exc.start] + b"x").splitlines())
+        return ValueError(f"{path} line {line}: not UTF-8 ({exc.reason})")
 
 
 # -- countries.cfg ----------------------------------------------------------
@@ -435,8 +460,7 @@ def _parse_named(text: str, name: str) -> dict[str, CountryProfile]:
 
 def read_countries_cfg(path: str) -> dict[str, CountryProfile]:
     """A country table file; an error names the file and line."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_named(fh.read(), path)
+    return _parse_named(read_text(path), path)
 
 
 def load_default_countries() -> dict[str, CountryProfile]:

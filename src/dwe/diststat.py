@@ -271,11 +271,6 @@ def apply_transform_steps_array(x, spec: TransformSpec
     return y1, y2
 
 
-def apply_transform_array(x, spec: TransformSpec) -> np.ndarray:
-    """Vectorized y**; raises naming the first offending ratio."""
-    return apply_transform_steps_array(x, spec)[1]
-
-
 #: the search's parameter grids, endpoints inclusive: c in -0.2..0.2 by
 #: 0.01, l1 in -8..8 by 0.05, l2 in -2..3 by 0.005
 C_GRID = np.round(-0.2 + 0.01 * np.arange(41), 10)

@@ -24,6 +24,7 @@ import json
 import math
 import re
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -238,14 +239,9 @@ def jenks_breaks(values: Sequence[float], k: int) -> ClassBreaks:
     bad = [v for v in vals if not math.isfinite(v)]
     if bad:
         raise ValueError(f"cannot classify the non-finite value {bad[0]}")
-    distinct: list[float] = []
-    weights: list[int] = []
-    for v in vals:
-        if distinct and v == distinct[-1]:
-            weights[-1] += 1
-        else:
-            distinct.append(v)
-            weights.append(1)
+    counts = Counter(vals)
+    distinct = sorted(counts)
+    weights = [counts[v] for v in distinct]
     m = len(distinct)
     if m < k:
         raise ValueError(f"{m} distinct values cannot fill {k} classes")
@@ -271,10 +267,12 @@ def jenks_breaks(values: Sequence[float], k: int) -> ClassBreaks:
         return q - s * s / w
 
     INF = float("inf")
-    # best[j][i]: minimal SSD splitting distinct[i:] into j classes
+    # best[j][i]: minimal SSD splitting distinct[i:] into j classes, and
+    # split[j][i] the end of its first class; the strict < keeps the
+    # first minimising end, so the boundaries come out smallest first
     best = [[INF] * (m + 1) for _ in range(k + 1)]
-    for i in range(m + 1):
-        best[1][i] = cost(i, m) if i < m else INF
+    split = [[0] * (m + 1) for _ in range(k + 1)]
+    best[1] = [cost(i, m) for i in range(m)] + [INF]
     for j in range(2, k + 1):
         # each of the j classes needs at least one distinct value
         for i in range(m - j, -1, -1):
@@ -282,19 +280,14 @@ def jenks_breaks(values: Sequence[float], k: int) -> ClassBreaks:
             for e in range(i + 1, m - j + 2):
                 c = cost(i, e) + best[j - 1][e]
                 if c < acc:
-                    acc = c
+                    acc, split[j][i] = c, e
             best[j][i] = acc
 
     boundaries: list[float] = []
     pos = 0
     for j in range(k, 1, -1):
-        target = best[j][pos]
-        for e in range(pos + 1, m - j + 2):
-            # the DP's own sum, recomputed bit for bit
-            if cost(pos, e) + best[j - 1][e] == target:
-                boundaries.append(distinct[e])
-                pos = e
-                break
+        pos = split[j][pos]
+        boundaries.append(distinct[pos])
     return ClassBreaks(k=k, boundaries=tuple(boundaries),
                        total_ssd=best[k][0])
 

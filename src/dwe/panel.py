@@ -5,8 +5,8 @@ held as columns (``PanelData``): the cell outcome is the mean log10 ratio
 of the articles received that day from that country, the author covariate
 is the mean log10 author count, and the calendar dummies (weekday, season,
 Christmas window, country-specific weekend) and country covariates are the
-corpus feature columns of that day and country.  ``panel_design`` appends
-a deterministic trend, the log of the day index.
+corpus feature columns of that day and country; the last column is a
+deterministic trend, the log10 of the day index.
 
 Estimation is error-components GLS: variance components come from a
 pooled-OLS residual decomposition (within-country residual variance for the
@@ -45,17 +45,16 @@ PANEL_COLUMNS = tuple(t for t in DESIGN_TERMS
 
 CONTINUOUS_COLUMNS = ("log10_authors", "log10_hdi", "log10_lto", "trend")
 
-#: re_egls_fit's cell-size weightings and panel_design's trend bases
+#: re_egls_fit's cell-size weightings
 WEIGHTINGS = ("none", "multiply", "wls")
-TREND_BASES = ("log10", "ln")
 
 
 @dataclass(frozen=True, eq=False)
 class PanelData:
-    """The cells in (country, day) order: row i of ``cells`` holds cell
-    i's PANEL_COLUMNS terms but the trend, with a NaN ``log10_lto`` where
-    the country has none (the fit drops and counts such cells).
-    ``country`` indexes ``countries`` and ``t`` is the day index, 1..T."""
+    """The cells in (country, day) order: row i of ``cells`` is cell i's
+    design row in PANEL_COLUMNS order, with a NaN ``log10_lto`` where the
+    country has none (the fit drops and counts such cells).  ``country``
+    indexes ``countries`` and ``t`` is the day index, 1 on ``start``."""
 
     cells: np.ndarray
     y: np.ndarray
@@ -66,9 +65,10 @@ class PanelData:
     end: date
     countries: tuple[str, ...]
 
-    @property
-    def T(self) -> int:
-        return (self.end - self.start).days + 1
+
+def log_trend(t: np.ndarray) -> np.ndarray:
+    """The trend column of day indices ``t``: ``math.log10`` of each."""
+    return np.array([math.log10(v) for v in t.tolist()])
 
 
 def check_end(start: date, end: date) -> date:
@@ -126,26 +126,17 @@ def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
     # a cell's day and country features are those of its first article;
     # the per-cell mean author count replaces that article's own
     first = picked[starts]
-    cells = superset_matrix(cols)[np.ix_(first, [
-        DESIGN_TERMS.index(term) for term in PANEL_COLUMNS[:-1]])]
+    t = cols.received[first] - start.toordinal() + 1
+    cells = np.column_stack([superset_matrix(cols)[np.ix_(first, [
+        DESIGN_TERMS.index(term) for term in PANEL_COLUMNS[:-1]])],
+        log_trend(t)])
     cells[:, PANEL_COLUMNS.index("log10_authors")] = [
         np.mean(log_authors[s]) for s in spans]
     return PanelData(
         cells=cells, y=np.array([np.mean(log_rud[s]) for s in spans]),
         n_ct=n_ct, country=np.searchsorted(top, cols.country[first]),
-        t=cols.received[first] - start.toordinal() + 1,
-        start=start, end=end,
+        t=t, start=start, end=end,
         countries=tuple(cols.countries[k] for k in top.tolist()))
-
-
-def panel_design(data: PanelData, trend_base: str) -> np.ndarray:
-    """One design row per cell in PANEL_COLUMNS order: the cell's terms
-    and the trend, ``math.log10`` or ``math.log`` of the day index."""
-    if trend_base not in TREND_BASES:
-        raise ValueError(f"unknown trend base {trend_base!r}")
-    log = math.log10 if trend_base == "log10" else math.log
-    trend = np.fromiter(map(log, range(1, data.T + 1)), float, data.T)
-    return np.column_stack([data.cells, trend[data.t - 1]])
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -164,15 +155,13 @@ class PanelFit(FitResult):
     n_dropped_rows: int
 
 
-def re_egls_fit(panel: PanelData, weighting: str = "none",
-                trend_base: str = "log10") -> PanelFit:
+def re_egls_fit(panel: PanelData, weighting: str = "none") -> PanelFit:
     """Random-effects EGLS over the panel cells (see module docstring)."""
     if weighting not in WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
-    X = panel_design(panel, trend_base)
-    usable = ~np.isnan(X[:, PANEL_COLUMNS.index("log10_lto")])
+    usable = ~np.isnan(panel.cells[:, PANEL_COLUMNS.index("log10_lto")])
     codes, g = np.unique(panel.country[usable], return_inverse=True)
-    return _egls_fit(X[usable], panel.y[usable],
+    return _egls_fit(panel.cells[usable], panel.y[usable],
                      panel.n_ct[usable].astype(float), g,
                      [panel.countries[c] for c in codes.tolist()],
                      weighting, n_dropped_rows=int(np.count_nonzero(~usable)))

@@ -10,14 +10,14 @@ numpy's Generator, so a given config is reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
 
 from .corpus import (Corpus, RawRecord, clean_corpus, derive_season,
                      in_christmas_window, load_default_countries)
-from .panel import PANEL_COLUMNS, PanelData, panel_design
+from .panel import PANEL_COLUMNS, PanelData, log_trend
 
 #: Sat/Sun-weekend countries with LTO present in the shipped table, biggest
 #: publishers first; a natural default mix for planted-effect corpora.
@@ -128,24 +128,26 @@ def make_synthetic_panel(plant: PanelPlant) -> tuple[PanelData, dict]:
                             for name in ("spring", "summer", "fall")]
         + [[in_christmas_window(d) for d in days]])
 
+    trend = log_trend(np.arange(1, plant.T + 1))
     blocks, sizes, noises = [], [], []
     for ci in range(plant.n_countries):
         noises.append(rng.normal(0.0, plant.sigma_idio, size=plant.T))
         authors = rng.normal(0.55, 0.2, size=plant.T)
         sizes.append(1 + rng.poisson(4.0, size=plant.T))
         blocks.append(np.column_stack([calendar, authors, np.full(
-            (plant.T, 2), [math.log10(hdi[ci]), math.log10(lto[ci])])]))
+            (plant.T, 2), [math.log10(hdi[ci]), math.log10(lto[ci])]),
+            trend]))
 
+    cells = np.vstack(blocks)
     country = np.repeat(np.arange(plant.n_countries), plant.T)
+    # one dot product per row: a matrix product rounds differently
+    signal = np.array([row @ coef for row in cells])
     data = PanelData(
-        cells=np.vstack(blocks), y=np.zeros(country.size),
+        cells=cells, y=signal + u[country] + np.concatenate(noises),
         n_ct=np.concatenate(sizes), country=country,
         t=np.tile(np.arange(1, plant.T + 1), plant.n_countries),
         start=plant.start, end=plant.start + timedelta(days=plant.T - 1),
         countries=tuple(countries))
-    # one dot product per row: a matrix product rounds differently
-    signal = np.array([row @ coef for row in panel_design(data, "log10")])
-    data = replace(data, y=signal + u[country] + np.concatenate(noises))
 
     var_c = plant.sigma_country ** 2
     var_i = plant.sigma_idio ** 2

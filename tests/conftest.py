@@ -1,12 +1,13 @@
 import csv
 import itertools
+import math
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dwe import corpus as cm, panel, synth
+from dwe import corpus as cm, synth
 from dwe.linmod import DesignMatrix
 from dwe.panel import PANEL_COLUMNS, PanelData
 
@@ -60,10 +61,10 @@ def tiny_panel(seed, n_countries=3, T=12, sigma_c=0.4, sigma_e=0.25):
             authors = float(rng.uniform(0.3, 0.9))
             ys.append(0.4 - 0.3 * weekend + 0.2 * authors + u[ci]
                       + rng.normal(0.0, sigma_e))
-            row = dict.fromkeys(PANEL_COLUMNS[:-1], 0.0)
+            row = dict.fromkeys(PANEL_COLUMNS, 0.0)
             row.update(const=1.0, weekend=weekend, summer=1.0,
                        log10_authors=authors, log10_hdi=-0.05,
-                       log10_lto=1.6)
+                       log10_lto=1.6, trend=math.log10(t))
             if day.isoweekday() <= 4:  # PANEL_COLUMNS[1..4]: Mon..Thu
                 row[PANEL_COLUMNS[day.isoweekday()]] = 1.0
             cells.append(list(row.values()))
@@ -76,14 +77,13 @@ def tiny_panel(seed, n_countries=3, T=12, sigma_c=0.4, sigma_e=0.25):
                                      for ci in range(n_countries)))
 
 
-def brute_force_gls(panel_data, sigma2_c, sigma2_e, columns,
-                    trend_base="log10"):
+def brute_force_gls(panel_data, sigma2_c, sigma2_e, columns):
     """Direct GLS with the exact block covariance, for tiny instances.
 
     ``columns`` picks the design columns so both estimators parameterize
     the model identically; only the solver differs.
     """
-    X = panel.panel_design(panel_data, trend_base)
+    X = panel_data.cells
     assert not np.isnan(X).any()
     y = panel_data.y
     groups = panel_data.country

@@ -105,10 +105,9 @@ def build_panel(corpus: Corpus, countries: Mapping[str, CountryProfile],
                                     for k in np.sort(top).tolist()))
 
 
-def _cell_row(cell: PanelCell, trend_base: str) -> list[float] | None:
+def _cell_row(cell: PanelCell) -> list[float] | None:
     if cell.log10_lto is None:
         return None
-    trend = math.log10(cell.t) if trend_base == "log10" else math.log(cell.t)
     return [1.0,
             float(cell.weekday == 1), float(cell.weekday == 2),
             float(cell.weekday == 3), float(cell.weekday == 4),
@@ -116,10 +115,10 @@ def _cell_row(cell: PanelCell, trend_base: str) -> list[float] | None:
             float(cell.season == "spring"), float(cell.season == "summer"),
             float(cell.season == "fall"), float(cell.is_christmas),
             cell.mean_log10_authors, cell.log10_hdi, cell.log10_lto,
-            trend]
+            math.log10(cell.t)]
 
 
-def panel_rows(panel: RowPanel, trend_base: str = "log10"):
+def panel_rows(panel: RowPanel):
     """(X, y, n_ct, groups, n_dropped_rows) of the usable cells: a cell
     whose country has no LTO is dropped and counted."""
     rows: list[list[float]] = []
@@ -128,7 +127,7 @@ def panel_rows(panel: RowPanel, trend_base: str = "log10"):
     groups: list[str] = []
     n_dropped_rows = 0
     for cell in panel.cells:
-        row = _cell_row(cell, trend_base)
+        row = _cell_row(cell)
         if row is None:
             n_dropped_rows += 1
             continue
@@ -141,14 +140,11 @@ def panel_rows(panel: RowPanel, trend_base: str = "log10"):
             np.asarray(sizes, dtype=float), groups, n_dropped_rows)
 
 
-def re_egls_fit(panel: RowPanel, weighting: str = "none",
-                trend_base: str = "log10") -> PanelFit:
+def re_egls_fit(panel: RowPanel, weighting: str = "none") -> PanelFit:
     """The row loop, the ISO-string grouping, then the package's core."""
     if weighting not in ("none", "multiply", "wls"):
         raise ValueError(f"unknown weighting {weighting!r}")
-    if trend_base not in ("log10", "ln"):
-        raise ValueError(f"unknown trend base {trend_base!r}")
-    X, y, n_ct, groups, n_dropped_rows = panel_rows(panel, trend_base)
+    X, y, n_ct, groups, n_dropped_rows = panel_rows(panel)
     codes = sorted(set(groups))
     index_of = {c: i for i, c in enumerate(codes)}
     g = np.asarray([index_of[c] for c in groups], dtype=np.intp)
@@ -182,7 +178,7 @@ def synthetic_panel(plant: PanelPlant) -> tuple[RowPanel, dict]:
                 is_christmas=in_christmas_window(day),
                 log10_hdi=math.log10(hdi[ci]),
                 log10_lto=math.log10(lto[ci]))
-            row = np.asarray(_cell_row(cell, "log10"))
+            row = np.asarray(_cell_row(cell))
             y = float(row @ coef) + float(u[ci]) + float(noise[t - 1])
             cells.append(replace(cell, y=y))
 

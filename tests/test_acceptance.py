@@ -92,7 +92,7 @@ def test_04_transform_search_normalizes_lognormal():
     fitted = diststat.fit_transform_spec(sample)
     assert fitted.jb_statistic <= 0.10 * raw_jb
     ordered = np.unique(sample)
-    out = diststat.apply_transform_array(ordered, fitted.spec)
+    out = diststat.apply_transform_steps_array(ordered, fitted.spec)[1]
     assert np.all(np.diff(out) > 0.0)
 
 
@@ -171,8 +171,7 @@ def test_08_panel_estimator_three_ways(planted_panel_fit):
             break
     else:
         pytest.fail("no clamped instance found")
-    X = panel.panel_design(data, "log10")[
-        :, [PANEL_COLUMNS.index(c) for c in fit.columns]]
+    X = data.cells[:, [PANEL_COLUMNS.index(c) for c in fit.columns]]
     y = data.y
     pooled, *_ = np.linalg.lstsq(X, y, rcond=None)
     ours = [fit.coefficient(c) for c in fit.columns]

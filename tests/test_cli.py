@@ -210,7 +210,8 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("flags", [["--weighted"],
                                        ["--weight-mode", "wls"],
-                                       ["--weighting", "true"]])
+                                       ["--weighting", "true"],
+                                       ["--trend-base", "ln"]])
     def test_old_panel_weight_flags_rejected(self, tmp_path, corpus_csv,
                                              capsys, flags):
         with pytest.raises(SystemExit) as exc:
@@ -436,6 +437,34 @@ class TestPipeline:
         cfg.write_text("stages = clean\nout_dir =\nbogus = 1\n")
         assert run(["pipeline", "--config", cfg]) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("name", ["corpus.csv", "countries.cfg",
+                                      "transform.cfg", "run.cfg"])
+    def test_non_utf8_input_names_file_and_line(self, tmp_path, corpus_csv,
+                                                capsys, name):
+        countries = tmp_path / "countries.cfg"
+        countries.write_bytes(
+            (Path(cm.__file__).parent / "data" / "countries.cfg")
+            .read_bytes())
+        spec_cfg = tmp_path / "transform.cfg"
+        cli.write_transform_cfg({"consolidated": diststat.FittedTransform(
+            diststat.IDENTITY_SPEC, 0.0, 0.0)}, str(spec_cfg))
+        cfg = self.write_config(
+            tmp_path, corpus_csv, "clean, regress",
+            extra=f"countries = {countries}\ntransform = {spec_cfg}\n")
+        # one byte that is not UTF-8, on a line of its own at the end
+        bad = tmp_path / name
+        lines = len(bad.read_bytes().splitlines())
+        bad.write_bytes(bad.read_bytes() + b"# \xff\n")
+        error = f"{bad} line {lines + 1}: not UTF-8 (invalid start byte)"
+        capsys.readouterr()
+        if name == "run.cfg":
+            assert run(["pipeline", "--config", cfg]) == 2
+            assert capsys.readouterr().err == f"error: {error}\n"
+        else:
+            assert run(["pipeline", "--config", cfg]) == 1
+        assert (tmp_path / "out" / "FAILED").read_text(
+            encoding="utf-8").endswith(f"error={error}\n")
 
     def test_failed_stage_leaves_marker(self, tmp_path, corpus_csv):
         # panel without its date range must fail after clean succeeded
@@ -694,10 +723,13 @@ class TestStageNames:
             cli.load_run_config(str(cfg))
 
     @pytest.mark.parametrize("line", ["panel_weighted = true",
-                                      "panel_weight_mode = wls"],
-                             ids=["panel_weighted", "panel_weight_mode"])
+                                      "panel_weight_mode = wls",
+                                      "trend_base = log10"],
+                             ids=["panel_weighted", "panel_weight_mode",
+                                  "trend_base"])
     def test_old_panel_weight_keys_rejected(self, tmp_path, line):
-        # folded into panel_weighting; an old config fails, never silently
+        # the weight keys folded into panel_weighting, and the trend is
+        # always log10; an old config fails, never silently
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"stages = clean, panel\n{line}\n")
         key = line.partition(" ")[0]
@@ -775,7 +807,6 @@ BAD_KEY_VALUES = [
      "the panel needs at least 1 country, got top_n = 0"),
     (cli.PANEL_WEIGHTING, "panel", "yes",
      "unknown weighting 'yes'; have none or multiply or wls"),
-    (cli.TREND_BASE, "panel", "log3", "unknown trend base 'log3'"),
     (cli.SELECT, "lq", "weekday in 9", "weekday values out of 1..7: ['9']"),
     (cli.CLASSES, "lq", "0", "need at least 1 class, got 0"),
     (cli.CLASSES, "lq", "-2", "need at least 1 class, got -2"),

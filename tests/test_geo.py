@@ -157,6 +157,14 @@ class TestJenks:
         assert br.total_ssd == pytest.approx(0.0, abs=1e-12)
         assert br.class_of(2.0) == 0 and br.class_of(7.0) == 1
 
+    @pytest.mark.parametrize("values,k,boundaries", [
+        ([0, 1, 3, 4], 3, (1.0, 3.0)),
+        ([0, 1, 3, 4, 6, 7], 4, (1.0, 3.0, 6.0))])
+    def test_exact_ties_take_the_smallest_boundaries(self, values, k,
+                                                     boundaries):
+        # every pair split off alone ties; the first boundary vector wins
+        assert geo.jenks_breaks(values, k).boundaries == boundaries
+
     def test_more_classes_than_values_rejected(self):
         with pytest.raises(ValueError):
             geo.jenks_breaks([1.0, 2.0], 3)

@@ -86,8 +86,7 @@ SUBCOMMANDS = (
                  "--out", "sub/regress.csv"]),
     ("panel", ["panel", "--in", "sub/cleaned.csv", "--top", "5",
                "--from", "2005-03-01", "--to", "2006-10-31",
-               "--weighting", "wls", "--trend-base", "ln",
-               "--out", "sub/panel.csv"]),
+               "--weighting", "wls", "--out", "sub/panel.csv"]),
     ("lq", ["lq", "--in", "sub/cleaned.csv", "--select", "weekday in 6, 7",
             "--classes", "4", "--out", "sub/lq.csv",
             "--geojson", "sub/lq.geojson"]),

@@ -289,7 +289,7 @@ class TestCallersDiffer:
         fit = panel.re_egls_fit(data)
 
         idx = [PANEL_COLUMNS.index(name) for name in fit.columns]
-        X = panel.panel_design(data, "log10")[:, idx]
+        X = data.cells[:, idx]
         y = data.y
         codes, g = np.unique(data.country, return_inverse=True)
         T_c = np.bincount(g).astype(float)
