@@ -155,8 +155,8 @@ def read_transform_cfg(path: str) -> dict[str, diststat.TransformSpec]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        # the scope, which may hold spaces, is all before the last three
-        # tokens
+        # the scope, which may hold spaces, is all before the last
+        # three tokens
         fields = dict(tok.partition("=")[::2]
                       for tok in line.rsplit(" ", 3))
         try:
