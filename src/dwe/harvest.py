@@ -17,11 +17,15 @@ explicit non-research-article subjects raise.
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing as mp
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 from xml.etree import ElementTree as ET
 
 from .corpus import CountryProfile, RawRecord
@@ -133,8 +137,12 @@ def _history_pattern(style: str) -> re.Pattern[str]:
                       re.IGNORECASE)
 
 
-#: style -> (history line pattern, keyword -> slot)
-_HISTORY = {style: (_history_pattern(style), dict(_SLOTS[style]))
+#: the slots of a history line, in ``HistoryDates`` order
+_SLOT_NAMES = ("received", "revised", "online")
+
+#: style -> (history line pattern, keyword -> slot index)
+_HISTORY = {style: (_history_pattern(style),
+                    {kw: _SLOT_NAMES.index(slot) for kw, slot in _SLOTS[style]})
             for style in HISTORY_STYLES}
 _SPACES = re.compile(r"\s+")
 
@@ -157,29 +165,56 @@ def _build_date(style: str, groups: tuple[str, ...]) -> date:
     return date(int(groups[0]), int(groups[1]), int(groups[2]))
 
 
+def _check_style(style: str) -> str:
+    if style not in HISTORY_STYLES:
+        raise ValueError(f"unknown history style {style!r}")
+    return style
+
+
+def _history_ordinals(text: str, style: str,
+                      memo: dict[tuple[str, ...], int]) -> list[int]:
+    """The (received, revised, online) day ordinals of a history line, 0
+    for an empty slot.  ``memo`` maps each written date already converted
+    to its ordinal, or to 0 when it is malformed."""
+    slots = [0, 0, 0]
+    rx, slot_of = _HISTORY[style]
+    for m in rx.finditer(text):
+        keyword = m.group(1).lower()
+        # a keyword written with single spaces needs no normalizing
+        slot = slot_of.get(keyword)
+        if slot is None:
+            slot = slot_of[_SPACES.sub(" ", keyword)]
+        if slots[slot]:
+            continue
+        groups = m.groups()[1:]
+        try:
+            slots[slot] = memo[groups]
+        except KeyError:
+            try:
+                day = _build_date(style, groups).toordinal()
+            except ValueError:
+                day = 0  # a later occurrence may still fill the slot
+            slots[slot] = memo[groups] = day
+    return slots
+
+
+class _Days(dict):
+    """Day ordinal -> ``date``, each made once; 0 -> None."""
+
+    def __missing__(self, ordinal: int) -> date | None:
+        day = self[ordinal] = date.fromordinal(ordinal) if ordinal else None
+        return day
+
+
 def parse_history_string(text: str, style: str) -> HistoryDates:
     """Extract (received, revised, online) dates from a history line.
 
     First occurrence of each slot wins.  A keyword whose date is missing
     or malformed leaves its slot empty rather than raising.
     """
-    if style not in HISTORY_STYLES:
-        raise ValueError(f"unknown history style {style!r}")
-    slots: dict[str, date | None] = {"received": None, "revised": None,
-                                     "online": None}
-    rx, slot_of = _HISTORY[style]
-    for m in rx.finditer(text):
-        keyword = m.group(1).lower()
-        # a keyword written with single spaces needs no normalizing
-        slot = slot_of.get(keyword) or slot_of[_SPACES.sub(" ", keyword)]
-        if slots[slot] is not None:
-            continue
-        try:
-            slots[slot] = _build_date(style, m.groups()[1:])
-        except ValueError:
-            pass  # a later occurrence may still fill the slot
-    return HistoryDates(received=slots["received"], revised=slots["revised"],
-                        online=slots["online"])
+    days = _Days()
+    return HistoryDates(*(days[day] for day in _history_ordinals(
+        text, _check_style(style), {})))
 
 
 def extract_pages(text: str) -> tuple[int, int]:
@@ -345,6 +380,11 @@ def _text(el) -> str:
     return "".join(el.itertext()).strip() if el is not None else ""
 
 
+#: the elements ``parse_jats_article`` reads
+_JATS_TAGS = ("subject", "date", "pub-date", "page-count", "aff", "corresp",
+              "contrib")
+
+
 def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
     """Parse one JATS-style XML document.
 
@@ -363,35 +403,39 @@ def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
         raise JatsParseError(str(exc), _byte_offset(document, chars),
                              line, column) from exc
 
-    subjects = root.iter("subject")
-    first_subject = next(subjects, None)
-    if first_subject is not None:
-        label = _text(first_subject)
+    # one walk of the tree; each list keeps its tag's document order
+    found: dict[str, list] = {tag: [] for tag in _JATS_TAGS}
+    for el in root.iter():
+        bucket = found.get(el.tag)
+        if bucket is not None:
+            bucket.append(el)
+
+    if found["subject"]:
+        label = _text(found["subject"][0])
         if label.lower() != "research article":
             raise NotResearchArticle(label)
 
     received = accepted = published = None
-    for el in root.iter("date"):
+    for el in found["date"]:
         kind = el.get("date-type")
         if kind == "received" and received is None:
             received = _date_from_children(el)
         elif kind == "accepted" and accepted is None:
             accepted = _date_from_children(el)
-    for el in root.iter("pub-date"):
+    for el in found["pub-date"]:
         if el.get("pub-type") == "epub" and published is None:
             published = _date_from_children(el)
 
     page_count = 0
-    for el in root.iter("page-count"):
+    if found["page-count"]:
         try:
-            page_count = max(0, int(el.get("count", "0")))
+            page_count = max(0, int(found["page-count"][0].get("count", "0")))
         except ValueError:
             page_count = 0
-        break
 
     aff_by_id: dict[str, Affiliation] = {}
     affiliations: list[Affiliation] = []
-    for el in root.iter("aff"):
+    for el in found["aff"]:
         addr = _text(el.find("addr-line"))
         country_raw = addr.rsplit(",", 1)[-1].strip() if addr else ""
         aff = Affiliation(text=addr, country_raw=country_raw)
@@ -402,13 +446,13 @@ def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
 
     # ids of the corresp notes that carry an email
     emailed: set[str] = set()
-    for el in root.iter("corresp"):
+    for el in found["corresp"]:
         corresp_id = el.get("id")
         if corresp_id and _text(el.find("email")):
             emailed.add(corresp_id)
 
     authors: list[Author] = []
-    for el in root.iter("contrib"):
+    for el in found["contrib"]:
         if el.get("contrib-type") != "author":
             continue
         rids = [xr.get("rid") for xr in el.iter("xref") if xr.get("rid")]
@@ -468,14 +512,13 @@ _BLANK_LINE = re.compile(r"\n\s*\n")
 
 def split_author_list(text: str) -> int:
     """Count author names separated by commas, "and", or ampersands."""
-    normalized = _AUTHOR_SEPARATOR.sub(",", text)
-    parts = [p.strip() for p in normalized.split(",")]
-    return sum(1 for p in parts if p)
+    return sum(1 for p in _AUTHOR_SEPARATOR.sub(",", text).split(",")
+               if p.strip())
 
 
-def parse_article_cards(text: str) -> list[ArticleCard]:
-    """Parse blank-line separated ``Key: value`` card records."""
-    cards: list[ArticleCard] = []
+def _card_fields(text: str) -> Iterator[dict[str, str]]:
+    """The ``Key: value`` fields of each blank-line separated card, in
+    order, without the title (which makes a card but is not kept)."""
     for block in _BLANK_LINE.split(text):
         fields: dict[str, str] = {}
         for line in block.splitlines():
@@ -487,32 +530,139 @@ def parse_article_cards(text: str) -> list[ArticleCard]:
             if sep and key in _CARD_KEYS:
                 fields[key] = value.strip()
         if fields:
-            fields.pop("title", None)  # it makes a card, but is not kept
-            cards.append(ArticleCard(**fields))
-    return cards
+            fields.pop("title", None)
+            yield fields
+
+
+def parse_article_cards(text: str) -> list[ArticleCard]:
+    """Parse blank-line separated ``Key: value`` card records."""
+    return [ArticleCard(**fields) for fields in _card_fields(text)]
+
+
+def _page_count(pages: str) -> int:
+    first, last = extract_pages(pages)
+    return last - first + 1 if 0 < first <= last else 0
+
+
+#: a corpus row before its id and journal: the received, revised and online
+#: day ordinals (0 when absent), author count, page count and ISO code ("" when
+#: unresolved).  Ints and short strings, so a row is cheap to pickle.
+Row = tuple[int, int, int, int, int, str]
+
+
+class _FileHarvest:
+    """What harvest does to one file: its rows, or why it is skipped.
+
+    The memos last as long as the object, one harvest call: each distinct
+    written date is converted once and each distinct page range parsed
+    once, and ``lookup`` resolves each distinct country string once.
+    """
+
+    def __init__(self, style: str, lookup: NameLookup):
+        self.style = _check_style(style)
+        self.lookup = lookup
+        self.dates: dict[tuple[str, ...], int] = {}
+        self.pages: dict[str, int] = {}
+
+    def card_row(self, fields: Mapping[str, str]) -> Row:
+        pages = fields.get("pages", "")
+        try:
+            page_count = self.pages[pages]
+        except KeyError:
+            page_count = self.pages[pages] = _page_count(pages)
+        received, revised, online = _history_ordinals(
+            fields.get("history", ""), self.style, self.dates)
+        return (received, revised, online,
+                split_author_list(fields.get("authors", "")), page_count,
+                normalize_country(fields.get("country", ""), self.lookup)
+                or "")
+
+    def __call__(self, path: Path) -> list[Row] | str:
+        try:
+            if path.suffix.lower() == ".xml":
+                return [_jats_row(parse_jats_article(path.read_bytes()),
+                                  self.lookup)]
+            text = path.read_text(encoding="utf-8")
+            return [self.card_row(fields) for fields in _card_fields(text)]
+        except ValueError as exc:
+            return str(exc)
+        except OSError as exc:
+            return f"unreadable: {exc.strerror or exc}"
+
+
+def _jats_row(meta: RawArticleMetadata, lookup: NameLookup) -> Row:
+    return (meta.received.toordinal() if meta.received else 0,
+            meta.accepted.toordinal() if meta.accepted else 0,
+            meta.published.toordinal() if meta.published else 0,
+            len(meta.authors), meta.page_count,
+            resolve_article_country(meta, lookup) or "")
+
+
+def _record(row: Row, article_id: int, journal: str,
+            days: _Days) -> RawRecord:
+    received, revised, online, authors, pages, country = row
+    return RawRecord(article_id, journal, days[received], days[revised],
+                     days[online], authors, pages, country)
 
 
 def card_to_raw_record(card: ArticleCard, article_id: int, journal: str,
                        style: str, lookup: NameLookup) -> RawRecord:
     """Corpus row from a card; unresolvable fields become blanks/zeros."""
-    dates = parse_history_string(card.history, style)
-    first, last = extract_pages(card.pages)
-    page_count = last - first + 1 if 0 < first <= last else 0
-    iso = normalize_country(card.country, lookup)
-    return RawRecord(
-        id=article_id, journal=journal, received=dates.received,
-        revised=dates.revised, online=dates.online,
-        author_count=split_author_list(card.authors),
-        page_count=page_count, country=iso or "")
+    return _record(_FileHarvest(style, lookup).card_row(vars(card)),
+                   article_id, journal, _Days())
 
 
 def jats_to_raw_record(meta: RawArticleMetadata, article_id: int,
                        journal: str, lookup: NameLookup) -> RawRecord:
-    return RawRecord(
-        id=article_id, journal=journal, received=meta.received,
-        revised=meta.accepted, online=meta.published,
-        author_count=len(meta.authors), page_count=meta.page_count,
-        country=resolve_article_country(meta, lookup) or "")
+    return _record(_jats_row(meta, lookup), article_id, journal, _Days())
+
+
+# -- the harvest ------------------------------------------------------------
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+#: a pool worker's task, set once as the worker starts
+_worker_task: _FileHarvest | None = None
+
+
+def _start_worker(task: _FileHarvest) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _in_worker(path: Path) -> list[Row] | str:
+    return _worker_task(path)
+
+
+@contextlib.contextmanager
+def _each_file(task: _FileHarvest, paths: list[Path]
+               ) -> Iterator[Iterator[list[Row] | str]]:
+    """``task`` of each path, in path order.
+
+    The files are spread over a pool of forked processes, one per usable
+    CPU; they inherit ``task`` with its memos as the pool starts.  With one
+    CPU, one file, or no ``fork`` on this platform the files are done in
+    this process.  The pool's processes have ended when the block exits,
+    also when it exits by an exception.
+    """
+    workers = min(_usable_cpus(), len(paths))
+    if workers <= 1 or "fork" not in mp.get_all_start_methods():
+        yield map(task, paths)
+        return
+    pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
+                               initializer=_start_worker, initargs=(task,))
+    try:
+        # several chunks per worker, so the last ones balance the load
+        yield pool.map(_in_worker, paths,
+                       chunksize=-(-len(paths) // (8 * workers)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def harvest_directory(directory: str, style: str, journal: str,
@@ -523,35 +673,25 @@ def harvest_directory(directory: str, style: str, journal: str,
     ``*.xml`` files go through the JATS parser; everything else is read as
     article-card text.  Files are visited in sorted name order and ids are
     assigned sequentially from ``first_id``, so a rerun over the same tree
-    is identical.  Returns (rows, skipped) where skipped pairs each failed
-    file with the reason: a parse error, a file that is not UTF-8, or one
-    that cannot be read.  An unknown ``style``, or a ``directory`` that is
-    not a directory, raises before any file is read.
+    is identical, whatever the number of CPUs the files are spread over.
+    Returns (rows, skipped) where skipped pairs each failed file with the
+    reason: a parse error, a file that is not UTF-8, or one that cannot be
+    read.  An unknown ``style``, or a ``directory`` that is not a
+    directory, raises before any file is read.
     """
-    if style not in HISTORY_STYLES:
-        raise ValueError(f"unknown history style {style!r}")
+    task = _FileHarvest(style, lookup)
     if not Path(directory).is_dir():
         raise ValueError(f"{directory}: not a directory")
     rows: list[RawRecord] = []
     skipped: list[tuple[str, str]] = []
-    next_id = first_id
+    days = _Days()
     paths = sorted(p for p in Path(directory).rglob("*") if p.is_file())
-    for path in paths:
-        rel = str(path.relative_to(directory))
-        try:
-            if path.suffix.lower() == ".xml":
-                meta = parse_jats_article(path.read_bytes())
-                rows.append(jats_to_raw_record(meta, next_id, journal,
-                                               lookup))
-                next_id += 1
-            else:
-                text = path.read_text(encoding="utf-8")
-                for card in parse_article_cards(text):
-                    rows.append(card_to_raw_record(card, next_id, journal,
-                                                   style, lookup))
-                    next_id += 1
-        except ValueError as exc:
-            skipped.append((rel, str(exc)))
-        except OSError as exc:
-            skipped.append((rel, f"unreadable: {exc.strerror or exc}"))
+    with _each_file(task, paths) as results:
+        for path, result in zip(paths, results):
+            if isinstance(result, str):
+                skipped.append((str(path.relative_to(directory)), result))
+                continue
+            for row in result:
+                rows.append(_record(row, first_id + len(rows), journal,
+                                    days))
     return rows, skipped

@@ -71,6 +71,44 @@ def log_trend(t: np.ndarray) -> np.ndarray:
     return np.array([math.log10(v) for v in t.tolist()])
 
 
+def _pairwise_sum(block: np.ndarray) -> np.ndarray:
+    """Row sums of ``block`` in the order numpy's pairwise summation adds
+    a 1-D float64 array: left to right from 0.0 below 8 values, in 8
+    accumulators up to 128, and above that as the sum of two halves split
+    at a multiple of 8."""
+    n = block.shape[1]
+    if n < 8:
+        total = np.zeros(len(block))
+        for i in range(n):
+            total += block[:, i]
+        return total
+    if n <= 128:
+        stop = n - n % 8
+        acc = block[:, :8].copy()
+        for i in range(8, stop, 8):
+            acc += block[:, i:i + 8]
+        total = ((acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])) \
+            + ((acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7]))
+        for i in range(stop, n):
+            total += block[:, i]
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(block[:, :half]) + _pairwise_sum(block[:, half:])
+
+
+def _cell_means(values: np.ndarray, starts: np.ndarray,
+               sizes: np.ndarray) -> np.ndarray:
+    """``np.mean(values[a:a + n])`` for each start a and size n, bit for
+    bit, with one pass per distinct size instead of a call per cell.
+    np.mean adds the slice's pairwise sum to 0.0 and divides by n."""
+    means = np.empty(len(starts))
+    for n in np.unique(sizes).tolist():
+        which = np.flatnonzero(sizes == n)
+        block = values[starts[which, None] + np.arange(n)]
+        means[which] = (0.0 + _pairwise_sum(block)) / n
+    return means
+
+
 def check_end(start: date, end: date) -> date:
     if end < start:
         raise ValueError(f"range ends before it starts: {start}..{end}")
@@ -117,7 +155,6 @@ def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
     picked = picked[np.argsort(key[picked], kind="stable")]
     starts = np.flatnonzero(np.diff(key[picked], prepend=-1))
     n_ct = np.diff(starts, append=picked.size)
-    spans = [slice(a, a + n) for a, n in zip(starts.tolist(), n_ct.tolist())]
     # math.log10 of each distinct ratio, as the row-wise means took it
     values, value = np.unique(ratios.rud[picked], return_inverse=True)
     log_rud = np.array([math.log10(v) for v in values.tolist()])[value]
@@ -130,10 +167,10 @@ def build_panel(corpus: Corpus, start: date, end: date, top_n: int = 11,
     cells = np.column_stack([superset_matrix(cols)[np.ix_(first, [
         DESIGN_TERMS.index(term) for term in PANEL_COLUMNS[:-1]])],
         log_trend(t)])
-    cells[:, PANEL_COLUMNS.index("log10_authors")] = [
-        np.mean(log_authors[s]) for s in spans]
+    cells[:, PANEL_COLUMNS.index("log10_authors")] = _cell_means(
+        log_authors, starts, n_ct)
     return PanelData(
-        cells=cells, y=np.array([np.mean(log_rud[s]) for s in spans]),
+        cells=cells, y=_cell_means(log_rud, starts, n_ct),
         n_ct=n_ct, country=np.searchsorted(top, cols.country[first]),
         t=t, start=start, end=end,
         countries=tuple(cols.countries[k] for k in top.tolist()))

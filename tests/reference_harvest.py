@@ -1,10 +1,12 @@
-"""Oracle for country resolution and history-line parsing in ``harvest``.
+"""Oracle for country resolution, history lines and JATS in ``harvest``.
 
-These are the functions as they were before the lookup was casefolded once
-and the history patterns compiled at import.  ``build_name_lookup`` returns
-a plain display-name -> ISO dict, and ``normalize_country`` casefolds every
-name of it on every call and keeps no memo.  ``parse_history_string``
-builds its keyword alternation and compiles its pattern on every call.
+These are the functions as they were before the lookup was casefolded once,
+the history patterns compiled at import and the JATS tree walked once.
+``build_name_lookup`` returns a plain display-name -> ISO dict, and
+``normalize_country`` casefolds every name of it on every call and keeps no
+memo.  ``parse_history_string`` builds its keyword alternation and compiles
+its pattern on every call, and converts every date it meets.
+``parse_jats_article`` walks the tree once for each tag it reads.
 """
 
 from __future__ import annotations
@@ -12,10 +14,14 @@ from __future__ import annotations
 import re
 from datetime import date
 from typing import Mapping
+from xml.etree import ElementTree as ET
 
 from dwe.corpus import CountryProfile
 from dwe.harvest import (_DATE_BODY, _SLOTS, HISTORY_STYLES, US_STATE_NAMES,
-                         HistoryDates, _build_date)
+                         Affiliation, Author, HistoryDates, JatsParseError,
+                         NotResearchArticle, RawArticleMetadata,
+                         _build_date, _byte_offset, _char_offset,
+                         _date_from_children, _repair_preamble, _text)
 
 
 def build_name_lookup(profiles: Mapping[str, CountryProfile]
@@ -93,3 +99,81 @@ def parse_history_string(text: str, style: str) -> HistoryDates:
             pass
     return HistoryDates(received=slots["received"], revised=slots["revised"],
                         online=slots["online"])
+
+
+def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
+    """Parse one JATS-style XML document.
+
+    Raises JatsParseError (with byte offset) on malformed XML and
+    NotResearchArticle when the first subject element names anything but a
+    research article (missing subject is left for corpus cleaning).
+    """
+    decoded = document if isinstance(document, str) \
+        else document.decode("utf-8", errors="replace")
+    text = _repair_preamble(decoded)
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        line, column = exc.position
+        chars = len(decoded) - len(text) + _char_offset(text, line, column)
+        raise JatsParseError(str(exc), _byte_offset(document, chars),
+                             line, column) from exc
+
+    subjects = root.iter("subject")
+    first_subject = next(subjects, None)
+    if first_subject is not None:
+        label = _text(first_subject)
+        if label.lower() != "research article":
+            raise NotResearchArticle(label)
+
+    received = accepted = published = None
+    for el in root.iter("date"):
+        kind = el.get("date-type")
+        if kind == "received" and received is None:
+            received = _date_from_children(el)
+        elif kind == "accepted" and accepted is None:
+            accepted = _date_from_children(el)
+    for el in root.iter("pub-date"):
+        if el.get("pub-type") == "epub" and published is None:
+            published = _date_from_children(el)
+
+    page_count = 0
+    for el in root.iter("page-count"):
+        try:
+            page_count = max(0, int(el.get("count", "0")))
+        except ValueError:
+            page_count = 0
+        break
+
+    aff_by_id: dict[str, Affiliation] = {}
+    affiliations: list[Affiliation] = []
+    for el in root.iter("aff"):
+        addr = _text(el.find("addr-line"))
+        country_raw = addr.rsplit(",", 1)[-1].strip() if addr else ""
+        aff = Affiliation(text=addr, country_raw=country_raw)
+        affiliations.append(aff)
+        aff_id = el.get("id")
+        if aff_id:
+            aff_by_id[aff_id] = aff
+
+    emailed: set[str] = set()
+    for el in root.iter("corresp"):
+        corresp_id = el.get("id")
+        if corresp_id and _text(el.find("email")):
+            emailed.add(corresp_id)
+
+    authors: list[Author] = []
+    for el in root.iter("contrib"):
+        if el.get("contrib-type") != "author":
+            continue
+        rids = [xr.get("rid") for xr in el.iter("xref") if xr.get("rid")]
+        authors.append(Author(
+            corresponding=el.get("corresp") == "yes"
+            or any(rid in emailed for rid in rids),
+            affiliations=tuple(aff_by_id[rid] for rid in rids
+                               if rid in aff_by_id)))
+
+    return RawArticleMetadata(
+        received=received, accepted=accepted, published=published,
+        page_count=page_count, authors=tuple(authors),
+        affiliations=tuple(affiliations))

@@ -21,7 +21,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from dwe import cli, corpus as cm, synth
+import pytest
+
+from dwe import cli, corpus as cm, harvest, synth
 
 MANIFEST = Path(__file__).parent / "data" / "golden_sha256.json"
 
@@ -105,6 +107,19 @@ def _run(argv: list[str]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def _pipeline_case(case: str, text: str) -> dict[str, str]:
+    """Run one pipeline config in the current directory; map "case/file"
+    to its sha256."""
+    cfg_path = Path(f"{case}.cfg")
+    cfg_path.write_text(text, encoding="utf-8")
+    hashes = {f"{case}/stdout": _sha(
+        _run(["pipeline", "--config", str(cfg_path)]))}
+    out = Path(cli.load_run_config(str(cfg_path)).get("out_dir"))
+    for path in sorted(out.iterdir()):
+        hashes[f"{case}/{path.name}"] = _sha(path.read_bytes())
+    return hashes
+
+
 def golden_outputs(work: Path) -> dict[str, str]:
     """Run every case inside ``work``; map "case/file" to its sha256."""
     cfg = synth.SynthConfig(seed=31, start_year=2005, end_year=2006,
@@ -117,13 +132,7 @@ def golden_outputs(work: Path) -> dict[str, str]:
     with contextlib.chdir(work):
         for case, text in (("pipeline", PIPELINE_CFG), ("rls", RLS_CFG),
                            ("harvest", HARVEST_CFG)):
-            cfg_path = Path(f"{case}.cfg")
-            cfg_path.write_text(text, encoding="utf-8")
-            hashes[f"{case}/stdout"] = _sha(
-                _run(["pipeline", "--config", str(cfg_path)]))
-            out = Path(cli.load_run_config(str(cfg_path)).get("out_dir"))
-            for path in sorted(out.iterdir()):
-                hashes[f"{case}/{path.name}"] = _sha(path.read_bytes())
+            hashes.update(_pipeline_case(case, text))
         for name, argv in SUBCOMMANDS:
             hashes[f"sub/{name}.stdout"] = _sha(_run(argv))
         for path in sorted(Path("sub").iterdir()):
@@ -137,6 +146,22 @@ def test_outputs_match_manifest(tmp_path):
     changed = sorted(k for k in expected.keys() | got.keys()
                      if expected.get(k) != got.get(k))
     assert not changed, f"outputs differ from the manifest: {changed}"
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_harvest_case_for_any_worker_count(tmp_path, monkeypatch, cpus):
+    # one card per file, so that more than one worker has files to take;
+    # ids follow the file order, so the outputs are those of one file
+    monkeypatch.setattr(harvest, "_usable_cpus", lambda: cpus)
+    expected = {k: v for k, v in json.loads(
+        MANIFEST.read_text(encoding="utf-8")).items()
+        if k.startswith("harvest/")}
+    (tmp_path / "arch").mkdir()
+    for i, card in enumerate(CARDS.split("\n\n"), start=1):
+        (tmp_path / "arch" / f"batch{i}.txt").write_text(
+            card.strip() + "\n", encoding="utf-8")
+    with contextlib.chdir(tmp_path):
+        assert _pipeline_case("harvest", HARVEST_CFG) == expected
 
 
 if __name__ == "__main__":

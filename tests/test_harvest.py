@@ -1,5 +1,6 @@
 """History strings, page ranges, country resolution, JATS, card files."""
 
+import multiprocessing
 from datetime import date
 from pathlib import Path
 
@@ -321,6 +322,101 @@ class TestJats:
         assert harvest.resolve_article_country(meta, lookup) == "IT"
 
 
+_JATS_LEAVES = st.one_of(
+    st.sampled_from(["Research Article", "research article", "Editorial",
+                     ""]).map(lambda s: f"<subject>{s}</subject>"),
+    st.tuples(st.sampled_from(["date", "pub-date"]),
+              st.sampled_from(['date-type="received"',
+                               'date-type="accepted"', 'pub-type="epub"',
+                               'pub-type="ppub"', ""]),
+              st.sampled_from(["7", "31", "x", None]),
+              st.sampled_from(["2", "8", "13", None]),
+              st.sampled_from(["2006", "2005", None])).map(
+        lambda t: f"<{t[0]} {t[1]}>" + "".join(
+            f"<{k}>{v}</{k}>" for k, v in zip(("day", "month", "year"),
+                                               t[2:]) if v is not None)
+        + f"</{t[0]}>"),
+    st.sampled_from(['count="12"', 'count="-3"', 'count="x"', ""]).map(
+        lambda c: f"<page-count {c}/>"),
+    st.tuples(st.sampled_from(['id="aff1"', 'id="aff2"', 'id=""', ""]),
+              st.sampled_from(["Univ A, Rome, Italy", "Lyon, France", "",
+                               "Nowhere"])).map(
+        lambda t: f"<aff {t[0]}><addr-line>{t[1]}</addr-line></aff>"),
+    st.tuples(st.sampled_from(['id="c1"', ""]),
+              st.sampled_from(["a@b.org", ""])).map(
+        lambda t: f"<corresp {t[0]}><email>{t[1]}</email></corresp>"),
+    st.tuples(st.sampled_from(['contrib-type="author"',
+                               'contrib-type="editor"']),
+              st.sampled_from(['corresp="yes"', ""]),
+              st.lists(st.sampled_from(["aff1", "aff2", "aff9", "c1", ""]),
+                       max_size=3)).map(
+        lambda t: f"<contrib {t[0]} {t[1]}>" + "".join(
+            f'<xref rid="{r}"/>' for r in t[2]) + "</contrib>"),
+)
+
+#: elements that hold drawn children, so tags nest inside each other
+_JATS_WRAPPERS = ("<g>{}</g>", '<contrib contrib-type="author">{}</contrib>',
+                  '<aff id="aff2"><addr-line>Oslo, Norway</addr-line>{}</aff>',
+                  '<date date-type="received">{}</date>',
+                  "<subj-group>{}</subj-group>")
+
+_JATS_BODIES = st.recursive(
+    _JATS_LEAVES,
+    lambda inner: st.tuples(st.sampled_from(_JATS_WRAPPERS),
+                            st.lists(inner, max_size=4)).map(
+        lambda t: t[0].format("".join(t[1]))),
+    max_leaves=12)
+
+
+def _jats_outcome(parse, document):
+    try:
+        return parse(document)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestJatsAgainstReference:
+    """One walk of the tree reads what a walk per tag read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bodies=st.lists(_JATS_BODIES, max_size=8))
+    def test_drawn_documents(self, bodies):
+        document = "<article>" + "".join(bodies) + "</article>"
+        assert _jats_outcome(harvest.parse_jats_article, document) \
+            == _jats_outcome(ref.parse_jats_article, document)
+
+    def test_repeated_and_nested_tags(self):
+        # two subjects, two page counts, an aff nested in a contrib, a
+        # date nested in a date, and rids that name no aff
+        document = (
+            "<article><subject>Research Article</subject>"
+            "<subject>Editorial</subject>"
+            '<page-count count="4"/><page-count count="9"/>'
+            '<contrib contrib-type="author"><xref rid="aff7"/>'
+            '<xref rid="aff1"/><aff id="aff1"><addr-line>Kyoto, Japan'
+            "</addr-line></aff></contrib>"
+            '<date date-type="accepted"><date date-type="received"><day>2'
+            "</day><month>1</month><year>2006</year></date><day>3</day>"
+            "<month>1</month><year>2006</year></date></article>")
+        meta = harvest.parse_jats_article(document)
+        assert meta == ref.parse_jats_article(document)
+        assert meta.page_count == 4
+        assert meta.received == date(2006, 1, 2)
+        assert meta.accepted == date(2006, 1, 3)
+        assert meta.authors[0].affiliations[0].country_raw == "Japan"
+
+    def test_subject_checked_before_any_date(self):
+        # the received date is after the accepted one, which would raise
+        # a plain ValueError; the editorial subject must win
+        document = (
+            '<article><date date-type="received"><day>9</day><month>9'
+            '</month><year>2006</year></date><date date-type="accepted">'
+            "<day>1</day><month>1</month><year>2006</year></date>"
+            "<subject>Editorial</subject></article>")
+        with pytest.raises(harvest.NotResearchArticle):
+            harvest.parse_jats_article(document)
+
+
 CARDS = """Title: First
 Authors: A. One, B. Two and C. Three
 Pages: pages 10-19
@@ -440,3 +536,93 @@ class TestHarvestDirectory:
         b = harvest.harvest_directory(str(tmp_path), "physica-like", "j",
                                       lookup)
         assert a == b
+
+
+def _mixed_tree(root: Path) -> None:
+    """Cards, JATS, malformed XML, an editorial, a file that is not UTF-8,
+    one made unreadable by ``_unreadable`` and a subdirectory."""
+    (root / "a.txt").write_text(CARDS, encoding="utf-8")
+    (root / "b.xml").write_text(JATS_OK, encoding="utf-8")
+    (root / "c.xml").write_text("<article>", encoding="utf-8")
+    (root / "d.xml").write_text(JATS_OK.replace("Research Article",
+                                                "Editorial"),
+                                encoding="utf-8")
+    (root / "e.txt").write_bytes(CARDS.encode("utf-8") + b"\xff")
+    (root / "f.txt").write_text(CARDS, encoding="utf-8")
+    (root / "sub").mkdir()
+    (root / "sub" / "g.txt").write_text(CARDS.replace("Italy", "Spain"),
+                                        encoding="utf-8")
+    (root / "sub" / "h.xml").write_text(
+        JATS_OK.replace("2006</year></date>\n    <date",
+                        "2005</year></date>\n    <date"), encoding="utf-8")
+    (root / "z.txt").write_text(CARDS, encoding="utf-8")
+
+
+def _unreadable(monkeypatch, name: str, exc: Exception) -> None:
+    real_read_text = Path.read_text
+
+    def read_text(self, *args, **kwargs):
+        if self.name == name:
+            raise exc
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+
+
+class TestHarvestPool:
+    """The files spread over worker processes give what one process gives."""
+
+    def _harvest(self, root, cpus, monkeypatch, country_table):
+        monkeypatch.setattr(harvest, "_usable_cpus", lambda: cpus)
+        lookup = harvest.build_name_lookup(country_table)
+        return harvest.harvest_directory(str(root), "physica-like", "j",
+                                         lookup, first_id=5)
+
+    def test_same_rows_and_skips_for_any_worker_count(
+            self, tmp_path, monkeypatch, country_table):
+        _mixed_tree(tmp_path)
+        _unreadable(monkeypatch, "f.txt",
+                    PermissionError(13, "Permission denied"))
+        inline = self._harvest(tmp_path, 1, monkeypatch, country_table)
+        pooled = self._harvest(tmp_path, 3, monkeypatch, country_table)
+        assert pooled == inline
+        rows, skipped = inline
+        assert [r.id for r in rows] == list(range(5, 13))
+        assert [name for name, _ in skipped] == [
+            "c.xml", "d.xml", "e.txt", "f.txt"]
+        assert skipped[3][1] == "unreadable: Permission denied"
+        # sorted by path: a.txt, b.xml, sub/g.txt, sub/h.xml, z.txt
+        assert [r.country for r in rows] == [
+            "IT", "DE", "IT", "ES", "DE", "IT", "IT", "DE"]
+        assert rows[5].received == date(2005, 8, 7)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_other_errors_propagate(self, tmp_path, monkeypatch,
+                                    country_table, cpus):
+        _mixed_tree(tmp_path)
+        _unreadable(monkeypatch, "f.txt", RuntimeError("f.txt exploded"))
+        with pytest.raises(RuntimeError, match="f.txt exploded"):
+            self._harvest(tmp_path, cpus, monkeypatch, country_table)
+        assert multiprocessing.active_children() == []
+
+    def test_malformed_date_is_memoised_as_no_date(
+            self, tmp_path, monkeypatch, country_table):
+        # 31 February is met first in card 1, then again in cards 2 and 3;
+        # a later valid date on the same line still fills the slot
+        cards = ("History: Received 31 February 2006; "
+                 "received 3 March 2006\n\n"
+                 "History: Received 31 February 2006\n\n"
+                 "History: Received 31 February 2006, "
+                 "Received 4 March 2006; revised 31 February 2006\n")
+        (tmp_path / "a.txt").write_text(cards, encoding="utf-8")
+        rows, _ = self._harvest(tmp_path, 1, monkeypatch, country_table)
+        assert [(r.received, r.revised) for r in rows] == [
+            (date(2006, 3, 3), None), (None, None), (date(2006, 3, 4), None)]
+        task = harvest._FileHarvest("physica-like",
+                                    harvest.build_name_lookup(country_table))
+        task(tmp_path / "a.txt")
+        assert task.dates[("31", "February", "2006")] == 0
+        assert [r.received for r in rows] == [
+            ref.parse_history_string(block, "physica-like").received
+            for block in cards.split("\n\n")]

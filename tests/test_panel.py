@@ -182,6 +182,46 @@ class TestColumnarPanel:
         assert_same_cells(data, ref)
 
 
+#: cell values of every sign and scale, signed zeros included
+_CELL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e-300]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+
+
+class TestCellMeans:
+    """The per-cell means are np.mean's, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small=st.lists(st.lists(_CELL_VALUES, min_size=1, max_size=20),
+                          min_size=1, max_size=8),
+           long_sizes=st.lists(st.integers(121, 400), max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equal_np_mean(self, small, long_sizes, seed):
+        # drawn values in the short cells; the long ones, past numpy's
+        # 128-value block, mix scales and signed zeros from a seeded draw
+        rng = np.random.default_rng(seed)
+        cells = small + [
+            np.where(rng.random(n) < 0.1, rng.choice([0.0, -0.0], n),
+                     rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n))
+            for n in long_sizes]
+        sizes = np.array([len(c) for c in cells])
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        values = np.concatenate([np.asarray(c, dtype=float) for c in cells])
+        assert _bits(panel._cell_means(values, starts, sizes)) \
+            == _bits([np.mean(np.asarray(c, dtype=float)) for c in cells])
+
+    def test_equal_np_mean_on_every_size_up_to_400(self):
+        rng = np.random.default_rng(5)
+        sizes = np.repeat(np.arange(1, 401), 3)
+        values = rng.standard_normal(sizes.sum()) \
+            * 10.0 ** rng.integers(-8, 9, size=sizes.sum())
+        values[rng.random(values.size) < 0.05] = -0.0
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        assert _bits(panel._cell_means(values, starts, sizes)) == _bits(
+            [np.mean(values[a:a + n])
+             for a, n in zip(starts.tolist(), sizes.tolist())])
+
+
 class TestEglsAgainstBruteForce:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_exact_gls_when_components_known(self, seed):
