@@ -142,7 +142,8 @@ _SLOT_NAMES = ("received", "revised", "online")
 
 #: style -> (history line pattern, keyword -> slot index)
 _HISTORY = {style: (_history_pattern(style),
-                    {kw: _SLOT_NAMES.index(slot) for kw, slot in _SLOTS[style]})
+                    {kw: _SLOT_NAMES.index(slot)
+                     for kw, slot in _SLOTS[style]})
             for style in HISTORY_STYLES}
 _SPACES = re.compile(r"\s+")
 
@@ -212,9 +213,9 @@ def parse_history_string(text: str, style: str) -> HistoryDates:
     First occurrence of each slot wins.  A keyword whose date is missing
     or malformed leaves its slot empty rather than raising.
     """
+    ordinals = _history_ordinals(text, _check_style(style), {})
     days = _Days()
-    return HistoryDates(*(days[day] for day in _history_ordinals(
-        text, _check_style(style), {})))
+    return HistoryDates(*(days[day] for day in ordinals))
 
 
 def extract_pages(text: str) -> tuple[int, int]:
