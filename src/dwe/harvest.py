@@ -18,10 +18,8 @@ explicit non-research-article subjects raise.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing as mp
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -548,7 +546,7 @@ def _page_count(pages: str) -> int:
 #: a corpus row before its id and journal: the received, revised and online
 #: day ordinals (0 when absent), author count, page count and ISO code ("" when
 #: unresolved).  Ints and short strings, so a row is cheap to pickle.
-Row = tuple[int, int, int, int, int, str]
+_Row = tuple[int, int, int, int, int, str]
 
 
 class _FileHarvest:
@@ -565,7 +563,7 @@ class _FileHarvest:
         self.dates: dict[tuple[str, ...], int] = {}
         self.pages: dict[str, int] = {}
 
-    def card_row(self, fields: Mapping[str, str]) -> Row:
+    def card_row(self, fields: Mapping[str, str]) -> _Row:
         pages = fields.get("pages", "")
         try:
             page_count = self.pages[pages]
@@ -578,7 +576,7 @@ class _FileHarvest:
                 normalize_country(fields.get("country", ""), self.lookup)
                 or "")
 
-    def __call__(self, path: Path) -> list[Row] | str:
+    def __call__(self, path: Path) -> list[_Row] | str:
         try:
             if path.suffix.lower() == ".xml":
                 return [_jats_row(parse_jats_article(path.read_bytes()),
@@ -591,7 +589,7 @@ class _FileHarvest:
             return f"unreadable: {exc.strerror or exc}"
 
 
-def _jats_row(meta: RawArticleMetadata, lookup: NameLookup) -> Row:
+def _jats_row(meta: RawArticleMetadata, lookup: NameLookup) -> _Row:
     return (meta.received.toordinal() if meta.received else 0,
             meta.accepted.toordinal() if meta.accepted else 0,
             meta.published.toordinal() if meta.published else 0,
@@ -599,7 +597,7 @@ def _jats_row(meta: RawArticleMetadata, lookup: NameLookup) -> Row:
             resolve_article_country(meta, lookup) or "")
 
 
-def _record(row: Row, article_id: int, journal: str,
+def _record(row: _Row, article_id: int, journal: str,
             days: _Days) -> RawRecord:
     received, revised, online, authors, pages, country = row
     return RawRecord(article_id, journal, days[received], days[revised],
@@ -628,7 +626,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: a pool worker's task, set once as the worker starts
+#: a pool worker's task, set as the worker starts; never set in the calling
+#: process
 _worker_task: _FileHarvest | None = None
 
 
@@ -637,26 +636,33 @@ def _start_worker(task: _FileHarvest) -> None:
     _worker_task = task
 
 
-def _in_worker(path: Path) -> list[Row] | str:
+def _in_worker(path: Path) -> list[_Row] | str:
     return _worker_task(path)
 
 
 @contextlib.contextmanager
 def _each_file(task: _FileHarvest, paths: list[Path]
-               ) -> Iterator[Iterator[list[Row] | str]]:
+               ) -> Iterator[Iterator[list[_Row] | str]]:
     """``task`` of each path, in path order.
 
     The files are spread over a pool of forked processes, one per usable
-    CPU; they inherit ``task`` with its memos as the pool starts.  With one
-    CPU, one file, or no ``fork`` on this platform the files are done in
-    this process.  The pool's processes have ended when the block exits,
-    also when it exits by an exception.
+    CPU; they inherit ``task`` with its memos as the pool starts.  Forked,
+    not spawned: a spawned worker would import numpy and scipy again, which
+    costs more than half of what the whole stage takes on two CPUs.  With
+    one CPU, one file, or no ``fork`` on this platform the files are done
+    in this process.  The pool's processes have ended when the block
+    exits, also when it exits by an exception.
     """
     workers = min(_usable_cpus(), len(paths))
-    if workers <= 1 or "fork" not in mp.get_all_start_methods():
+    if workers <= 1 or not hasattr(os, "fork"):
         yield map(task, paths)
         return
-    pool = ProcessPoolExecutor(workers, mp_context=mp.get_context("fork"),
+    # imported here, so that commands that never harvest do not load them:
+    # they add 12 modules and about 0.6 MB to every process
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"),
                                initializer=_start_worker, initargs=(task,))
     try:
         # several chunks per worker, so the last ones balance the load
