@@ -647,10 +647,10 @@ def _each_file(task: _FileHarvest, paths: list[Path]
 
     The files are spread over a pool of forked processes, one per usable
     CPU; they inherit ``task`` with its memos as the pool starts.  Forked,
-    not spawned: a spawned worker would import numpy and scipy again, which
-    costs more than half of what the whole stage takes on two CPUs.  With
-    one CPU, one file, or no ``fork`` on this platform the files are done
-    in this process.  The pool's processes have ended when the block
+    not spawned: a spawned worker would import dwe, numpy and scipy again,
+    which takes more than half as long as the whole stage on two CPUs.
+    With one CPU, one file, or no ``fork`` on this platform the files are
+    done in this process.  The pool's processes have ended when the block
     exits, also when it exits by an exception.
     """
     workers = min(_usable_cpus(), len(paths))
