@@ -10,10 +10,10 @@ import os
 
 __version__ = "0.1.0"
 
-# One BLAS thread unless the caller chose a count: a threaded reduction
+# One BLAS thread, whatever count the caller set: a threaded reduction
 # splits sums differently, and so changes last digits of the outputs.
 # This holds only when dwe is imported before numpy, as its CLI is.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
+    os.environ[_name] = "1"
 
 from . import corpus, diststat, geo, harvest, linmod, panel, rud, synth  # noqa: F401

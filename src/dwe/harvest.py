@@ -10,8 +10,8 @@ house styles:
 * ``physica-like``  -- ``Received 9 December 2005`` (day month-name year)
 * ``nature-like``   -- ``Received 2006-08-07`` (ISO numeric)
 
-All parsers are total over arbitrary text: they return typed results with
-absent fields instead of raising mid-document.  Only malformed XML and
+All parsers are total over arbitrary text: they return results with absent
+fields instead of raising mid-document.  Only malformed XML and
 explicit non-research-article subjects raise.
 """
 
@@ -88,13 +88,6 @@ class RawArticleMetadata:
             raise ValueError("negative page count")
 
 
-@dataclass(frozen=True)
-class HistoryDates:
-    received: date | None = None
-    revised: date | None = None
-    online: date | None = None
-
-
 # -- history strings --------------------------------------------------------
 
 HISTORY_STYLES = ("plos-like", "physica-like", "nature-like")
@@ -135,7 +128,7 @@ def _history_pattern(style: str) -> re.Pattern[str]:
                       re.IGNORECASE)
 
 
-#: the slots of a history line, in ``HistoryDates`` order
+#: the slots of a history line, in a row's order
 _SLOT_NAMES = ("received", "revised", "online")
 
 #: style -> (history line pattern, keyword -> slot index)
@@ -203,17 +196,6 @@ class _Days(dict):
     def __missing__(self, ordinal: int) -> date | None:
         day = self[ordinal] = date.fromordinal(ordinal) if ordinal else None
         return day
-
-
-def parse_history_string(text: str, style: str) -> HistoryDates:
-    """Extract (received, revised, online) dates from a history line.
-
-    First occurrence of each slot wins.  A keyword whose date is missing
-    or malformed leaves its slot empty rather than raising.
-    """
-    ordinals = _history_ordinals(text, _check_style(style), {})
-    days = _Days()
-    return HistoryDates(*(days[day] for day in ordinals))
 
 
 def extract_pages(text: str) -> tuple[int, int]:
@@ -497,14 +479,6 @@ def resolve_article_country(meta: RawArticleMetadata,
 _CARD_KEYS = ("title", "authors", "pages", "history", "country")
 
 
-@dataclass(frozen=True)
-class ArticleCard:
-    authors: str = ""
-    pages: str = ""
-    history: str = ""
-    country: str = ""
-
-
 _AUTHOR_SEPARATOR = re.compile(r"\s+(?:and|&)\s+", re.IGNORECASE)
 _BLANK_LINE = re.compile(r"\n\s*\n")
 
@@ -515,9 +489,12 @@ def split_author_list(text: str) -> int:
                if p.strip())
 
 
-def _card_fields(text: str) -> Iterator[dict[str, str]]:
+def parse_article_cards(text: str) -> list[dict[str, str]]:
     """The ``Key: value`` fields of each blank-line separated card, in
-    order, without the title (which makes a card but is not kept)."""
+    order, keyed by the lowercased key.  Lines with another key, and
+    ``#`` comments, are ignored; a block with none of the keys is no
+    card."""
+    cards = []
     for block in _BLANK_LINE.split(text):
         fields: dict[str, str] = {}
         for line in block.splitlines():
@@ -529,13 +506,8 @@ def _card_fields(text: str) -> Iterator[dict[str, str]]:
             if sep and key in _CARD_KEYS:
                 fields[key] = value.strip()
         if fields:
-            fields.pop("title", None)
-            yield fields
-
-
-def parse_article_cards(text: str) -> list[ArticleCard]:
-    """Parse blank-line separated ``Key: value`` card records."""
-    return [ArticleCard(**fields) for fields in _card_fields(text)]
+            cards.append(fields)
+    return cards
 
 
 def _page_count(pages: str) -> int:
@@ -582,7 +554,7 @@ class _FileHarvest:
                 return [_jats_row(parse_jats_article(path.read_bytes()),
                                   self.lookup)]
             text = path.read_text(encoding="utf-8")
-            return [self.card_row(fields) for fields in _card_fields(text)]
+            return [self.card_row(card) for card in parse_article_cards(text)]
         except ValueError as exc:
             return str(exc)
         except OSError as exc:
@@ -604,10 +576,14 @@ def _record(row: _Row, article_id: int, journal: str,
                      days[online], authors, pages, country)
 
 
-def card_to_raw_record(card: ArticleCard, article_id: int, journal: str,
-                       style: str, lookup: NameLookup) -> RawRecord:
-    """Corpus row from a card; unresolvable fields become blanks/zeros."""
-    return _record(_FileHarvest(style, lookup).card_row(vars(card)),
+# perfbench's tracer wraps parse_article_cards, card_to_raw_record and
+# jats_to_raw_record; the pipeline never calls the last two.
+def card_to_raw_record(card: Mapping[str, str], article_id: int,
+                       journal: str, style: str, lookup: NameLookup
+                       ) -> RawRecord:
+    """Corpus row from a card's fields; unresolvable fields become
+    blanks/zeros.  An unknown ``style`` raises ``ValueError``."""
+    return _record(_FileHarvest(style, lookup).card_row(card),
                    article_id, journal, _Days())
 
 

@@ -71,41 +71,15 @@ def log_trend(t: np.ndarray) -> np.ndarray:
     return np.array([math.log10(v) for v in t.tolist()])
 
 
-def _pairwise_sum(block: np.ndarray) -> np.ndarray:
-    """Row sums of ``block`` in the order numpy's pairwise summation adds
-    a 1-D float64 array: left to right from 0.0 below 8 values, in 8
-    accumulators up to 128, and above that as the sum of two halves split
-    at a multiple of 8."""
-    n = block.shape[1]
-    if n < 8:
-        total = np.zeros(len(block))
-        for i in range(n):
-            total += block[:, i]
-        return total
-    if n <= 128:
-        stop = n - n % 8
-        acc = block[:, :8].copy()
-        for i in range(8, stop, 8):
-            acc += block[:, i:i + 8]
-        total = ((acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])) \
-            + ((acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7]))
-        for i in range(stop, n):
-            total += block[:, i]
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(block[:, :half]) + _pairwise_sum(block[:, half:])
-
-
 def _cell_means(values: np.ndarray, starts: np.ndarray,
                sizes: np.ndarray) -> np.ndarray:
     """``np.mean(values[a:a + n])`` for each start a and size n, bit for
-    bit, with one pass per distinct size instead of a call per cell.
-    np.mean adds the slice's pairwise sum to 0.0 and divides by n."""
+    bit, with one pass per distinct size instead of a call per cell: a
+    C-ordered block's row mean sums each row as np.mean sums the slice."""
     means = np.empty(len(starts))
     for n in np.unique(sizes).tolist():
         which = np.flatnonzero(sizes == n)
-        block = values[starts[which, None] + np.arange(n)]
-        means[which] = (0.0 + _pairwise_sum(block)) / n
+        means[which] = values[starts[which, None] + np.arange(n)].mean(axis=1)
     return means
 
 

@@ -5,7 +5,8 @@ the history patterns compiled at import and the JATS tree walked once.
 ``build_name_lookup`` returns a plain display-name -> ISO dict, and
 ``normalize_country`` casefolds every name of it on every call and keeps no
 memo.  ``parse_history_string`` builds its keyword alternation and compiles
-its pattern on every call, and converts every date it meets.
+its pattern on every call, converts every date it meets, and returns the
+(received, revised, online) dates as a tuple.
 ``parse_jats_article`` walks the tree once for each tag it reads.
 """
 
@@ -18,7 +19,7 @@ from xml.etree import ElementTree as ET
 
 from dwe.corpus import CountryProfile
 from dwe.harvest import (_DATE_BODY, _SLOTS, HISTORY_STYLES, US_STATE_NAMES,
-                         Affiliation, Author, HistoryDates, JatsParseError,
+                         Affiliation, Author, JatsParseError,
                          NotResearchArticle, RawArticleMetadata,
                          _build_date, _byte_offset, _char_offset,
                          _date_from_children, _repair_preamble, _text)
@@ -74,7 +75,8 @@ def normalize_country(country_raw: str,
     return None
 
 
-def parse_history_string(text: str, style: str) -> HistoryDates:
+def parse_history_string(text: str, style: str
+                         ) -> tuple[date | None, date | None, date | None]:
     """Extract (received, revised, online) dates from a history line.
 
     First occurrence of each slot wins.  A keyword whose date is missing
@@ -97,8 +99,7 @@ def parse_history_string(text: str, style: str) -> HistoryDates:
             slots[slot] = _build_date(style, m.groups()[1:])
         except ValueError:
             pass
-    return HistoryDates(received=slots["received"], revised=slots["revised"],
-                        online=slots["online"])
+    return slots["received"], slots["revised"], slots["online"]
 
 
 def parse_jats_article(document: str | bytes) -> RawArticleMetadata:

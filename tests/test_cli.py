@@ -325,19 +325,22 @@ class TestPipeline:
                         reason="one core gives one BLAS thread either way")
     def test_outputs_ignore_blas_threads(self, tmp_path):
         # about 31k articles: enough for OpenBLAS to split a dot product
-        # over every ratio, which would move the last digits of jb=
+        # over every ratio, which would move the last digits of jb= and
+        # of regress.csv's adjusted R2 if a caller's count of 2 were kept
         cfg = synth.SynthConfig(seed=17, start_year=2010, end_year=2015,
                                 articles_per_week=99.0,
                                 journals=("alpha", "beta", "gamma"))
         corpus_csv = tmp_path / "corpus.csv"
         cm.write_corpus_csv(synth.make_corpus_rows(cfg), str(corpus_csv))
-        run_cfg = self.write_config(tmp_path, corpus_csv,
-                                    "clean, rud, transform")
+        run_cfg = tmp_path / "run.cfg"  # regress over its default windows
+        run_cfg.write_text("stages = clean, rud, transform, regress\n"
+                           f"out_dir = {tmp_path / 'out'}\n"
+                           f"corpus = {corpus_csv}\n")
         names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         env = {k: v for k, v in os.environ.items() if k not in names}
         env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
         outputs = []
-        for threads in ({}, dict.fromkeys(names, "1")):
+        for threads in ({}, dict.fromkeys(names, "2")):
             proc = subprocess.run(
                 [sys.executable, "-m", "dwe.cli", "pipeline", "--config",
                  str(run_cfg)], capture_output=True, text=True,

@@ -212,7 +212,12 @@ class TestCellMeans:
 
     def test_equal_np_mean_on_every_size_up_to_400(self):
         rng = np.random.default_rng(5)
-        sizes = np.repeat(np.arange(1, 401), 3)
+        # with tall blocks of a few sizes, where numpy could reorder the
+        # reduction of a 2-D block
+        sizes = np.concatenate([np.repeat(np.arange(1, 401), 3),
+                                np.full(20_000, 3), np.full(2_000, 9),
+                                np.full(500, 130)])
+        rng.shuffle(sizes)
         values = rng.standard_normal(sizes.sum()) \
             * 10.0 ** rng.integers(-8, 9, size=sizes.sum())
         values[rng.random(values.size) < 0.05] = -0.0
