@@ -26,7 +26,7 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,27 +35,16 @@ from .corpus import Corpus
 
 # -- selection expressions --------------------------------------------------
 
-@dataclass(frozen=True)
-class _Atom:
-    field: str  # "weekday" | "journal"
-    values: frozenset
-
-    def matches(self, weekday: int, journal: str) -> bool:
-        if self.field == "weekday":
-            return weekday in self.values
-        return journal in self.values
+#: whether an article with this received weekday and journal is selected
+_Predicate = Callable[[int, str], bool]
 
 
 @dataclass(frozen=True)
 class SelectionExpr:
-    """Disjunction of conjunctions of field-membership atoms."""
+    """A selection; ``matches(weekday, journal)`` evaluates it as written."""
 
-    clauses: tuple[tuple[_Atom, ...], ...]
+    matches: _Predicate
     text: str
-
-    def matches(self, weekday: int, journal: str) -> bool:
-        return any(all(a.matches(weekday, journal) for a in clause)
-                   for clause in self.clauses)
 
 
 _FIELD_ALIASES = {
@@ -65,6 +54,7 @@ _FIELD_ALIASES = {
 }
 
 _TOKEN_RX = re.compile(r"\[[^\]]+\]|\(|\)|=|,|[^\s(),=]+")
+_MAX_DEPTH = 100  # deeper parentheses could exhaust the stack when evaluated
 
 
 class _Parser:
@@ -87,33 +77,31 @@ class _Parser:
         if tok.lower() != token:
             raise ValueError(f"expected {token!r}, got {tok!r}")
 
-    def parse_or(self) -> list[list[_Atom]]:
-        clauses = self.parse_and()
+    def parse_or(self, depth: int) -> _Predicate:
+        parts = [self.parse_and(depth)]
         while (tok := self.peek()) is not None and tok.lower() == "or":
             self.take()
-            clauses.extend(self.parse_and())
-        return clauses
+            parts.append(self.parse_and(depth))
+        return lambda weekday, journal: any(p(weekday, journal) for p in parts)
 
-    def parse_and(self) -> list[list[_Atom]]:
-        # everything is held in disjunctive normal form; conjoining two
-        # disjunctions distributes as a clause cross-product
-        clauses = self.parse_atom()
+    def parse_and(self, depth: int) -> _Predicate:
+        parts = [self.parse_atom(depth)]
         while (tok := self.peek()) is not None and tok.lower() == "and":
             self.take()
-            right = self.parse_atom()
-            clauses = [left + extra for left in clauses for extra in right]
-        return clauses
+            parts.append(self.parse_atom(depth))
+        return lambda weekday, journal: all(p(weekday, journal) for p in parts)
 
-    def parse_atom(self) -> list[list[_Atom]]:
-        tok = self.peek()
-        if tok == "(":
-            self.take()
-            clauses = self.parse_or()
-            self.expect(")")
-            return clauses
-        return [[self.parse_comparison()]]
+    def parse_atom(self, depth: int) -> _Predicate:
+        if self.peek() != "(":
+            return self.parse_comparison()
+        if depth == _MAX_DEPTH:
+            raise ValueError(f"parentheses nest deeper than {_MAX_DEPTH}")
+        self.take()
+        inner = self.parse_or(depth + 1)
+        self.expect(")")
+        return inner
 
-    def parse_comparison(self) -> _Atom:
+    def parse_comparison(self) -> _Predicate:
         field_tok = self.take().lower()
         if field_tok not in _FIELD_ALIASES:
             raise ValueError(f"unknown field {field_tok!r}")
@@ -143,18 +131,18 @@ class _Parser:
                     from exc
             if not all(1 <= v <= 7 for v in converted):
                 raise ValueError(f"weekday values out of 1..7: {values}")
-            return _Atom(field="weekday", values=converted)
-        return _Atom(field="journal", values=frozenset(values))
+            return lambda weekday, journal: weekday in converted
+        journals = frozenset(values)
+        return lambda weekday, journal: journal in journals
 
 
 def parse_selection(text: str) -> SelectionExpr:
     """Parse a selection expression; raises ValueError with the offence."""
     parser = _Parser(text)
-    clauses = parser.parse_or()
+    matches = parser.parse_or(0)
     if parser.peek() is not None:
         raise ValueError(f"trailing tokens from {parser.peek()!r}")
-    return SelectionExpr(clauses=tuple(tuple(c) for c in clauses),
-                         text=text)
+    return SelectionExpr(matches=matches, text=text)
 
 
 # -- localization quotient --------------------------------------------------

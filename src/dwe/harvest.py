@@ -11,8 +11,8 @@ house styles:
 * ``nature-like``   -- ``Received 2006-08-07`` (ISO numeric)
 
 All parsers are total over arbitrary text: they return results with absent
-fields instead of raising mid-document.  Only malformed XML and
-explicit non-research-article subjects raise.
+fields instead of raising mid-document.  Only malformed XML, explicit
+non-research-article subjects and received-after-accepted dates raise.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 from xml.etree import ElementTree as ET
 
 from .corpus import CountryProfile, RawRecord
@@ -56,36 +56,21 @@ class NotResearchArticle(ValueError):
         self.subject = subject
 
 
-@dataclass(frozen=True)
-class Affiliation:
-    text: str
-    country_raw: str  # last comma-separated segment of the address line
+class JatsArticle(NamedTuple):
+    """What harvest reads from one JATS document.
 
+    ``places`` are the affiliation strings to geolocate, best first and
+    without repeats: each is an affiliation's country segment (the last
+    comma-separated one of its address line), or the whole line when that
+    segment is empty.
+    """
 
-@dataclass(frozen=True)
-class Author:
-    corresponding: bool = False
-    affiliations: tuple[Affiliation, ...] = ()
-
-
-@dataclass(frozen=True)
-class RawArticleMetadata:
-    """Parsed metadata before id assignment and cleaning."""
-
-    received: date | None = None
-    accepted: date | None = None
-    published: date | None = None
-    page_count: int = 0  # 0 encodes unavailable
-    authors: tuple[Author, ...] = ()
-    affiliations: tuple[Affiliation, ...] = ()
-
-    def __post_init__(self) -> None:
-        if (self.received is not None and self.accepted is not None
-                and self.received > self.accepted):
-            raise ValueError(
-                f"received {self.received} after accepted {self.accepted}")
-        if self.page_count < 0:
-            raise ValueError("negative page count")
+    received: date | None
+    accepted: date | None
+    published: date | None
+    page_count: int  # 0 encodes unavailable
+    authors: int  # contrib-type="author" elements
+    places: tuple[str, ...]
 
 
 # -- history strings --------------------------------------------------------
@@ -366,12 +351,15 @@ _JATS_TAGS = ("subject", "date", "pub-date", "page-count", "aff", "corresp",
               "contrib")
 
 
-def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
+def parse_jats_article(document: str | bytes) -> JatsArticle:
     """Parse one JATS-style XML document.
 
-    Raises JatsParseError (with byte offset) on malformed XML and
+    ``places`` ranks the affiliations of the first corresponding author,
+    then those of the first author, then every affiliation in document
+    order.  Raises JatsParseError (with byte offset) on malformed XML,
     NotResearchArticle when the first subject element names anything but a
-    research article (missing subject is left for corpus cleaning).
+    research article (missing subject is left for corpus cleaning), and
+    ValueError when the received date is after the accepted one.
     """
     decoded = document if isinstance(document, str) \
         else document.decode("utf-8", errors="replace")
@@ -407,6 +395,9 @@ def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
         if el.get("pub-type") == "epub" and published is None:
             published = _date_from_children(el)
 
+    if received is not None and accepted is not None and received > accepted:
+        raise ValueError(f"received {received} after accepted {accepted}")
+
     page_count = 0
     if found["page-count"]:
         try:
@@ -414,16 +405,15 @@ def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
         except ValueError:
             page_count = 0
 
-    aff_by_id: dict[str, Affiliation] = {}
-    affiliations: list[Affiliation] = []
+    every_place: list[str] = []
+    place_of: dict[str, str] = {}  # aff id -> its place
     for el in found["aff"]:
         addr = _text(el.find("addr-line"))
-        country_raw = addr.rsplit(",", 1)[-1].strip() if addr else ""
-        aff = Affiliation(text=addr, country_raw=country_raw)
-        affiliations.append(aff)
+        place = addr.rsplit(",", 1)[-1].strip() or addr
+        every_place.append(place)
         aff_id = el.get("id")
         if aff_id:
-            aff_by_id[aff_id] = aff
+            place_of[aff_id] = place
 
     # ids of the corresp notes that carry an email
     emailed: set[str] = set()
@@ -432,45 +422,25 @@ def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
         if corresp_id and _text(el.find("email")):
             emailed.add(corresp_id)
 
-    authors: list[Author] = []
+    # the rids of each author, and of the first corresponding one
+    authors: list[list[str]] = []
+    corresponding: list[str] | None = None
     for el in found["contrib"]:
         if el.get("contrib-type") != "author":
             continue
         rids = [xr.get("rid") for xr in el.iter("xref") if xr.get("rid")]
+        authors.append(rids)
         # either convention marks the contact author: the corresp attribute
         # or an email reached through a corresp note
-        authors.append(Author(
-            corresponding=el.get("corresp") == "yes"
-            or any(rid in emailed for rid in rids),
-            affiliations=tuple(aff_by_id[rid] for rid in rids
-                               if rid in aff_by_id)))
+        if corresponding is None and (el.get("corresp") == "yes"
+                                      or any(rid in emailed for rid in rids)):
+            corresponding = rids
 
-    return RawArticleMetadata(
-        received=received, accepted=accepted, published=published,
-        page_count=page_count, authors=tuple(authors),
-        affiliations=tuple(affiliations))
-
-
-def resolve_article_country(meta: RawArticleMetadata,
-                            lookup: NameLookup) -> str | None:
-    """ISO country of the corresponding author's affiliation.
-
-    Falls back to the first author's affiliations, then to the document's
-    affiliation list, taking the first address that resolves.
-    """
-    pools: list[tuple[Affiliation, ...]] = []
-    corresponding = next((a for a in meta.authors if a.corresponding), None)
-    if corresponding is not None:
-        pools.append(corresponding.affiliations)
-    if meta.authors:
-        pools.append(meta.authors[0].affiliations)
-    pools.append(meta.affiliations)
-    for pool in pools:
-        for aff in pool:
-            iso = normalize_country(aff.country_raw or aff.text, lookup)
-            if iso is not None:
-                return iso
-    return None
+    ranked = (corresponding or []) + (authors[0] if authors else [])
+    places = [place_of[rid] for rid in ranked if rid in place_of]
+    places += every_place
+    return JatsArticle(received, accepted, published, page_count,
+                       len(authors), tuple(dict.fromkeys(places)))
 
 
 # -- article cards ----------------------------------------------------------
@@ -561,12 +531,14 @@ class _FileHarvest:
             return f"unreadable: {exc.strerror or exc}"
 
 
-def _jats_row(meta: RawArticleMetadata, lookup: NameLookup) -> _Row:
-    return (meta.received.toordinal() if meta.received else 0,
-            meta.accepted.toordinal() if meta.accepted else 0,
-            meta.published.toordinal() if meta.published else 0,
-            len(meta.authors), meta.page_count,
-            resolve_article_country(meta, lookup) or "")
+def _jats_row(article: JatsArticle, lookup: NameLookup) -> _Row:
+    # the country is the first place that resolves
+    return (article.received.toordinal() if article.received else 0,
+            article.accepted.toordinal() if article.accepted else 0,
+            article.published.toordinal() if article.published else 0,
+            article.authors, article.page_count,
+            next(filter(None, (normalize_country(place, lookup)
+                               for place in article.places)), ""))
 
 
 def _record(row: _Row, article_id: int, journal: str,
@@ -587,9 +559,9 @@ def card_to_raw_record(card: Mapping[str, str], article_id: int,
                    article_id, journal, _Days())
 
 
-def jats_to_raw_record(meta: RawArticleMetadata, article_id: int,
+def jats_to_raw_record(article: JatsArticle, article_id: int,
                        journal: str, lookup: NameLookup) -> RawRecord:
-    return _record(_jats_row(meta, lookup), article_id, journal, _Days())
+    return _record(_jats_row(article, lookup), article_id, journal, _Days())
 
 
 # -- the harvest ------------------------------------------------------------

@@ -7,7 +7,10 @@ the history patterns compiled at import and the JATS tree walked once.
 memo.  ``parse_history_string`` builds its keyword alternation and compiles
 its pattern on every call, converts every date it meets, and returns the
 (received, revised, online) dates as a tuple.
-``parse_jats_article`` walks the tree once for each tag it reads.
+``parse_jats_article`` walks the tree once for each tag it reads, and ranks
+the places to geolocate pool by pool, skipping repeats: the first
+corresponding author's affiliations, then the first author's, then every
+affiliation.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from xml.etree import ElementTree as ET
 
 from dwe.corpus import CountryProfile
 from dwe.harvest import (_DATE_BODY, _SLOTS, HISTORY_STYLES, US_STATE_NAMES,
-                         Affiliation, Author, JatsParseError,
-                         NotResearchArticle, RawArticleMetadata,
+                         JatsArticle, JatsParseError, NotResearchArticle,
                          _build_date, _byte_offset, _char_offset,
                          _date_from_children, _repair_preamble, _text)
 
@@ -102,12 +104,13 @@ def parse_history_string(text: str, style: str
     return slots["received"], slots["revised"], slots["online"]
 
 
-def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
+def parse_jats_article(document: str | bytes) -> JatsArticle:
     """Parse one JATS-style XML document.
 
-    Raises JatsParseError (with byte offset) on malformed XML and
+    Raises JatsParseError (with byte offset) on malformed XML,
     NotResearchArticle when the first subject element names anything but a
-    research article (missing subject is left for corpus cleaning).
+    research article (missing subject is left for corpus cleaning), and
+    ValueError when the received date is after the accepted one.
     """
     decoded = document if isinstance(document, str) \
         else document.decode("utf-8", errors="replace")
@@ -146,16 +149,18 @@ def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
             page_count = 0
         break
 
-    aff_by_id: dict[str, Affiliation] = {}
-    affiliations: list[Affiliation] = []
+    # each affiliation is its place: the country segment of its address
+    # line, or the whole line when that segment is empty
+    aff_by_id: dict[str, str] = {}
+    affiliations: list[str] = []
     for el in root.iter("aff"):
         addr = _text(el.find("addr-line"))
         country_raw = addr.rsplit(",", 1)[-1].strip() if addr else ""
-        aff = Affiliation(text=addr, country_raw=country_raw)
-        affiliations.append(aff)
+        place = country_raw or addr
+        affiliations.append(place)
         aff_id = el.get("id")
         if aff_id:
-            aff_by_id[aff_id] = aff
+            aff_by_id[aff_id] = place
 
     emailed: set[str] = set()
     for el in root.iter("corresp"):
@@ -163,18 +168,32 @@ def parse_jats_article(document: str | bytes) -> RawArticleMetadata:
         if corresp_id and _text(el.find("email")):
             emailed.add(corresp_id)
 
-    authors: list[Author] = []
+    # (corresponding, affiliations) of each author
+    authors: list[tuple[bool, list[str]]] = []
     for el in root.iter("contrib"):
         if el.get("contrib-type") != "author":
             continue
         rids = [xr.get("rid") for xr in el.iter("xref") if xr.get("rid")]
-        authors.append(Author(
-            corresponding=el.get("corresp") == "yes"
-            or any(rid in emailed for rid in rids),
-            affiliations=tuple(aff_by_id[rid] for rid in rids
-                               if rid in aff_by_id)))
+        authors.append((el.get("corresp") == "yes"
+                        or any(rid in emailed for rid in rids),
+                        [aff_by_id[rid] for rid in rids
+                         if rid in aff_by_id]))
 
-    return RawArticleMetadata(
-        received=received, accepted=accepted, published=published,
-        page_count=page_count, authors=tuple(authors),
-        affiliations=tuple(affiliations))
+    pools: list[list[str]] = []
+    corresponding = next((affs for corr, affs in authors if corr), None)
+    if corresponding is not None:
+        pools.append(corresponding)
+    if authors:
+        pools.append(authors[0][1])
+    pools.append(affiliations)
+    places: list[str] = []
+    for pool in pools:
+        for place in pool:
+            if place not in places:
+                places.append(place)
+
+    if received is not None and accepted is not None and received > accepted:
+        raise ValueError(f"received {received} after accepted {accepted}")
+    return JatsArticle(received=received, accepted=accepted,
+                       published=published, page_count=page_count,
+                       authors=len(authors), places=tuple(places))

@@ -350,31 +350,6 @@ class TestPipeline:
                             for p in (tmp_path / "out").iterdir()})
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                        reason="one core gives one BLAS thread either way")
-    def test_transform_ignores_the_blas_thread_count(self, tmp_path):
-        # one scope of over 10k ratios, the size from which OpenBLAS
-        # splits a dot product between its threads
-        cfg = synth.SynthConfig(seed=17, start_year=2010, end_year=2012,
-                                articles_per_week=80.0, journals=("alpha",))
-        rows = synth.make_corpus_rows(cfg)
-        assert len(rows) > 10_000
-        corpus_csv = tmp_path / "corpus.csv"
-        cm.write_corpus_csv(rows, str(corpus_csv))
-        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"transform-{threads}.cfg"
-            proc = subprocess.run(
-                [sys.executable, "-m", "dwe.cli", "transform", "--in",
-                 str(corpus_csv), "--out", str(out)], capture_output=True,
-                text=True, timeout=600,
-                env={**env, **dict.fromkeys(names, threads)})
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
     def test_journal_scope_through_regress(self, tmp_path, corpus_csv):
         # rud and transform write per-journal ratios and specs, and
         # regress runs every journal under those specs

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,34 @@ class TestSelectionParser:
         assert sel.matches(1, "cell") and sel.matches(2, "cell")
         assert not sel.matches(1, "nature")
         assert not sel.matches(3, "cell")
+
+    def test_anded_ors_parse_in_small_memory(self):
+        # 16 ANDed two-way ORs: written out as a disjunction of
+        # conjunctions this is 2**16 clauses
+        text = " and ".join(["(weekday = 1 or journal = a)"] * 16)
+        tracemalloc.start()
+        try:
+            sel = geo.parse_selection(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        for wd in range(1, 8):
+            for journal in ("a", "b"):
+                assert sel.matches(wd, journal) == (wd == 1 or journal == "a")
+
+    def test_nesting_depth_is_bounded(self):
+        # the deepest nesting accepted still evaluates all the way down;
+        # one level more is a named error, not a RecursionError
+        def nested(depth):
+            return ("weekday = 2 and (weekday = 1 or " * depth
+                    + "weekday = 2" + ")" * depth)
+        sel = geo.parse_selection(nested(100))
+        assert sel.matches(2, "j") and not sel.matches(1, "j")
+        with pytest.raises(ValueError, match="nest deeper than 100"):
+            geo.parse_selection(nested(101))
+        with pytest.raises(ValueError, match="nest deeper than 100"):
+            geo.parse_selection("(" * 400 + "weekday = 1" + ")" * 400)
 
     def test_bad_weekday_rejected(self):
         with pytest.raises(ValueError):

@@ -267,10 +267,9 @@ class TestJats:
         assert meta.accepted == date(2006, 9, 1)
         assert meta.published == date(2006, 9, 15)
         assert meta.page_count == 12
-        assert len(meta.authors) == 2
-        assert meta.authors[0].corresponding
-        assert meta.authors[0].affiliations[0].country_raw == "Italy"
-        assert meta.authors[1].affiliations[0].country_raw == "France"
+        assert meta.authors == 2
+        # the corresponding (first) author's Italy, then every affiliation
+        assert meta.places == ("Italy", "France")
 
     def test_non_research_article_rejected(self):
         doc = JATS_OK.replace("Research Article", "Correction")
@@ -304,6 +303,20 @@ class TestJats:
         # expat places a mismatched end tag's failure at the tag's name
         assert raw[info.value.offset:] == tail
 
+    def test_received_after_accepted_rejected(self):
+        # the document of test_subject_checked_before_any_date, with a
+        # research subject
+        document = (
+            '<article><date date-type="received"><day>9</day><month>9'
+            '</month><year>2006</year></date><date date-type="accepted">'
+            "<day>1</day><month>1</month><year>2006</year></date>"
+            "<subject>Research Article</subject></article>")
+        with pytest.raises(ValueError) as info:
+            harvest.parse_jats_article(document)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "received 2006-09-09 after accepted " \
+            "2006-01-01"
+
     def test_resolve_country_prefers_corresponding(self, country_table):
         lookup = harvest.build_name_lookup(country_table)
         # move the corresp flag to the second author; their affiliation
@@ -314,13 +327,17 @@ class TestJats:
             '<contrib contrib-type="author" corresp="yes">\n     '
             '<name><surname>Kim</surname></name>')
         meta = harvest.parse_jats_article(doc)
-        assert harvest.resolve_article_country(meta, lookup) == "FR"
+        assert meta.places == ("France", "Italy")
+        assert harvest.jats_to_raw_record(meta, 1, "j", lookup).country \
+            == "FR"
 
     def test_resolve_falls_back_to_first_author(self, country_table):
         lookup = harvest.build_name_lookup(country_table)
         doc = JATS_OK.replace(' corresp="yes"', "")
         meta = harvest.parse_jats_article(doc)
-        assert harvest.resolve_article_country(meta, lookup) == "IT"
+        assert meta.places == ("Italy", "France")
+        assert harvest.jats_to_raw_record(meta, 1, "j", lookup).country \
+            == "IT"
 
 
 _JATS_LEAVES = st.one_of(
@@ -404,7 +421,10 @@ class TestJatsAgainstReference:
         assert meta.page_count == 4
         assert meta.received == date(2006, 1, 2)
         assert meta.accepted == date(2006, 1, 3)
-        assert meta.authors[0].affiliations[0].country_raw == "Japan"
+        assert meta.authors == 1
+        assert meta.places == ("Japan",)
+        assert harvest.jats_to_raw_record(
+            meta, 1, "j", harvest.build_name_lookup(_SHIPPED)).country == "JP"
 
     def test_subject_checked_before_any_date(self):
         # the received date is after the accepted one, which would raise
