@@ -23,7 +23,6 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
-from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -62,7 +61,8 @@ def _parse_windows(text: str, years_present: tuple[int, int]
         lo, dash, hi = part.partition("-")
         if not dash:
             raise ValueError(f"bad window {part!r}, want YYYY-YYYY")
-        windows.append((int(lo), int(hi)))
+        windows.append((corpus_mod.parse_int(lo.strip()),
+                        corpus_mod.parse_int(hi.strip())))
     linmod.validate_windows(windows)
     return tuple(windows)
 
@@ -123,15 +123,16 @@ MODELS = Key("models", "M1..M9", _parse_models)
 METHOD = _enum("method", "ols", "method", linmod.METHODS)
 WINDOWS = Key("windows", "default", _parse_windows)
 TRANSFORM = Key("transform", "fit")
-PANEL_FROM = Key("panel_from", None, date.fromisoformat, "--from")
+PANEL_FROM = Key("panel_from", None, corpus_mod.parse_date, "--from")
 PANEL_TO = Key("panel_to", None, lambda text, start: panel_mod.check_end(
-    start, date.fromisoformat(text)), "--to")
-PANEL_TOP = Key("panel_top", "11",
-                lambda text: panel_mod.check_top_n(int(text)), "--top")
+    start, corpus_mod.parse_date(text)), "--to")
+PANEL_TOP = Key("panel_top", "11", lambda text: panel_mod.check_top_n(
+    corpus_mod.parse_int(text)), "--top")
 PANEL_WEIGHTING = _enum("panel_weighting", "none", "weighting",
                         panel_mod.WEIGHTINGS, flag="--weighting")
 SELECT = Key("select", None, geo.parse_selection)
-CLASSES = Key("classes", "5", lambda text: geo.check_classes(int(text)))
+CLASSES = Key("classes", "5",
+              lambda text: geo.check_classes(corpus_mod.parse_int(text)))
 
 
 # -- output files -----------------------------------------------------------

@@ -24,12 +24,13 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import re
 import shlex
 from dataclasses import dataclass
 from datetime import date
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +40,8 @@ CONTINENTS = ("europe", "america", "africa", "asia", "oceania")
 SEASONS = ("spring", "summer", "fall", "winter")
 
 DEFAULT_WEEKEND = frozenset({SATURDAY, SUNDAY})
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")  # as date.isoformat
 
 #: column order of the corpus CSV format; fixed, a different header is rejected.
 CSV_COLUMNS = ("id", "journal", "received", "revised", "online",
@@ -149,8 +152,7 @@ def classify_weekend(d: date, profile: CountryProfile) -> bool:
     return derive_weekday(d) in profile.weekend_days(d)
 
 
-@dataclass(frozen=True)
-class RawRecord:
+class RawRecord(NamedTuple):
     """One corpus CSV row; optional fields may be missing."""
 
     id: int
@@ -301,27 +303,29 @@ def _fmt_date(d: date | None) -> str:
     return d.isoformat() if d is not None else ""
 
 
-@functools.lru_cache(maxsize=4096)
-def _parse_date(text: str) -> date | None:
-    """The date of a ``YYYY-MM-DD`` field, None for an empty one."""
-    if not text:
-        return None
-    d = date.fromisoformat(text)
-    if d.isoformat() != text:
+def parse_date(text: str) -> date:
+    """A date written as ``date.isoformat`` writes it: ASCII ``YYYY-MM-DD``.
+    The shape is checked first, so every Python reads the same dates."""
+    if not _ISO_DATE.fullmatch(text):
         raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
-    return d
+    return date.fromisoformat(text)
 
 
-def _parse_int(text: str) -> int:
-    """An integer field as ``str`` writes it: no spaces, underscores, plus
-    sign or leading zeros."""
+def parse_int(text: str) -> int:
+    """An integer as ``str`` writes it: no spaces, underscores, plus sign,
+    leading zeros or digits other than ASCII ones."""
     value = int(text)
     if str(value) != text:
         raise ValueError(f"not a canonical integer: {text!r}")
     return value
 
 
-_parse_count = functools.lru_cache(maxsize=4096)(_parse_int)
+@functools.lru_cache(maxsize=4096)
+def _parse_optional_date(text: str) -> date | None:
+    return parse_date(text) if text else None
+
+
+_parse_count = functools.lru_cache(maxsize=4096)(parse_int)
 
 
 def write_corpus_csv(rows: Iterable[RawRecord], path: str) -> None:
@@ -356,12 +360,9 @@ def read_corpus_csv(path: str) -> list[RawRecord]:
                         raise ValueError(f"expected {len(CSV_COLUMNS)} "
                                          f"fields, got {len(line)}")
                     rows.append(RawRecord(
-                        id=_parse_int(line[0]), journal=line[1],
-                        received=_parse_date(line[2]),
-                        revised=_parse_date(line[3]),
-                        online=_parse_date(line[4]),
-                        author_count=_parse_count(line[5]),
-                        page_count=_parse_count(line[6]), country=line[7]))
+                        parse_int(line[0]), line[1],
+                        *map(_parse_optional_date, line[2:5]),
+                        *map(_parse_count, line[5:7]), line[7]))
                 except ValueError as exc:
                     raise ValueError(
                         f"{path} line {reader.line_num}: {exc}") from exc
@@ -425,11 +426,11 @@ def parse_countries_cfg(text: str) -> dict[str, CountryProfile]:
                 elif key == "from":
                     if pending_from is not None:
                         raise ValueError("from= without matching days=")
-                    pending_from = date.fromisoformat(value)
+                    pending_from = parse_date(value)
                 elif key == "days":
                     if pending_from is None:
                         raise ValueError("days= without preceding from=")
-                    days = frozenset(int(p) for p in value.split(","))
+                    days = frozenset(map(parse_int, value.split(",")))
                     schedule.append((pending_from, days))
                     pending_from = None
                 elif key in ("iso", "continent", "hdi", "lto"):

@@ -158,12 +158,18 @@ def chi_square_critical(df: int) -> float:
     return float(chi2_ppf(0.95, df))
 
 
+def chi_square_test(stat: float, df: int) -> TestResult:
+    """``stat`` against chi-square(df) at 5%."""
+    crit = chi_square_critical(df)
+    return TestResult(statistic=stat, df=df, critical_value=crit,
+                      p_value=float(chi2_sf(stat, df)),
+                      reject_null=stat > crit)
+
+
 def jarque_bera(m: MomentSummary) -> TestResult:
     """JB = n (Skew^2/6 + Kurt^2/24) against chi-square(2) at 5%."""
     jb = _jb((m.mean, m.skewness, m.excess_kurtosis), m.n)
-    crit = chi_square_critical(2)
-    return TestResult(statistic=jb, df=2, critical_value=crit,
-                      p_value=float(chi2_sf(jb, 2)), reject_null=jb > crit)
+    return chi_square_test(jb, 2)
 
 
 def chi_square_uniformity(day_counts) -> TestResult:
@@ -183,12 +189,8 @@ def chi_square_uniformity(day_counts) -> TestResult:
     if total == 0:
         raise ValueError("empty sample")
     expected = total / m
-    stat = sum((c - expected) ** 2 / expected for c in counts)
-    df = m - 1
-    crit = chi_square_critical(df)
-    return TestResult(statistic=stat, df=df, critical_value=crit,
-                      p_value=float(chi2_sf(stat, df)),
-                      reject_null=stat > crit)
+    return chi_square_test(
+        sum((c - expected) ** 2 / expected for c in counts), m - 1)
 
 
 # -- two-step transform -----------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, parse_int
 
 
 # -- selection expressions --------------------------------------------------
@@ -125,7 +125,7 @@ class _Parser:
             raise ValueError("'=' takes a single value")
         if fieldname == "weekday":
             try:
-                converted = frozenset(int(v) for v in values)
+                converted = frozenset(map(parse_int, values))
             except ValueError as exc:
                 raise ValueError(f"weekday values must be ints: {values}") \
                     from exc
@@ -302,29 +302,20 @@ def export_choropleth(entries: Sequence[LqEntry], breaks: ClassBreaks,
         skipped = []
         isos = sorted(by_iso)
 
+    # (iso, lq, class index) per row; None for a country without articles
+    rows = [(iso, None, None) if e is None else
+            (iso, e.lq, breaks.class_of(e.lq))
+            for iso, e in zip(isos, map(by_iso.get, isos))]
+
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(("country", "lq", "class_index"))
-        for iso in isos:
-            e = by_iso.get(iso)
-            if e is None:
-                w.writerow((iso, "", ""))
-            else:
-                w.writerow((iso, repr(e.lq), breaks.class_of(e.lq)))
+        w.writerows((iso, "", "") if lq is None else (iso, repr(lq), k)
+                    for iso, lq, k in rows)
 
-    features = []
-    for iso in isos:
-        e = by_iso.get(iso)
-        features.append({
-            "type": "Feature",
-            "geometry": None,
-            "properties": {
-                "iso": iso,
-                "lq": e.lq if e is not None else None,
-                "class_index": breaks.class_of(e.lq) if e is not None
-                else None,
-            },
-        })
+    features = [{"type": "Feature", "geometry": None,
+                 "properties": {"iso": iso, "lq": lq, "class_index": k}}
+                for iso, lq, k in rows]
     doc = {"type": "FeatureCollection", "features": features,
            "skipped": skipped}
     with open(geojson_path, "w", encoding="utf-8") as fh:

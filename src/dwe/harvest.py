@@ -98,11 +98,11 @@ _MONTHS["sept"] = 9
 
 _DATE_BODY = {
     # month-name day, year:  "August 7, 2006"
-    "plos-like": r"([A-Za-z]+)\s+(\d{1,2})\s*,?\s+(\d{4})",
+    "plos-like": r"(?P<m>[A-Za-z]+)\s+(?P<d>\d{1,2})\s*,?\s+(?P<y>\d{4})",
     # day month-name year:  "9 December 2005"
-    "physica-like": r"(\d{1,2})\s+([A-Za-z]+)\s+(\d{4})",
+    "physica-like": r"(?P<d>\d{1,2})\s+(?P<m>[A-Za-z]+)\s+(?P<y>\d{4})",
     # ISO numeric:  "2006-08-07"
-    "nature-like": r"(\d{4})-(\d{2})-(\d{2})",
+    "nature-like": r"(?P<y>\d{4})-(?P<m>\d{2})-(?P<d>\d{2})",
 }
 
 
@@ -124,22 +124,12 @@ _HISTORY = {style: (_history_pattern(style),
 _SPACES = re.compile(r"\s+")
 
 
-def _month_number(name: str) -> int | None:
-    return _MONTHS.get(name.lower())
-
-
-def _build_date(style: str, groups: tuple[str, ...]) -> date:
-    if style == "plos-like":
-        month = _month_number(groups[0])
-        if month is None:
-            raise ValueError(f"unknown month {groups[0]!r}")
-        return date(int(groups[2]), month, int(groups[1]))
-    if style == "physica-like":
-        month = _month_number(groups[1])
-        if month is None:
-            raise ValueError(f"unknown month {groups[1]!r}")
-        return date(int(groups[2]), month, int(groups[0]))
-    return date(int(groups[0]), int(groups[1]), int(groups[2]))
+def _build_date(year: str, month: str, day: str) -> date:
+    """A history entry's date; its month is written as a number or a name."""
+    number = int(month) if month.isdigit() else _MONTHS.get(month.lower())
+    if number is None:
+        raise ValueError(f"unknown month {month!r}")
+    return date(int(year), number, int(day))
 
 
 def _check_style(style: str) -> str:
@@ -168,7 +158,7 @@ def _history_ordinals(text: str, style: str,
             slots[slot] = memo[groups]
         except KeyError:
             try:
-                day = _build_date(style, groups).toordinal()
+                day = _build_date(m["y"], m["m"], m["d"]).toordinal()
             except ValueError:
                 day = 0  # a later occurrence may still fill the slot
             slots[slot] = memo[groups] = day

@@ -32,9 +32,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import CONTINENTS, SEASONS, Corpus, FeatureColumns
-from .diststat import (TestResult, TransformSpec, chi2_sf,
-                       chi_square_critical, fit_transform_spec, jarque_bera,
-                       moments)
+from .diststat import (TestResult, TransformSpec, chi_square_test,
+                       fit_transform_spec, jarque_bera, moments)
 from .lsq import (CONST, FitResult, classical_inference,
                   drop_degenerate_columns, qr_solve, t_inference,
                   xtx_inverse)
@@ -298,11 +297,8 @@ def _lm_test(e2: np.ndarray, X: np.ndarray, columns: Sequence[str],
         raise ValueError(f"no auxiliary regressors for the {name} test")
     beta, R = qr_solve(X, e2, columns)
     fit = classical_inference(X, e2, beta, R, columns, centered=True)
-    stat = X.shape[0] * fit.r_squared if fit.tss > 0.0 else 0.0
-    crit = chi_square_critical(df)
-    return TestResult(statistic=stat, df=df, critical_value=crit,
-                      p_value=float(chi2_sf(stat, df)),
-                      reject_null=stat > crit)
+    return chi_square_test(
+        X.shape[0] * fit.r_squared if fit.tss > 0.0 else 0.0, df)
 
 
 def breusch_pagan(design: DesignMatrix, fit: FitResult) -> TestResult:

@@ -15,7 +15,7 @@ numbers the distinct (scope, year, week) keys with ``np.unique``, counts N
 and n_k with ``bincount`` and returns a RudTable: numpy columns that index
 back into the feature columns, so the regression designs and the panel
 read the same rows without a per-article object.  Iterating a table
-gives one ``RudObservation`` per row, built from the columns.
+gives one ``RudObservation`` named tuple per row, built from the columns.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from datetime import date
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ CONSOLIDATED = "consolidated"
 SCOPES = (CONSOLIDATED, "journal")
 
 
-@dataclass(frozen=True)
-class RudObservation:
+class RudObservation(NamedTuple):
     """One row of a RudTable: an article's ratio and its week cell."""
 
     article_id: int
@@ -92,18 +91,14 @@ class RudTable:
 
     def __iter__(self) -> Iterator[RudObservation]:
         cols, row = self.columns, self.row
-        for article_id, k, journal, day, year, week, weekday, n_k, n, value \
-                in zip(cols.article_id[row].tolist(), self.scope.tolist(),
-                       cols.journal[row].tolist(),
-                       cols.received[row].tolist(), cols.year[row].tolist(),
-                       cols.week_number[row].tolist(),
-                       cols.weekday[row].tolist(), self.day_count.tolist(),
-                       self.week_total.tolist(), self.rud.tolist()):
-            yield RudObservation(
-                article_id=article_id, scope=self.labels[k],
-                journal=cols.journals[journal],
-                received=date.fromordinal(day), year=year, week_number=week,
-                weekday=weekday, day_count=n_k, week_total=n, rud=value)
+        return map(RudObservation._make, zip(
+            cols.article_id[row].tolist(),
+            map(self.labels.__getitem__, self.scope.tolist()),
+            map(cols.journals.__getitem__, cols.journal[row].tolist()),
+            map(date.fromordinal, cols.received[row].tolist()),
+            cols.year[row].tolist(), cols.week_number[row].tolist(),
+            cols.weekday[row].tolist(), self.day_count.tolist(),
+            self.week_total.tolist(), self.rud.tolist()))
 
 
 def build_rud_dataset(corpus: Corpus, scope: str = CONSOLIDATED

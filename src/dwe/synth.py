@@ -17,6 +17,8 @@ import numpy as np
 
 from .corpus import (Corpus, RawRecord, clean_corpus, derive_season,
                      in_christmas_window, load_default_countries)
+from .linmod import SEASON_TERMS, WEEKDAY_TERMS
+from .lsq import CONST
 from .panel import PANEL_COLUMNS, PanelData, log_trend
 
 #: Sat/Sun-weekend countries with LTO present in the shipped table, biggest
@@ -122,11 +124,11 @@ def make_synthetic_panel(plant: PanelPlant) -> tuple[PanelData, dict]:
     days = [plant.start + timedelta(days=k) for k in range(plant.T)]
     weekday = np.array([d.isoweekday() for d in days])
     season = np.array([derive_season(d) for d in days])
-    calendar = np.column_stack(
-        [np.ones(plant.T)] + [weekday == k for k in (1, 2, 3, 4)]
-        + [weekday >= 6] + [season == name
-                            for name in ("spring", "summer", "fall")]
-        + [[in_christmas_window(d) for d in days]])
+    calendar = {CONST: np.ones(plant.T), "weekend": weekday >= 6,
+                "christmas": np.array([in_christmas_window(d) for d in days])}
+    for day, term in enumerate(WEEKDAY_TERMS[:4], start=1):
+        calendar[term] = weekday == day
+    calendar.update({term: season == term for term in SEASON_TERMS})
 
     trend = log_trend(np.arange(1, plant.T + 1))
     blocks, sizes, noises = [], [], []
@@ -134,9 +136,11 @@ def make_synthetic_panel(plant: PanelPlant) -> tuple[PanelData, dict]:
         noises.append(rng.normal(0.0, plant.sigma_idio, size=plant.T))
         authors = rng.normal(0.55, 0.2, size=plant.T)
         sizes.append(1 + rng.poisson(4.0, size=plant.T))
-        blocks.append(np.column_stack([calendar, authors, np.full(
-            (plant.T, 2), [math.log10(hdi[ci]), math.log10(lto[ci])]),
-            trend]))
+        values = {**calendar, "log10_authors": authors,
+                  "log10_hdi": np.full(plant.T, math.log10(hdi[ci])),
+                  "log10_lto": np.full(plant.T, math.log10(lto[ci])),
+                  "trend": trend}
+        blocks.append(np.column_stack([values[t] for t in PANEL_COLUMNS]))
 
     cells = np.vstack(blocks)
     country = np.repeat(np.arange(plant.n_countries), plant.T)

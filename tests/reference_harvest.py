@@ -5,8 +5,9 @@ the history patterns compiled at import and the JATS tree walked once.
 ``build_name_lookup`` returns a plain display-name -> ISO dict, and
 ``normalize_country`` casefolds every name of it on every call and keeps no
 memo.  ``parse_history_string`` builds its keyword alternation and compiles
-its pattern on every call, converts every date it meets, and returns the
-(received, revised, online) dates as a tuple.
+its pattern on every call, converts every date it meets with a decoder
+per history style, and returns the (received, revised, online) dates as a
+tuple.
 ``parse_jats_article`` walks the tree once for each tag it reads, and ranks
 the places to geolocate pool by pool, skipping repeats: the first
 corresponding author's affiliations, then the first author's, then every
@@ -21,9 +22,9 @@ from typing import Mapping
 from xml.etree import ElementTree as ET
 
 from dwe.corpus import CountryProfile
-from dwe.harvest import (_DATE_BODY, _SLOTS, HISTORY_STYLES, US_STATE_NAMES,
-                         JatsArticle, JatsParseError, NotResearchArticle,
-                         _build_date, _byte_offset, _char_offset,
+from dwe.harvest import (_DATE_BODY, _MONTHS, _SLOTS, HISTORY_STYLES,
+                         US_STATE_NAMES, JatsArticle, JatsParseError,
+                         NotResearchArticle, _byte_offset, _char_offset,
                          _date_from_children, _repair_preamble, _text)
 
 
@@ -75,6 +76,22 @@ def normalize_country(country_raw: str,
     if len(survivors) == 1:
         return next(iter(survivors))
     return None
+
+
+def _build_date(style: str, groups: tuple[str, ...]) -> date:
+    """The date of a history entry's groups, in the order ``style`` writes
+    them."""
+    if style == "plos-like":
+        month = _MONTHS.get(groups[0].lower())
+        if month is None:
+            raise ValueError(f"unknown month {groups[0]!r}")
+        return date(int(groups[2]), month, int(groups[1]))
+    if style == "physica-like":
+        month = _MONTHS.get(groups[1].lower())
+        if month is None:
+            raise ValueError(f"unknown month {groups[1]!r}")
+        return date(int(groups[2]), month, int(groups[0]))
+    return date(int(groups[0]), int(groups[1]), int(groups[2]))
 
 
 def parse_history_string(text: str, style: str

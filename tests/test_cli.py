@@ -777,17 +777,23 @@ BAD_KEY_VALUES = [
      "window 2011-2010 ends before it starts"),
     (cli.WINDOWS, "regress", "2005-2006, 2006-2006",
      "windows 2005-2006 and 2006-2006 overlap"),
+    (cli.WINDOWS, "regress", "2_005-2006", "not a canonical integer: '2_005'"),
     (cli.PANEL_FROM, "panel", "2005-02-30", "day is out of range"),
+    (cli.PANEL_FROM, "panel", "20050101", "not a YYYY-MM-DD date: '20050101'"),
     (cli.PANEL_TO, "panel", "2006-13-01", "month must be in 1..12"),
     (cli.PANEL_TO, "panel", "2004-12-31",
      "range ends before it starts: 2005-01-01..2004-12-31"),
     (cli.PANEL_TOP, "panel", "0",
      "the panel needs at least 1 country, got top_n = 0"),
+    (cli.PANEL_TOP, "panel", "0_5", "not a canonical integer: '0_5'"),
     (cli.PANEL_WEIGHTING, "panel", "yes",
      "unknown weighting 'yes'; have none or multiply or wls"),
     (cli.SELECT, "lq", "weekday in 9", "weekday values out of 1..7: ['9']"),
+    (cli.SELECT, "lq", "weekday in 6, 0_7",
+     "weekday values must be ints: ['6', '0_7']"),
     (cli.CLASSES, "lq", "0", "need at least 1 class, got 0"),
     (cli.CLASSES, "lq", "-2", "need at least 1 class, got -2"),
+    (cli.CLASSES, "lq", "0_3", "not a canonical integer: '0_3'"),
 ]
 
 #: the keys with no value a stage rejects, and why
@@ -819,6 +825,11 @@ def test_bad_key_values_cover_every_key():
     checked = {key for key, *_ in BAD_KEY_VALUES}
     assert checked.isdisjoint(UNCHECKED_KEYS)
     assert checked | set(UNCHECKED_KEYS) == set(cli.KEYS)
+
+
+def test_window_years_may_be_spaced():
+    assert cli._parse_windows(" 2005 - 2006 ,2007-2008", (2000, 2010)) \
+        == ((2005, 2006), (2007, 2008))
 
 
 @pytest.mark.parametrize(

@@ -322,3 +322,16 @@ class TestCountriesCfg:
         path.write_text("iso=US continent=america hdi=0.9 wat=1\n")
         with pytest.raises(ValueError):
             cm.read_countries_cfg(str(path))
+
+    @pytest.mark.parametrize("schedule,message", [
+        # forms date.fromisoformat reads on some Pythons only
+        ("from=20130629 days=5,6", "not a YYYY-MM-DD date: '20130629'"),
+        ("from=2013-W26-6 days=5,6", "not a YYYY-MM-DD date: '2013-W26-6'"),
+        ("from=2013-06-29 days=5,0_6", "not a canonical integer: '0_6'")])
+    def test_schedule_values_read_as_the_corpus_csv_does(
+            self, tmp_path, schedule, message):
+        path = tmp_path / "one.cfg"
+        path.write_text(f"iso=SA continent=asia hdi=0.85 {schedule}\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path} line 1: {message}")):
+            cm.read_countries_cfg(str(path))
