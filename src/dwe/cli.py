@@ -67,13 +67,13 @@ def _parse_windows(text: str, years_present: tuple[int, int]
     return tuple(windows)
 
 
-def _regress_scopes(text: str, journals: tuple[str, ...]
-                    ) -> list[str] | None:
-    """None (consolidated and every journal) for `all`, else the scopes."""
+def _regress_scopes(text: str, journals: tuple[str, ...]) -> list[str]:
+    """The scopes regress fits: `all` is consolidated and every journal."""
     if text not in ("all", "journal", rud_mod.CONSOLIDATED, *journals):
         raise ValueError(f"unknown scope {text!r}; have all, "
                          f"{', '.join(rud_mod.SCOPES)} or a journal name")
-    return {"all": None, "journal": list(journals)}.get(text, [text])
+    return {"all": [rud_mod.CONSOLIDATED, *journals],
+            "journal": list(journals)}.get(text, [text])
 
 
 def _year_span(c: corpus_mod.Corpus) -> tuple[int, int]:
@@ -151,11 +151,7 @@ def write_transform_cfg(fits: dict[str, diststat.FittedTransform],
 
 def read_transform_cfg(path: str) -> dict[str, diststat.TransformSpec]:
     specs: dict[str, diststat.TransformSpec] = {}
-    text = corpus_mod.read_text(path)
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in corpus_mod.content_lines(corpus_mod.read_text(path)):
         # the scope, which may hold spaces, is all before the last
         # three tokens
         fields = dict(tok.partition("=")[::2]
@@ -460,11 +456,8 @@ def load_run_config(path: str) -> RunConfig:
     reject.  The stages themselves read the files the keys name."""
     text = corpus_mod.read_text(path)
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
+    for lineno, line in corpus_mod.content_lines(text):
+        key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path} line {lineno}: expected key = value")
         key = key.strip()
@@ -529,8 +522,9 @@ def cmd_pipeline(args) -> int:
     try:
         config = load_run_config(args.config)
     except ValueError as exc:
-        pairs = [line.partition("=") for line in Path(args.config)
-                 .read_text(encoding="utf-8", errors="replace").splitlines()]
+        text = Path(args.config).read_text(encoding="utf-8", errors="replace")
+        pairs = [line.partition("=")
+                 for _, line in corpus_mod.content_lines(text)]
         out = next((Path(v.strip()) for k, _, v in pairs
                     if k.strip() == "out_dir" and v.strip()), None)
         if out is not None:

@@ -30,16 +30,15 @@ from dataclasses import dataclass
 from datetime import date
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
-
-MONDAY, TUESDAY, WEDNESDAY, THURSDAY, FRIDAY, SATURDAY, SUNDAY = range(1, 8)
 
 CONTINENTS = ("europe", "america", "africa", "asia", "oceania")
 SEASONS = ("spring", "summer", "fall", "winter")
 
-DEFAULT_WEEKEND = frozenset({SATURDAY, SUNDAY})
+#: Sat+Sun, in force before a country's first dated schedule entry
+DEFAULT_WEEKEND = frozenset({6, 7})
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")  # as date.isoformat
 
@@ -87,18 +86,16 @@ class CountryProfile:
 
     ``weekend_schedule`` is a tuple of ``(effective_from, frozenset_of_days)``
     entries in strictly increasing date order; a lookup takes the latest entry
-    whose date is <= the query date.  The first entry always covers
-    ``date.min`` so every query date resolves.  ``lto`` is the long-term
-    orientation index (0..100) and may be absent.
+    whose date is <= the query date, and ``DEFAULT_WEEKEND`` before the
+    first.  ``lto`` is the long-term orientation index (0..100) and may be
+    absent.
     """
 
     iso: str
     continent: str
     hdi: float
     lto: float | None = None
-    weekend_schedule: tuple[tuple[date, frozenset[int]], ...] = (
-        (date.min, DEFAULT_WEEKEND),
-    )
+    weekend_schedule: tuple[tuple[date, frozenset[int]], ...] = ()
     names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -110,8 +107,6 @@ class CountryProfile:
             raise ValueError(f"HDI out of (0, 1]: {self.hdi}")
         if self.lto is not None and not 0.0 <= self.lto <= 100.0:
             raise ValueError(f"LTO out of [0, 100]: {self.lto}")
-        if not self.weekend_schedule or self.weekend_schedule[0][0] != date.min:
-            raise ValueError("weekend schedule must start at date.min")
         for (a, days_a), (b, _) in zip(self.weekend_schedule,
                                        self.weekend_schedule[1:]):
             if b <= a:
@@ -122,7 +117,7 @@ class CountryProfile:
 
     def weekend_days(self, d: date) -> frozenset[int]:
         """Weekend-day codes in force on date ``d``."""
-        days = self.weekend_schedule[0][1]
+        days = DEFAULT_WEEKEND
         for start, sched in self.weekend_schedule:
             if start <= d:
                 days = sched
@@ -134,14 +129,9 @@ class CountryProfile:
 def make_profile(iso: str, continent: str, hdi: float, lto: float | None = None,
                  schedule: Iterable[tuple[date, Iterable[int]]] = (),
                  names: Iterable[str] = ()) -> CountryProfile:
-    """Build a profile, prepending the implicit Sat+Sun base schedule entry."""
-    entries: list[tuple[date, frozenset[int]]] = [(date.min, DEFAULT_WEEKEND)]
-    for start, days in schedule:
-        if start == date.min:
-            entries[0] = (date.min, frozenset(days))
-        else:
-            entries.append((start, frozenset(days)))
-    entries.sort(key=lambda e: e[0])
+    """Build a profile, its schedule entries sorted by date."""
+    entries = sorted(((start, frozenset(days)) for start, days in schedule),
+                     key=lambda e: e[0])
     return CountryProfile(iso=iso, continent=continent, hdi=hdi, lto=lto,
                           weekend_schedule=tuple(entries),
                           names=tuple(names))
@@ -395,6 +385,16 @@ def not_utf8(path: str) -> ValueError:
         return ValueError(f"{path} line {line}: not UTF-8 ({exc.reason})")
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of a config text that is
+    neither blank nor a ``#`` comment; lines end as ``str.splitlines``
+    ends them."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 # -- countries.cfg ----------------------------------------------------------
 #
 # One country per line, shell-style key=value tokens:
@@ -404,14 +404,13 @@ def not_utf8(path: str) -> ValueError:
 #
 # lto= may be omitted.  name= is repeatable (lookup aliases).  Schedule
 # entries are from=/days= token pairs in chronological order; days are
-# weekday codes (Monday=1).  Lines starting with # and blank lines ignored.
+# weekday codes (Monday=1).  Sat+Sun applies before a country's first
+# from=.  Lines starting with # and blank lines ignored.
 
-def parse_countries_cfg(text: str) -> dict[str, CountryProfile]:
+def parse_countries_cfg(text: str, name: str) -> dict[str, CountryProfile]:
+    """The country table in ``text``; an error names ``name`` and the line."""
     profiles: dict[str, CountryProfile] = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         fields: dict[str, str] = {}
         names: list[str] = []
         schedule: list[tuple[date, frozenset[int]]] = []
@@ -445,27 +444,20 @@ def parse_countries_cfg(text: str) -> dict[str, CountryProfile]:
                 iso, fields["continent"], float(fields["hdi"]), lto,
                 schedule=schedule, names=names)
         except (KeyError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+            raise ValueError(f"{name} line {lineno}: {exc}") from exc
         if iso in profiles:
-            raise ValueError(f"line {lineno}: duplicate {iso}")
+            raise ValueError(f"{name} line {lineno}: duplicate {iso}")
         profiles[iso] = profile
     return profiles
 
 
-def _parse_named(text: str, name: str) -> dict[str, CountryProfile]:
-    try:
-        return parse_countries_cfg(text)
-    except ValueError as exc:
-        raise ValueError(f"{name} {exc}") from exc
-
-
 def read_countries_cfg(path: str) -> dict[str, CountryProfile]:
     """A country table file; an error names the file and line."""
-    return _parse_named(read_text(path), path)
+    return parse_countries_cfg(read_text(path), path)
 
 
 def load_default_countries() -> dict[str, CountryProfile]:
     """The country table shipped with the package (editable starter data)."""
     text = resources.files("dwe.data").joinpath("countries.cfg") \
         .read_text(encoding="utf-8")
-    return _parse_named(text, "countries.cfg")
+    return parse_countries_cfg(text, "countries.cfg")

@@ -60,20 +60,17 @@ class TestResult:
 _sum = np.add.reduce
 
 
-def _moment_kernel(values: np.ndarray, counts: np.ndarray | None = None
+def _moment_kernel(values: np.ndarray, counts: np.ndarray
                    ) -> tuple[float, float, float] | None:
     """(mean, skewness, excess kurtosis), or None when constant or not finite.
 
-    The sample is ``values`` each taken ``counts`` times; without counts,
-    ``values`` is the sample itself and is grouped into its distinct values
-    first, so every caller sums the same numbers in the same order.
+    The sample is ``values`` each taken ``counts`` times; every caller
+    passes distinct values, so all sum the same numbers in the same order.
     Deviations are divided by their largest magnitude, so every power sum
     lies in [0, n], clear of overflow and underflow; both ratios are
     scale-free.  Every sum is numpy's pairwise one, never a BLAS dot, whose
     rounding follows the thread count.
     """
-    if counts is None:
-        values, counts = np.unique(values, return_counts=True)
     y, w = values, np.asarray(counts, dtype=float)
     n = int(_sum(w))
     lo, hi = float(y.min()), float(y.max())
@@ -114,7 +111,7 @@ def moments(sample) -> MomentSummary:
     n = y.size
     if n < 4:
         raise ValueError(f"need at least 4 observations, got {n}")
-    result = _moment_kernel(y)
+    result = _moment_kernel(*np.unique(y, return_counts=True))
     if result is None:
         raise ValueError("zero-variance or non-finite sample")
     return MomentSummary(n, *result)

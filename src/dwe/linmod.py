@@ -256,12 +256,11 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C) -> FitResult:
         tss_w = float(np.sum(w * (y - ybar_w) ** 2))
         rss_w = float(np.sum(w * resid ** 2))
         r2 = 1.0 - rss_w / tss_w if tss_w > 0 else math.nan
-    adj = 1.0 - (1.0 - r2) * (n - 1) / df if not math.isnan(r2) else math.nan
     return FitResult(
         columns=design.columns, coefficients=beta, standard_errors=se,
-        t_stats=t, p_values=pvals, stars=marks, r_squared=r2,
-        adjusted_r_squared=adj, n=n, residuals=resid, tss=tss_w,
-        converged=converged, iterations=iterations, weights=w)
+        t_stats=t, p_values=pvals, stars=marks, r_squared=r2, n=n,
+        residuals=resid, tss=tss_w, converged=converged,
+        iterations=iterations, weights=w)
 
 
 # -- diagnostics ------------------------------------------------------------
@@ -419,17 +418,16 @@ def _cell_rows(cell: tuple[str, str, str], method: str, x: np.ndarray,
 def roll_window_run(corpus: Corpus,
                     windows: Sequence[tuple[int, int]] = DEFAULT_WINDOWS,
                     model_ids: Sequence[str] = tuple(MODEL_TERMS),
-                    method: str = "ols",
-                    scopes: Sequence[str] | None = None,
+                    method: str = "ols", *,
+                    scopes: Sequence[str],
                     transform_specs: Mapping[str, TransformSpec]
                     | None = None) -> RollReport:
     """Fit every model per (scope, window) and tabulate the coefficients.
 
-    Scopes default to the consolidated flow plus each journal.  The
-    transform spec for a scope is fitted once on that scope's full sample
-    unless supplied.  Each cell's rows come from ``_cell_rows``; a scope
-    whose transform fails leaves a "failed: ..." marker row per cell.  An
-    unknown method raises before any fit.
+    The transform spec for a scope is fitted once on that scope's full
+    sample unless supplied.  Each cell's rows come from ``_cell_rows``; a
+    scope whose transform fails leaves a "failed: ..." marker row per cell.
+    An unknown method raises before any fit.
 
     The superset matrix is built once; a window is a row mask over a
     scope's rows and a model a column slice.
@@ -440,8 +438,6 @@ def roll_window_run(corpus: Corpus,
     validate_windows(windows)
     consolidated = build_rud_dataset(corpus)
     per_journal = build_rud_dataset(corpus, "journal").by_scope()
-    if scopes is None:
-        scopes = [CONSOLIDATED] + list(per_journal)
     features = superset_matrix(corpus.columns)
     labels = [f"{y0}-{y1}" for y0, y1 in windows]
     rows: list[RollRow] = []

@@ -113,13 +113,19 @@ class FitResult:
     p_values: np.ndarray
     stars: tuple[str, ...]
     r_squared: float           # NaN when tss is not positive
-    adjusted_r_squared: float  # NaN as well on a saturated design
     n: int
     residuals: np.ndarray
     tss: float                 # the total sum of squares R^2 is taken on
     converged: bool = True
     iterations: int = 0
     weights: np.ndarray | None = None
+
+    @property
+    def adjusted_r_squared(self) -> float:
+        """1 - (1 - R^2)(n - 1)/(n - p); NaN with R^2 or when n <= p."""
+        df = self.n - len(self.columns)
+        return 1.0 - (1.0 - self.r_squared) * (self.n - 1) / df \
+            if df > 0 else math.nan
 
     def coefficient(self, term: str) -> float:
         return float(self.coefficients[self.columns.index(term)])
@@ -145,8 +151,7 @@ def classical_inference(X: np.ndarray, y: np.ndarray, beta: np.ndarray,
         marks = ("",) * p
     tss = float(np.sum((y - y.mean()) ** 2)) if centered else float(y @ y)
     r2 = 1.0 - rss / tss if tss > 0 else math.nan
-    adj = 1.0 - (1.0 - r2) * (n - 1) / df if df > 0 else math.nan
     return FitResult(columns=tuple(columns), coefficients=beta,
                      standard_errors=se, t_stats=t, p_values=pvals,
-                     stars=marks, r_squared=r2, adjusted_r_squared=adj, n=n,
-                     residuals=resid, tss=tss)
+                     stars=marks, r_squared=r2, n=n, residuals=resid,
+                     tss=tss)

@@ -144,6 +144,17 @@ class TestSubcommands:
                 f"{path} line 3: duplicate scope 'consolidated'")):
             cli.read_transform_cfg(str(path))
 
+    def test_transform_cfg_lines_end_as_the_run_config_lines_do(
+            self, tmp_path):
+        # a form feed ends a line, as in every config file
+        path = tmp_path / "transform.cfg"
+        path.write_text("scope=a step1=power:1.0 step2=power:1.0 jb=1.0\f"
+                        "scope=b step1=power:0.5 step2=power:2.0 jb=2.0\n",
+                        encoding="utf-8")
+        assert cli.read_transform_cfg(str(path)) == {
+            "a": diststat.TransformSpec("power", 1.0, 1.0),
+            "b": diststat.TransformSpec("power", 0.5, 2.0)}
+
     def test_regress_reads_a_spaced_journal_spec(self, tmp_path):
         # the identity is not what regress would fit for this journal
         cfg = synth.SynthConfig(seed=31, start_year=2005, end_year=2006,

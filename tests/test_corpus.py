@@ -121,8 +121,7 @@ class TestWeekendSchedules:
             assert 0.0 < profile.hdi <= 1.0
             assert profile.lto is None or 0 <= profile.lto <= 100
             froms = [entry[0] for entry in profile.weekend_schedule]
-            assert froms == sorted(froms)
-            assert froms[0] == date.min
+            assert all(a < b for a, b in zip(froms, froms[1:]))
 
 
 def _row(**kw):
@@ -334,4 +333,13 @@ class TestCountriesCfg:
         path.write_text(f"iso=SA continent=asia hdi=0.85 {schedule}\n")
         with pytest.raises(ValueError,
                            match=re.escape(f"{path} line 1: {message}")):
+            cm.read_countries_cfg(str(path))
+
+    def test_repeated_start_date_rejected(self, tmp_path):
+        # 0001-01-01 too: Sat+Sun before the first entry is not an entry
+        path = tmp_path / "one.cfg"
+        path.write_text("iso=SA continent=asia hdi=0.85 "
+                        "from=0001-01-01 days=4,5 from=0001-01-01 days=5,6\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} line 1: weekend schedule dates must increase")):
             cm.read_countries_cfg(str(path))

@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -95,6 +96,17 @@ SUBCOMMANDS = (
 )
 
 
+@contextlib.contextmanager
+def _chdir(path: Path):
+    """``contextlib.chdir``, which Python 3.10 lacks."""
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -129,7 +141,7 @@ def golden_outputs(work: Path) -> dict[str, str]:
     (work / "arch" / "batch1.txt").write_text(CARDS, encoding="utf-8")
     (work / "sub").mkdir()
     hashes: dict[str, str] = {}
-    with contextlib.chdir(work):
+    with _chdir(work):
         for case, text in (("pipeline", PIPELINE_CFG), ("rls", RLS_CFG),
                            ("harvest", HARVEST_CFG)):
             hashes.update(_pipeline_case(case, text))
@@ -160,7 +172,7 @@ def test_harvest_case_for_any_worker_count(tmp_path, monkeypatch, cpus):
     for i, card in enumerate(CARDS.split("\n\n"), start=1):
         (tmp_path / "arch" / f"batch{i}.txt").write_text(
             card.strip() + "\n", encoding="utf-8")
-    with contextlib.chdir(tmp_path):
+    with _chdir(tmp_path):
         assert _pipeline_case("harvest", HARVEST_CFG) == expected
 
 

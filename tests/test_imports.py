@@ -1,6 +1,8 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and every module
+parses under the oldest Python that pyproject.toml admits."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,17 @@ def test_scan_sees_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_sources_parse_at_the_python_floor():
+    """Syntax only: a standard-library name newer than the floor, such as
+    ``contextlib.chdir`` (3.11) on a 3.10 floor, passes here."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    # tomllib is 3.11 and later
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject,
+                      re.MULTILINE)
+    assert floor is not None, "no requires-python floor in pyproject.toml"
+    version = (int(floor[1]), int(floor[2]))
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=version)

@@ -357,4 +357,5 @@ class TestRollReport:
     def test_overlapping_windows_rejected(self, synth_corpus):
         with pytest.raises(ValueError):
             linmod.roll_window_run(synth_corpus,
-                                   windows=((2004, 2005), (2005, 2006)))
+                                   windows=((2004, 2005), (2005, 2006)),
+                                   scopes=["consolidated"])
