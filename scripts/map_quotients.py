@@ -4,13 +4,14 @@
 Runs the geographic tail of the pipeline on a synthetic corpus: evaluate
 a selection expression over every record, compute per-country quotients
 against the world share, cut them into natural-breaks classes, and write
-both the flat CSV and the GeoJSON property layer.
+both the flat CSV and the GeoJSON property layer, with a null row for each
+shipped-table country without articles, as `dwe lq` writes.
 """
 
 import argparse
 from pathlib import Path
 
-from dwe import geo, synth
+from dwe import corpus as corpus_mod, geo, synth
 
 
 def main(argv=None) -> int:
@@ -43,8 +44,9 @@ def main(argv=None) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    geo.export_choropleth(entries, breaks, str(out / "lq.csv"),
-                          str(out / "lq.geojson"))
+    geo.export_choropleth(
+        entries, breaks, str(out / "lq.csv"), str(out / "lq.geojson"),
+        all_countries=sorted(corpus_mod.load_default_countries()))
     print(f"wrote {out / 'lq.csv'} and {out / 'lq.geojson'}")
     return 0
 

@@ -447,9 +447,6 @@ class RunConfig:
     stages: tuple[str, ...]
     sha256: str
 
-    def get(self, key: str, default=None):
-        return self.raw.get(key, default)
-
 
 def load_run_config(path: str) -> RunConfig:
     """Parse `key = value` lines; unknown or repeated keys and stages
@@ -483,7 +480,7 @@ def run_pipeline(config: RunConfig) -> int:
     if not config.stages:
         print("no stages configured; nothing to do")
         return 0
-    out_dir = config.get("out_dir")
+    out_dir = config.raw.get("out_dir")
     if not out_dir:
         raise ValueError("out_dir is required when stages are configured")
     out = Path(out_dir)

@@ -126,17 +126,6 @@ class CountryProfile:
         return days
 
 
-def make_profile(iso: str, continent: str, hdi: float, lto: float | None = None,
-                 schedule: Iterable[tuple[date, Iterable[int]]] = (),
-                 names: Iterable[str] = ()) -> CountryProfile:
-    """Build a profile, its schedule entries sorted by date."""
-    entries = sorted(((start, frozenset(days)) for start, days in schedule),
-                     key=lambda e: e[0])
-    return CountryProfile(iso=iso, continent=continent, hdi=hdi, lto=lto,
-                          weekend_schedule=tuple(entries),
-                          names=tuple(names))
-
-
 def classify_weekend(d: date, profile: CountryProfile) -> bool:
     """True when ``d`` falls on a weekend day for the profile's country."""
     return derive_weekday(d) in profile.weekend_days(d)
@@ -364,12 +353,16 @@ def read_corpus_csv(path: str) -> list[RawRecord]:
 
 
 def read_text(path: str) -> str:
-    """A UTF-8 text file; a byte that is not UTF-8 fails as ``not_utf8``."""
+    """A UTF-8 text file with text-mode line ends; a byte that is not UTF-8
+    fails naming its line as ``content_lines`` numbers it."""
+    data = Path(path).read_bytes()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise not_utf8(path) from exc
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(
+            f"{path} line {line}: not UTF-8 ({exc.reason})") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def not_utf8(path: str) -> ValueError:
@@ -380,7 +373,7 @@ def not_utf8(path: str) -> ValueError:
         data.decode("utf-8")
         return ValueError(f"{path}: not UTF-8")  # changed since the read
     except UnicodeDecodeError as exc:
-        # bytes.splitlines ends lines at \n, \r and \r\n, as open() does
+        # bytes.splitlines ends lines at \n, \r and \r\n, as csv.reader does
         line = len((data[:exc.start] + b"x").splitlines())
         return ValueError(f"{path} line {line}: not UTF-8 ({exc.reason})")
 
@@ -440,9 +433,10 @@ def parse_countries_cfg(text: str, name: str) -> dict[str, CountryProfile]:
                 raise ValueError("from= without matching days=")
             iso = fields["iso"].upper()
             lto = float(fields["lto"]) if fields.get("lto") else None
-            profile = make_profile(
-                iso, fields["continent"], float(fields["hdi"]), lto,
-                schedule=schedule, names=names)
+            profile = CountryProfile(
+                iso=iso, continent=fields["continent"],
+                hdi=float(fields["hdi"]), lto=lto,
+                weekend_schedule=tuple(schedule), names=tuple(names))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{name} line {lineno}: {exc}") from exc
         if iso in profiles:

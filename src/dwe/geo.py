@@ -284,23 +284,18 @@ def jenks_breaks(values: Sequence[float], k: int) -> ClassBreaks:
 
 def export_choropleth(entries: Sequence[LqEntry], breaks: ClassBreaks,
                       csv_path: str, geojson_path: str,
-                      all_countries: Iterable[str] | None = None
-                      ) -> list[str]:
+                      all_countries: Iterable[str]) -> list[str]:
     """Write the joinable classification table as CSV and GeoJSON.
 
-    ``all_countries`` (e.g. the country table's codes) adds null-class rows
-    for countries without articles, so a map join paints them as no-data.
+    ``all_countries`` (the country table's codes) gives a null-class row
+    to each country without articles, so a map join paints it as no-data.
     Entry countries missing from ``all_countries`` cannot be joined and are
     returned (and recorded in the GeoJSON) as skipped.
     """
     by_iso = {e.country: e for e in entries}
-    if all_countries is not None:
-        known = set(all_countries)
-        skipped = sorted(set(by_iso) - known)
-        isos = sorted(known)
-    else:
-        skipped = []
-        isos = sorted(by_iso)
+    known = set(all_countries)
+    skipped = sorted(set(by_iso) - known)
+    isos = sorted(known)
 
     # (iso, lq, class index) per row; None for a country without articles
     rows = [(iso, None, None) if e is None else

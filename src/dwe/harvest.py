@@ -34,18 +34,16 @@ class JatsParseError(ValueError):
 
     ``offset`` is where the failure is, in bytes from the start of the
     document as passed to ``parse_jats_article`` (of its UTF-8 encoding
-    when it is passed as text).  ``line`` and ``column`` are expat's,
-    counted after the junk before the XML declaration is dropped; the
-    column counts characters.  For a mismatched end tag expat places the
-    failure at the tag's name.
+    when it is passed as text).  The message also gives expat's line and
+    column, counted after the junk before the XML declaration is dropped;
+    the column counts characters.  For a mismatched end tag expat places
+    the failure at the tag's name.
     """
 
     def __init__(self, message: str, offset: int, line: int, column: int):
         super().__init__(f"{message} (offset {offset}, line {line}, "
                          f"column {column})")
         self.offset = offset
-        self.line = line
-        self.column = column
 
 
 class NotResearchArticle(ValueError):
@@ -53,7 +51,6 @@ class NotResearchArticle(ValueError):
 
     def __init__(self, subject: str):
         super().__init__(f"subject is {subject!r}, not a research article")
-        self.subject = subject
 
 
 class JatsArticle(NamedTuple):
@@ -130,12 +127,6 @@ def _build_date(year: str, month: str, day: str) -> date:
     if number is None:
         raise ValueError(f"unknown month {month!r}")
     return date(int(year), number, int(day))
-
-
-def _check_style(style: str) -> str:
-    if style not in HISTORY_STYLES:
-        raise ValueError(f"unknown history style {style!r}")
-    return style
 
 
 def _history_ordinals(text: str, style: str,
@@ -490,7 +481,9 @@ class _FileHarvest:
     """
 
     def __init__(self, style: str, lookup: NameLookup):
-        self.style = _check_style(style)
+        if style not in HISTORY_STYLES:
+            raise ValueError(f"unknown history style {style!r}")
+        self.style = style
         self.lookup = lookup
         self.dates: dict[tuple[str, ...], int] = {}
         self.pages: dict[str, int] = {}

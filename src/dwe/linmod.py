@@ -176,8 +176,6 @@ def bisquare_weight(u, c: float = BISQUARE_C):
     w = np.zeros_like(u)
     inside = np.abs(u) < c
     w[inside] = (1.0 - (u[inside] / c) ** 2) ** 2
-    if w.ndim == 0:
-        return float(w)
     return w
 
 
@@ -193,10 +191,13 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C) -> FitResult:
     iteration.  Convergence: max coefficient change below ``RLS_TOL``.
     Standard errors use the usual M-estimator asymptotic covariance and
     normal-approximation p-values; R-squared is the weighted version under
-    the final weights.
+    the final weights.  A saturated design (n <= p) has no residuals to
+    weight, so it gets ``ols_fit``'s exact coefficients and NaN inference.
     """
     X, y = design.X, design.y
     n, p = X.shape
+    if n <= p:
+        return ols_fit(design)
     # the OLS start; its R also gives the final covariance's (X'X)^-1
     beta, R = qr_solve(X, y, design.columns)
     # dgeqrf reads Fortran order, so weight a Fortran-ordered copy of X
@@ -323,21 +324,6 @@ def white_test(design: DesignMatrix, fit: FitResult) -> TestResult:
 
 def residual_jb(fit: FitResult) -> TestResult:
     return jarque_bera(moments(fit.residuals))
-
-
-@dataclass(frozen=True)
-class Diagnostics:
-    vif: Mapping[str, float]
-    breusch_pagan: TestResult
-    white: TestResult
-    residual_normality: TestResult
-
-
-def diagnose(design: DesignMatrix, fit: FitResult) -> Diagnostics:
-    return Diagnostics(vif=vif(design),
-                       breusch_pagan=breusch_pagan(design, fit),
-                       white=white_test(design, fit),
-                       residual_normality=residual_jb(fit))
 
 
 # -- rolling windows --------------------------------------------------------

@@ -155,6 +155,19 @@ class TestSubcommands:
             "a": diststat.TransformSpec("power", 1.0, 1.0),
             "b": diststat.TransformSpec("power", 0.5, 2.0)}
 
+    @pytest.mark.parametrize("line,message", [
+        ("step1=power:1.0 step2=power:1.0 jb=1.0", "'scope'"),
+        ("scope=a step1=power step2=power:1.0 jb=1.0",
+         "could not convert string to float: ''")],
+        ids=["no-scope", "no-param"])
+    def test_transform_cfg_rejects_a_malformed_spec(self, tmp_path, line,
+                                                    message):
+        path = tmp_path / "transform.cfg"
+        path.write_text(f"# specs\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} line 2: bad transform spec: {message}")):
+            cli.read_transform_cfg(str(path))
+
     def test_regress_reads_a_spaced_journal_spec(self, tmp_path):
         # the identity is not what regress would fit for this journal
         cfg = synth.SynthConfig(seed=31, start_year=2005, end_year=2006,
@@ -265,6 +278,35 @@ class TestRunConfig:
         b.write_text("stages = clean\n# note\n")
         assert cli.load_run_config(str(a)).sha256 \
             != cli.load_run_config(str(b)).sha256
+
+    def test_stages_without_out_dir_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stages = clean\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "out_dir is required when stages are configured")):
+            cli.run_pipeline(cli.load_run_config(str(cfg)))
+
+    @pytest.mark.parametrize("text", [
+        b"stages = clean\fout_dir = o\n\xff = 1\n",
+        b"stages = clean\r\nout_dir = o\r\n\xff = 1\r\n"],
+        ids=["form-feed", "crlf"])
+    def test_non_utf8_line_numbered_as_content_lines_does(self, tmp_path,
+                                                         text):
+        # a form feed ends a config line, so the bad byte is on line 3
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cfg} line 3: not UTF-8 (invalid start byte)")):
+            cli.load_run_config(str(cfg))
+
+    def test_hash_reads_line_ends_as_text(self, tmp_path):
+        # CRLF and CR line ends hash as LF, as a text-mode read gives them
+        hashes = set()
+        for i, end in enumerate([b"\n", b"\r\n", b"\r"]):
+            cfg = tmp_path / f"{i}.cfg"
+            cfg.write_bytes(b"stages = clean" + end + b"out_dir = o" + end)
+            hashes.add(cli.load_run_config(str(cfg)).sha256)
+        assert len(hashes) == 1
 
 
 class TestPipeline:
@@ -398,9 +440,10 @@ class TestPipeline:
         (lambda text: "bogus = 1\n" + text, " line 1: unknown key 'bogus'"),
         (lambda text: text + "classes = 4\n",
          " line 9: duplicate key 'classes'"),
+        (lambda text: text + "classes\n", " line 9: expected key = value"),
         (lambda text: text.replace("clean, rud", "clean, wat"),
          ": unknown stage 'wat'")], ids=["key", "key-first", "repeated-key",
-                                         "stage"])
+                                         "no-equals", "stage"])
     def test_rejected_config_replaces_the_old_report(self, tmp_path,
                                                      corpus_csv, capsys,
                                                      edit, error):
@@ -783,12 +826,14 @@ BAD_KEY_VALUES = [
     (cli.SCOPE, "panel", "nosuch", "unknown scope 'nosuch'"),
     (cli.REGRESS_SCOPE, "regress", "nosuch", "unknown scope 'nosuch'"),
     (cli.MODELS, "regress", "M3..M1", "bad model range 'M3..M1'"),
+    (cli.MODELS, "regress", ",", "no models given"),
     (cli.METHOD, "regress", "bogus", "unknown method 'bogus'; have ols or rls"),
     (cli.WINDOWS, "regress", "2011-2010",
      "window 2011-2010 ends before it starts"),
     (cli.WINDOWS, "regress", "2005-2006, 2006-2006",
      "windows 2005-2006 and 2006-2006 overlap"),
     (cli.WINDOWS, "regress", "2_005-2006", "not a canonical integer: '2_005'"),
+    (cli.WINDOWS, "regress", "2010", "bad window '2010', want YYYY-YYYY"),
     (cli.PANEL_FROM, "panel", "2005-02-30", "day is out of range"),
     (cli.PANEL_FROM, "panel", "20050101", "not a YYYY-MM-DD date: '20050101'"),
     (cli.PANEL_TO, "panel", "2006-13-01", "month must be in 1..12"),
@@ -802,6 +847,12 @@ BAD_KEY_VALUES = [
     (cli.SELECT, "lq", "weekday in 9", "weekday values out of 1..7: ['9']"),
     (cli.SELECT, "lq", "weekday in 6, 0_7",
      "weekday values must be ints: ['6', '0_7']"),
+    (cli.SELECT, "lq", "weekday in", "unexpected end of selection expression"),
+    (cli.SELECT, "lq", "(weekday = 1 weekday",
+     "expected ')', got 'weekday'"),
+    (cli.SELECT, "lq", "planet = 3", "unknown field 'planet'"),
+    (cli.SELECT, "lq", "weekday 6", "expected '=' or 'in' after 'weekday'"),
+    (cli.SELECT, "lq", "weekday in []", "empty value list after 'weekday'"),
     (cli.CLASSES, "lq", "0", "need at least 1 class, got 0"),
     (cli.CLASSES, "lq", "-2", "need at least 1 class, got -2"),
     (cli.CLASSES, "lq", "0_3", "not a canonical integer: '0_3'"),

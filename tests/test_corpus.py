@@ -154,8 +154,8 @@ class TestDeriveFeatures:
         assert cols.is_christmas.tolist() == [False]
 
     def test_lto_zero_is_missing(self, country_table):
-        table = {iso: cm.make_profile(iso=iso, continent="asia", hdi=0.7,
-                                      lto=lto, names=("nowhere",))
+        table = {iso: cm.CountryProfile(iso=iso, continent="asia", hdi=0.7,
+                                        lto=lto, names=("nowhere",))
                  for iso, lto in (("XX", None), ("YY", 0.0))}
         cols = cm.clean_corpus([_row(id=1, country="XX"),
                                 _row(id=2, country="YY")], table).columns
@@ -333,6 +333,33 @@ class TestCountriesCfg:
         path.write_text(f"iso=SA continent=asia hdi=0.85 {schedule}\n")
         with pytest.raises(ValueError,
                            match=re.escape(f"{path} line 1: {message}")):
+            cm.read_countries_cfg(str(path))
+
+    @pytest.mark.parametrize("text,message", [
+        ("{sa} wat", "line 1: bare token 'wat'"),
+        ("{sa} from=2013-06-29", "line 1: from= without matching days="),
+        ("{sa} from=2013-06-29 from=2014-01-01 days=5,6",
+         "line 1: from= without matching days="),
+        ("{sa} days=5,6", "line 1: days= without preceding from="),
+        ("{sa}\n# again\n{sa}", "line 3: duplicate SA"),
+        ("iso= continent=asia hdi=0.85", "line 1: empty ISO code"),
+        ("iso=SA continent=asia hdi=1.5", "line 1: HDI out of (0, 1]: 1.5"),
+        ("{sa} lto=101", "line 1: LTO out of [0, 100]: 101.0"),
+        ("{sa} from=2013-06-29 days=5,8",
+         "line 1: weekend day codes must be within 1..7"),
+        # entries come in date order; they are never re-sorted
+        ("{sa} from=2013-06-29 days=5,6 from=1900-01-01 days=4,5",
+         "line 1: weekend schedule dates must increase")],
+        ids=["bare-token", "from-at-end", "from-then-from", "days-first",
+             "duplicate-iso", "empty-iso", "hdi", "lto", "weekday-code",
+             "dates-out-of-order"])
+    def test_bad_line_names_file_line_and_fault(self, tmp_path, text,
+                                                message):
+        path = tmp_path / "one.cfg"
+        path.write_text(text.format(sa="iso=SA continent=asia hdi=0.85")
+                        + "\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path} {message}")):
             cm.read_countries_cfg(str(path))
 
     def test_repeated_start_date_rejected(self, tmp_path):

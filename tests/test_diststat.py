@@ -271,6 +271,14 @@ class TestApplyTransform:
         with pytest.raises(ValueError):
             _transform_one(0.01, bad)
 
+    @pytest.mark.parametrize("spec,text", [
+        (("log10-shift", 0.0, 1.0), "log10(y) then ((y*+1)^1-1)/1"),
+        (("log10-shift", 0.5, 0.0), "log10(y)+0.5 then ln(y*+1)"),
+        (("power", 0.0, 2.0), "ln(y) then ((y*+1)^2-1)/2"),
+        (("power", -0.25, 0.5), "(y^-0.25-1)/-0.25 then ((y*+1)^0.5-1)/0.5")])
+    def test_describe(self, spec, text):
+        assert diststat.TransformSpec(*spec).describe() == text
+
     def test_array_matches_scalar(self):
         spec = diststat.TransformSpec(step1_family="power",
                                       step1_param=0.8, step2_power=0.75)

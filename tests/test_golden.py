@@ -126,7 +126,7 @@ def _pipeline_case(case: str, text: str) -> dict[str, str]:
     cfg_path.write_text(text, encoding="utf-8")
     hashes = {f"{case}/stdout": _sha(
         _run(["pipeline", "--config", str(cfg_path)]))}
-    out = Path(cli.load_run_config(str(cfg_path)).get("out_dir"))
+    out = Path(cli.load_run_config(str(cfg_path)).raw["out_dir"])
     for path in sorted(out.iterdir()):
         hashes[f"{case}/{path.name}"] = _sha(path.read_bytes())
     return hashes

@@ -1,6 +1,7 @@
 """History strings, page ranges, country resolution, JATS, card files."""
 
 import multiprocessing
+import re
 from datetime import date
 from pathlib import Path
 
@@ -113,6 +114,14 @@ def lookup(country_table):
 
 
 class TestCountryNormalization:
+    def test_name_collision_rejected(self):
+        table = {iso: corpus.CountryProfile(iso=iso, continent="asia",
+                                            hdi=0.7, names=(name,))
+                 for iso, name in (("XX", "Nowhere"), ("YY", "NOWHERE"))}
+        with pytest.raises(ValueError, match=re.escape(
+                "name 'NOWHERE' maps to both XX and YY")):
+            harvest.build_name_lookup(table)
+
     def test_exact_and_case(self, lookup):
         assert harvest.normalize_country("Italy", lookup) == "IT"
         assert harvest.normalize_country("ITALY", lookup) == "IT"

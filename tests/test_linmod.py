@@ -131,6 +131,18 @@ class TestRls:
         fit = linmod.rls_fit(design)
         assert fit.coefficients == pytest.approx([1.0, 1.0], abs=1e-9)
 
+    def test_saturated_design_is_the_ols_fit(self):
+        # n = p: exact coefficients and NaN inference, never a traceback
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            X = np.column_stack([np.ones(3), rng.normal(size=(3, 2))])
+            design = design_from_arrays(rng.normal(size=3), X,
+                                        ["const", "x1", "x2"])
+            fit = linmod.rls_fit(design)
+            assert np.array_equal(fit.coefficients,
+                                  linmod.ols_fit(design).coefficients)
+            assert np.isnan(fit.standard_errors).all()
+
 
 class TestVif:
     def test_orthogonal_design_unity(self):
@@ -218,14 +230,11 @@ class TestHeteroskedasticityTests:
                                              "the White test"):
             linmod.white_test(design, fit)
 
-    def test_diagnose_bundle(self):
+    def test_residual_jb_is_jarque_bera_of_the_residuals(self):
         design, _ = make_planted(9)
         fit = linmod.ols_fit(design)
-        diag = linmod.diagnose(design, fit)
-        assert set(diag.vif) == {"x1", "x2"}
-        assert diag.breusch_pagan.statistic >= 0.0
-        assert diag.white.statistic >= 0.0
-        assert diag.residual_normality.statistic >= 0.0
+        assert linmod.residual_jb(fit) \
+            == diststat.jarque_bera(diststat.moments(fit.residuals))
 
 
 class TestModelLadder:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_panel
 from conftest import brute_force_gls, tiny_panel
-from dwe import corpus as cm, panel, synth
+from dwe import cli, corpus as cm, panel, synth
 from dwe.panel import PANEL_COLUMNS
 from reference_corpus import raw_rows
 
@@ -320,3 +320,11 @@ class TestDegenerateInputs:
         fit = panel.re_egls_fit(data)
         # christmas never fires in a June window; seasons are constant
         assert "christmas" in fit.dropped_columns
+
+    def test_dropped_columns_end_the_panel_csv(self, tmp_path):
+        fit = panel.re_egls_fit(tiny_panel(4))
+        path = tmp_path / "panel.csv"
+        cli.write_panel_csv(fit, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[-len(fit.dropped_columns):] == [
+            f"_dropped_{name},,,,," for name in fit.dropped_columns]

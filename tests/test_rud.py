@@ -107,17 +107,12 @@ counts = st.lists(st.integers(min_value=0, max_value=40), min_size=7,
 class TestRatioProperties:
     @given(counts)
     def test_identity_sum(self, day_counts):
+        # sum over the received days of n_k / (N/7) is 7
         g = WeekGroup(scope="s", year=2010, week_number=3,
                           day_counts=tuple(day_counts))
-        total = 0.0
-        for k in range(1, 8):
-            if g.day_counts[k - 1]:
-                total += g.day_counts[k - 1] * 0  # placeholder, see below
-        # sum over days of n_k * (rud_k / n_k) = sum rud_k = 7 * (N_occupied share)
         s = sum(rud_for_day(g, k) for k in range(1, 8)
                 if g.day_counts[k - 1])
-        expect = 7.0 * sum(c for c in day_counts if c) / sum(day_counts)
-        assert s == pytest.approx(expect, rel=1e-12)
+        assert s == pytest.approx(7.0, rel=1e-12)
 
     @given(counts, st.integers(min_value=2, max_value=9))
     def test_scaling_invariance(self, day_counts, factor):
