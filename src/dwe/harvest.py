@@ -33,11 +33,10 @@ class JatsParseError(ValueError):
     """Malformed XML.
 
     ``offset`` is where the failure is, in bytes from the start of the
-    document as passed to ``parse_jats_article`` (of its UTF-8 encoding
-    when it is passed as text).  The message also gives expat's line and
-    column, counted after the junk before the XML declaration is dropped;
-    the column counts characters.  For a mismatched end tag expat places
-    the failure at the tag's name.
+    document as passed to ``parse_jats_article``.  The message also gives
+    expat's line and column, counted after the junk before the XML
+    declaration is dropped; the column counts characters.  For a
+    mismatched end tag expat places the failure at the tag's name.
     """
 
     def __init__(self, message: str, offset: int, line: int, column: int):
@@ -282,13 +281,10 @@ def _char_offset(text: str, line: int, column: int) -> int:
     return start + column
 
 
-def _byte_offset(document: str | bytes, chars: int) -> int:
+def _byte_offset(document: bytes, chars: int) -> int:
     """Where character ``chars`` of the decoded document starts, in bytes
-    of the document (of its UTF-8 encoding when it is text).  A byte run
-    that is not UTF-8 counts as the one replacement character it decodes
-    to."""
-    if isinstance(document, str):
-        return len(document[:chars].encode("utf-8"))
+    of the document.  A byte run that is not UTF-8 counts as the one
+    replacement character it decodes to."""
     pos = 0
     while True:
         try:
@@ -332,7 +328,7 @@ _JATS_TAGS = ("subject", "date", "pub-date", "page-count", "aff", "corresp",
               "contrib")
 
 
-def parse_jats_article(document: str | bytes) -> JatsArticle:
+def parse_jats_article(document: bytes) -> JatsArticle:
     """Parse one JATS-style XML document.
 
     ``places`` ranks the affiliations of the first corresponding author,
@@ -342,8 +338,7 @@ def parse_jats_article(document: str | bytes) -> JatsArticle:
     research article (missing subject is left for corpus cleaning), and
     ValueError when the received date is after the accepted one.
     """
-    decoded = document if isinstance(document, str) \
-        else document.decode("utf-8", errors="replace")
+    decoded = document.decode("utf-8", errors="replace")
     text = _repair_preamble(decoded)
     try:
         root = ET.fromstring(text)

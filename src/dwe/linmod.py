@@ -76,10 +76,6 @@ class ModelSpec:
     model_id: str
     terms: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if len(set(self.terms)) != len(self.terms):
-            raise ValueError("duplicate terms")
-
 
 def standard_model(model_id: str) -> ModelSpec:
     if model_id not in MODEL_TERMS:
@@ -191,8 +187,9 @@ def rls_fit(design: DesignMatrix, c: float = BISQUARE_C) -> FitResult:
     iteration.  Convergence: max coefficient change below ``RLS_TOL``.
     Standard errors use the usual M-estimator asymptotic covariance and
     normal-approximation p-values; R-squared is the weighted version under
-    the final weights.  A saturated design (n <= p) has no residuals to
-    weight, so it gets ``ols_fit``'s exact coefficients and NaN inference.
+    the final weights.  A saturated design (n = p) has no residuals to
+    weight, so it gets ``ols_fit``'s exact coefficients and NaN inference;
+    on fewer rows than columns ``ols_fit`` raises naming dependent columns.
     """
     X, y = design.X, design.y
     n, p = X.shape

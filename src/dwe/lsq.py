@@ -19,32 +19,41 @@ CONST = "const"
 
 def _rank_tolerance(shape: tuple[int, int], diag: np.ndarray) -> float:
     """max(n, p) eps max|R_ii|, for an n x p matrix whose R has the
-    absolute diagonal ``diag``: both QR rank tests count an entry at or
-    below it as zero."""
+    absolute diagonal ``diag``: an entry at or below it counts as zero."""
     return max(shape) * np.finfo(float).eps * (diag.max() if diag.size
                                                else 0.0)
+
+
+def _pivoted_rank(X: np.ndarray) -> tuple[np.ndarray, int]:
+    """The column order of X's pivoted QR and its rank, the count of
+    |R_ii| above ``_rank_tolerance``: the one rank rule, so the columns
+    past the rank are the dependent ones."""
+    _, R, piv = _sla.qr(X, mode="raw", pivoting=True)
+    diag = np.abs(np.diag(R))
+    return piv, int(np.sum(diag > _rank_tolerance(X.shape, diag)))
 
 
 def qr_solve(X: np.ndarray, y: np.ndarray,
              columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """(beta, R) from the Householder factor X = QR; Q is never formed,
-    dormqr applies Q' to y.  Raises naming dependent columns."""
+    dormqr applies Q' to y.  When R has a zero diagonal entry, or X fewer
+    rows than columns, raises naming the columns its pivoted QR puts past
+    the rank, at least the last pivot."""
     n, p = X.shape
-    lwork = int(_lapack.dgeqrf_lwork(n, p)[0])
-    qr, tau, _, _ = _lapack.dgeqrf(X, lwork=lwork)
-    R = np.triu(qr[:p])
-    diag = np.abs(np.diag(R))
-    tol = _rank_tolerance(X.shape, diag)
-    if diag.size and diag.min() <= tol:
-        _, _, piv = _sla.qr(X, mode="raw", pivoting=True)
-        rank = int(np.sum(diag > tol))
-        dependent = [columns[i] for i in sorted(piv[rank:])]
-        raise ValueError(f"design is rank deficient; dependent columns: "
-                         f"{', '.join(dependent)}")
-    c = y[:, None]
-    lwork = int(_lapack.dormqr("L", "T", qr, tau, c, -1)[1][0])
-    qty = _lapack.dormqr("L", "T", qr, tau, c, lwork)[0]
-    return _sla.solve_triangular(R, qty[:p, 0]), R
+    if n >= p:
+        lwork = int(_lapack.dgeqrf_lwork(n, p)[0])
+        qr, tau, _, _ = _lapack.dgeqrf(X, lwork=lwork)
+        R = np.triu(qr[:p])
+        diag = np.abs(np.diag(R))
+        if not (diag.size and diag.min() <= _rank_tolerance(X.shape, diag)):
+            c = y[:, None]
+            lwork = int(_lapack.dormqr("L", "T", qr, tau, c, -1)[1][0])
+            qty = _lapack.dormqr("L", "T", qr, tau, c, lwork)[0]
+            return _sla.solve_triangular(R, qty[:p, 0]), R
+    piv, rank = _pivoted_rank(X)
+    dependent = [columns[i] for i in sorted(piv[min(rank, p - 1):])]
+    raise ValueError(f"design is rank deficient; dependent columns: "
+                     f"{', '.join(dependent)}")
 
 
 def xtx_inverse(R: np.ndarray) -> np.ndarray:
@@ -70,9 +79,7 @@ def drop_degenerate_columns(X: np.ndarray, columns: Sequence[str]
     columns = [columns[j] for j in keep]
     if X.shape[1] == 0:
         return X, columns, dropped
-    _, R, piv = _sla.qr(X, mode="raw", pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > _rank_tolerance(X.shape, diag)))
+    piv, rank = _pivoted_rank(X)
     if rank == X.shape[1]:
         return X, columns, dropped
     keep = sorted(piv[:rank])

@@ -3,7 +3,8 @@
 ``qr_solve`` is the solve as it was before it worked from the Householder
 factor: ``np.linalg.qr`` forms the full n x p Q, beta solves R beta = Q'y,
 and a diagonal entry of R at or below max(n, p) eps max|R_ii| raises,
-naming the columns a pivoted QR puts past the rank.
+naming the columns a pivoted QR puts past the rank, which counts that
+QR's own diagonal by the same tolerance (at least the last pivot).
 
 ``vif``, ``breusch_pagan_statistic`` and ``white_statistic`` are the
 diagnostics as they were before they solved through ``qr_solve``: each
@@ -24,17 +25,22 @@ from dwe.linmod import DesignMatrix, _with_const
 from dwe.lsq import CONST, FitResult, drop_degenerate_columns
 
 
+def _tolerance(shape: tuple[int, int], diag: np.ndarray) -> float:
+    return max(shape) * np.finfo(float).eps * (diag.max() if diag.size
+                                               else 0.0)
+
+
 def qr_solve(X: np.ndarray, y: np.ndarray,
              columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """(beta, (X'X)^-1) via QR; raises naming dependent columns."""
     Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
-    tol = max(X.shape) * np.finfo(float).eps * (diag.max() if diag.size
-                                                else 0.0)
-    if diag.size and diag.min() <= tol:
-        _, _, piv = _sla.qr(X, mode="economic", pivoting=True)
-        rank = int(np.sum(diag > tol))
-        dependent = [columns[i] for i in sorted(piv[rank:])]
+    if diag.size and diag.min() <= _tolerance(X.shape, diag):
+        _, R_piv, piv = _sla.qr(X, mode="economic", pivoting=True)
+        diag_piv = np.abs(np.diag(R_piv))
+        rank = int(np.sum(diag_piv > _tolerance(X.shape, diag_piv)))
+        dependent = [columns[i]
+                     for i in sorted(piv[min(rank, X.shape[1] - 1):])]
         raise ValueError(f"design is rank deficient; dependent columns: "
                          f"{', '.join(dependent)}")
     beta = _sla.solve_triangular(R, Q.T @ y)

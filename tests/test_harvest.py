@@ -271,7 +271,7 @@ class TestHistoryAgainstReference:
 
 class TestJats:
     def test_full_document(self):
-        meta = harvest.parse_jats_article(JATS_OK)
+        meta = harvest.parse_jats_article(JATS_OK.encode("utf-8"))
         assert meta.received == date(2006, 8, 7)
         assert meta.accepted == date(2006, 9, 1)
         assert meta.published == date(2006, 9, 15)
@@ -283,15 +283,15 @@ class TestJats:
     def test_non_research_article_rejected(self):
         doc = JATS_OK.replace("Research Article", "Correction")
         with pytest.raises(harvest.NotResearchArticle):
-            harvest.parse_jats_article(doc)
+            harvest.parse_jats_article(doc.encode("utf-8"))
 
     def test_subject_case_insensitive(self):
         doc = JATS_OK.replace("Research Article", "research article")
-        harvest.parse_jats_article(doc)  # must not raise
+        harvest.parse_jats_article(doc.encode("utf-8"))  # must not raise
 
     def test_malformed_reports_location(self):
         with pytest.raises(harvest.JatsParseError):
-            harvest.parse_jats_article("<?xml version='1.0'?><article>")
+            harvest.parse_jats_article(b"<?xml version='1.0'?><article>")
 
     @pytest.mark.parametrize("doc, tail", [
         (b'junk<?xml version="1.0"?>\n<article><x>\xc3\xa9\xc3\xa9<y></x>'
@@ -306,9 +306,9 @@ class TestJats:
         (b"<a>\n<b>\xe2\x82\xac&bad;</b></a>", b"&bad;</b></a>"),
     ])
     def test_malformed_offset_is_bytes_of_the_document(self, doc, tail):
-        with pytest.raises(harvest.JatsParseError) as info:
-            harvest.parse_jats_article(doc)
         raw = doc if isinstance(doc, bytes) else doc.encode("utf-8")
+        with pytest.raises(harvest.JatsParseError) as info:
+            harvest.parse_jats_article(raw)
         # expat places a mismatched end tag's failure at the tag's name
         assert raw[info.value.offset:] == tail
 
@@ -316,10 +316,10 @@ class TestJats:
         # the document of test_subject_checked_before_any_date, with a
         # research subject
         document = (
-            '<article><date date-type="received"><day>9</day><month>9'
-            '</month><year>2006</year></date><date date-type="accepted">'
-            "<day>1</day><month>1</month><year>2006</year></date>"
-            "<subject>Research Article</subject></article>")
+            b'<article><date date-type="received"><day>9</day><month>9'
+            b'</month><year>2006</year></date><date date-type="accepted">'
+            b"<day>1</day><month>1</month><year>2006</year></date>"
+            b"<subject>Research Article</subject></article>")
         with pytest.raises(ValueError) as info:
             harvest.parse_jats_article(document)
         assert type(info.value) is ValueError
@@ -335,7 +335,7 @@ class TestJats:
             '<name><surname>Kim</surname></name>',
             '<contrib contrib-type="author" corresp="yes">\n     '
             '<name><surname>Kim</surname></name>')
-        meta = harvest.parse_jats_article(doc)
+        meta = harvest.parse_jats_article(doc.encode("utf-8"))
         assert meta.places == ("France", "Italy")
         assert harvest.jats_to_raw_record(meta, 1, "j", lookup).country \
             == "FR"
@@ -343,7 +343,7 @@ class TestJats:
     def test_resolve_falls_back_to_first_author(self, country_table):
         lookup = harvest.build_name_lookup(country_table)
         doc = JATS_OK.replace(' corresp="yes"', "")
-        meta = harvest.parse_jats_article(doc)
+        meta = harvest.parse_jats_article(doc.encode("utf-8"))
         assert meta.places == ("Italy", "France")
         assert harvest.jats_to_raw_record(meta, 1, "j", lookup).country \
             == "IT"
@@ -408,7 +408,7 @@ class TestJatsAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(bodies=st.lists(_JATS_BODIES, max_size=8))
     def test_drawn_documents(self, bodies):
-        document = "<article>" + "".join(bodies) + "</article>"
+        document = f"<article>{''.join(bodies)}</article>".encode("utf-8")
         assert _jats_outcome(harvest.parse_jats_article, document) \
             == _jats_outcome(ref.parse_jats_article, document)
 
@@ -416,15 +416,15 @@ class TestJatsAgainstReference:
         # two subjects, two page counts, an aff nested in a contrib, a
         # date nested in a date, and rids that name no aff
         document = (
-            "<article><subject>Research Article</subject>"
-            "<subject>Editorial</subject>"
-            '<page-count count="4"/><page-count count="9"/>'
-            '<contrib contrib-type="author"><xref rid="aff7"/>'
-            '<xref rid="aff1"/><aff id="aff1"><addr-line>Kyoto, Japan'
-            "</addr-line></aff></contrib>"
-            '<date date-type="accepted"><date date-type="received"><day>2'
-            "</day><month>1</month><year>2006</year></date><day>3</day>"
-            "<month>1</month><year>2006</year></date></article>")
+            b"<article><subject>Research Article</subject>"
+            b"<subject>Editorial</subject>"
+            b'<page-count count="4"/><page-count count="9"/>'
+            b'<contrib contrib-type="author"><xref rid="aff7"/>'
+            b'<xref rid="aff1"/><aff id="aff1"><addr-line>Kyoto, Japan'
+            b"</addr-line></aff></contrib>"
+            b'<date date-type="accepted"><date date-type="received"><day>2'
+            b"</day><month>1</month><year>2006</year></date><day>3</day>"
+            b"<month>1</month><year>2006</year></date></article>")
         meta = harvest.parse_jats_article(document)
         assert meta == ref.parse_jats_article(document)
         assert meta.page_count == 4
@@ -439,10 +439,10 @@ class TestJatsAgainstReference:
         # the received date is after the accepted one, which would raise
         # a plain ValueError; the editorial subject must win
         document = (
-            '<article><date date-type="received"><day>9</day><month>9'
-            '</month><year>2006</year></date><date date-type="accepted">'
-            "<day>1</day><month>1</month><year>2006</year></date>"
-            "<subject>Editorial</subject></article>")
+            b'<article><date date-type="received"><day>9</day><month>9'
+            b'</month><year>2006</year></date><date date-type="accepted">'
+            b"<day>1</day><month>1</month><year>2006</year></date>"
+            b"<subject>Editorial</subject></article>")
         with pytest.raises(harvest.NotResearchArticle):
             harvest.parse_jats_article(document)
 
