@@ -16,7 +16,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import hashlib
@@ -156,19 +155,16 @@ def read_transform_cfg(path: str) -> dict[str, diststat.TransformSpec]:
         # three tokens
         fields = dict(tok.partition("=")[::2]
                       for tok in line.rsplit(" ", 3))
-        try:
-            scope = fields["scope"]
-            fam, _, param = fields["step1"].partition(":")
-            _, _, lam2 = fields["step2"].partition(":")
-            spec = diststat.TransformSpec(
-                step1_family=fam, step1_param=float(param),
-                step2_power=float(lam2))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(
-                f"{path} line {lineno}: bad transform spec: {exc}") from exc
-        if specs.setdefault(scope, spec) is not spec:
-            raise ValueError(
-                f"{path} line {lineno}: duplicate scope {scope!r}")
+        with corpus_mod.located(f"{path} line {lineno}"):
+            with corpus_mod.located("bad transform spec", KeyError):
+                scope = fields["scope"]
+                fam, _, param = fields["step1"].partition(":")
+                _, _, lam2 = fields["step2"].partition(":")
+                spec = diststat.TransformSpec(
+                    step1_family=fam, step1_param=float(param),
+                    step2_power=float(lam2))
+            if specs.setdefault(scope, spec) is not spec:
+                raise ValueError(f"duplicate scope {scope!r}")
     return specs
 
 
@@ -205,15 +201,6 @@ def _json_text(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-@contextlib.contextmanager
-def _named(key: Key):
-    """Prefix a ValueError raised in the block with ``key``'s name."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{key.name}: {exc}") from exc
-
-
 class RunContext:
     """What the stages of one run share.
 
@@ -236,7 +223,7 @@ class RunContext:
         """The key's parsed value, else its parsed default; an unset
         required key or a rejected value raises naming the key."""
         text = self.config.get(key.name) or key.default
-        with _named(key):
+        with corpus_mod.located(key.name):
             if text is None:
                 raise ValueError("required, not set")
             return key.parse(text, *context)
@@ -275,10 +262,8 @@ class RunContext:
             raise ValueError("cleaned corpus: no observations")
         results = {}
         for scope, table in tables.items():
-            try:
+            with corpus_mod.located(f"scope={scope}"):
                 results[scope] = fn(table.rud)
-            except ValueError as exc:
-                raise ValueError(f"scope={scope}: {exc}") from exc
         return results
 
 
@@ -369,7 +354,7 @@ def _run_panel(ctx: RunContext) -> str:
     start, c = ctx.value(PANEL_FROM), ctx.cleaned
     end, top_n = ctx.value(PANEL_TO, start), ctx.value(PANEL_TOP)
     scope = ctx.value(SCOPE)
-    with _named(PANEL_TOP):  # fewer countries in range than top_n
+    with corpus_mod.located(PANEL_TOP.name):  # fewer countries than top_n
         data = panel_mod.build_panel(c, start=start, end=end, top_n=top_n,
                                      scope=scope)
     fit = panel_mod.re_egls_fit(data, weighting=ctx.value(PANEL_WEIGHTING))
@@ -385,7 +370,7 @@ def _run_lq(ctx: RunContext) -> str:
     c = ctx.cleaned
     selection, classes = ctx.value(SELECT), ctx.value(CLASSES)
     entries = geo.localization_quotient(c, selection)
-    with _named(CLASSES):  # fewer distinct quotients than classes
+    with corpus_mod.located(CLASSES.name):  # fewer quotients than classes
         breaks = geo.jenks_breaks([e.lq for e in entries], classes)
     csv_path, geojson_path = ctx.paths["lq.csv"], ctx.paths["lq.geojson"]
     skipped = geo.export_choropleth(entries, breaks, csv_path, geojson_path,
@@ -453,22 +438,25 @@ def load_run_config(path: str) -> RunConfig:
     reject.  The stages themselves read the files the keys name."""
     text = corpus_mod.read_text(path)
     raw: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in corpus_mod.content_lines(text):
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path} line {lineno}: expected key = value")
-        key = key.strip()
-        if key not in KNOWN_KEYS:
-            raise ValueError(f"{path} line {lineno}: unknown key {key!r}")
-        if key in raw:
-            raise ValueError(f"{path} line {lineno}: duplicate key {key!r}")
-        raw[key] = value.strip()
+        with corpus_mod.located(f"{path} line {lineno}"):
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError("expected key = value")
+            key = key.strip()
+            if key not in KNOWN_KEYS:
+                raise ValueError(f"unknown key {key!r}")
+            if key in raw:
+                raise ValueError(f"duplicate key {key!r}")
+        raw[key], line_of[key] = value.strip(), lineno
     names = [s.strip() for s in raw.get("stages", "").split(",") if s.strip()]
-    for i, stage in enumerate(names):
-        if stage not in STAGE_BY_NAME:
-            raise ValueError(f"{path}: unknown stage {stage!r}")
-        if stage in names[:i]:
-            raise ValueError(f"{path}: duplicate stage {stage!r}")
+    with corpus_mod.located(f"{path} line {line_of.get('stages')}"):
+        for i, stage in enumerate(names):
+            if stage not in STAGE_BY_NAME:
+                raise ValueError(f"unknown stage {stage!r}")
+            if stage in names[:i]:
+                raise ValueError(f"duplicate stage {stage!r}")
     return RunConfig(raw=raw,
                      stages=tuple(s.name for s in STAGES if s.name in names),
                      sha256=hashlib.sha256(text.encode()).hexdigest())

@@ -21,9 +21,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
+import operator
 import re
 import shlex
 from dataclasses import dataclass
@@ -189,6 +191,16 @@ def _derive_columns(rows: Sequence[RawRecord],
     def column(values, dtype=np.int64) -> np.ndarray:
         return np.fromiter(values, dtype=dtype, count=n)
 
+    def integers(field: str) -> np.ndarray:
+        # a value beyond int64 is an error naming the first record with one
+        try:
+            return column(map(operator.attrgetter(field), rows))
+        except OverflowError as exc:
+            row = next(r for r in rows
+                       if not -2**63 <= getattr(r, field) < 2**63)
+            raise ValueError(
+                f"record {row.id}: {field} outside the 64-bit range") from exc
+
     def coded(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
         labels = tuple(sorted(set(values)))
         code = {label: k for k, label in enumerate(labels)}
@@ -204,10 +216,10 @@ def _derive_columns(rows: Sequence[RawRecord],
     days = [date.fromordinal(o) for o in ordinals.tolist()]
     profiles = [countries[iso] for iso in isos]
     pairs, pair = np.unique(country * len(days) + day, return_inverse=True)
-    authors, author = np.unique(column(r.author_count for r in rows),
+    authors, author = np.unique(integers("author_count"),
                                 return_inverse=True)
     return FeatureColumns(
-        article_id=column(r.id for r in rows),
+        article_id=integers("id"),
         journals=journals, journal=journal,
         countries=isos, country=country,
         received=received,
@@ -248,9 +260,9 @@ def clean_corpus(rows: Iterable[RawRecord],
 
     Drops (counted per reason): rows without a received date, rows whose
     country is empty or not in the table, rows with no authors.  A
-    duplicate article id, and a kept row with an empty journal id or a
-    negative page count, are hard errors, never silent drops.  The kept
-    rows are sorted by article id.
+    duplicate article id, and a kept row with an empty journal id, a
+    negative page count or an id or author count outside int64, are hard
+    errors, never silent drops.  The kept rows are sorted by article id.
     """
     seen: set[int] = set()
     dropped = {reason: 0 for reason in DROP_REASONS}
@@ -324,31 +336,30 @@ def read_corpus_csv(path: str) -> list[RawRecord]:
     header, a line the csv module cannot split, or a row with the wrong
     number of fields or a bad value raises a ValueError naming the file
     (and line).  A leading UTF-8 byte-order mark is skipped."""
+    rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        # one handler for every line, not a `located` block per row; a
+        # bad header reads no row, and its error below names no line
         try:
             header = next(reader, None)
-            if header is None or tuple(header) != CSV_COLUMNS:
-                raise ValueError(f"{path}: bad corpus header {header!r}")
-            rows = []
-            for line in reader:
+            known = header is not None and tuple(header) == CSV_COLUMNS
+            for line in reader if known else ():
                 if not line:
                     continue
-                try:
-                    if len(line) != len(CSV_COLUMNS):
-                        raise ValueError(f"expected {len(CSV_COLUMNS)} "
-                                         f"fields, got {len(line)}")
-                    rows.append(RawRecord(
-                        parse_int(line[0]), line[1],
-                        *map(_parse_optional_date, line[2:5]),
-                        *map(_parse_count, line[5:7]), line[7]))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{path} line {reader.line_num}: {exc}") from exc
-        except csv.Error as exc:  # a field over the size limit
-            raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError as exc:
+                if len(line) != len(CSV_COLUMNS):
+                    raise ValueError(f"expected {len(CSV_COLUMNS)} "
+                                     f"fields, got {len(line)}")
+                rows.append(RawRecord(
+                    parse_int(line[0]), line[1],
+                    *map(_parse_optional_date, line[2:5]),
+                    *map(_parse_count, line[5:7]), line[7]))
+        except UnicodeDecodeError as exc:  # a ValueError, so caught first
             raise not_utf8(path) from exc
+        except (ValueError, csv.Error) as exc:  # csv.Error: a field too long
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
+    if not known:
+        raise ValueError(f"{path}: bad corpus header {header!r}")
     return rows
 
 
@@ -376,6 +387,17 @@ def not_utf8(path: str) -> ValueError:
         # bytes.splitlines ends lines at \n, \r and \r\n, as csv.reader does
         line = len((data[:exc.start] + b"x").splitlines())
         return ValueError(f"{path} line {line}: not UTF-8 ({exc.reason})")
+
+
+@contextlib.contextmanager
+def located(where: str, *kinds: type[Exception]) -> Iterator[None]:
+    """Prefix a ValueError, or one of ``kinds``, raised in the block with
+    ``where``, the place of the input at fault: ``<file> line N``, a
+    key's name or ``scope=<name>``."""
+    try:
+        yield
+    except (ValueError, *kinds) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -408,7 +430,7 @@ def parse_countries_cfg(text: str, name: str) -> dict[str, CountryProfile]:
         names: list[str] = []
         schedule: list[tuple[date, frozenset[int]]] = []
         pending_from: date | None = None
-        try:
+        with located(f"{name} line {lineno}", KeyError):
             for token in shlex.split(line):
                 key, _, value = token.partition("=")
                 if not value and "=" not in token:
@@ -437,10 +459,8 @@ def parse_countries_cfg(text: str, name: str) -> dict[str, CountryProfile]:
                 iso=iso, continent=fields["continent"],
                 hdi=float(fields["hdi"]), lto=lto,
                 weekend_schedule=tuple(schedule), names=tuple(names))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{name} line {lineno}: {exc}") from exc
-        if iso in profiles:
-            raise ValueError(f"{name} line {lineno}: duplicate {iso}")
+            if iso in profiles:
+                raise ValueError(f"duplicate {iso}")
         profiles[iso] = profile
     return profiles
 

@@ -298,24 +298,14 @@ def _byte_offset(document: bytes, chars: int) -> int:
         pos = bad_end
 
 
-def _int_or_none(el) -> int | None:
-    if el is None or el.text is None:
-        return None
-    try:
-        return int(el.text.strip())
-    except ValueError:
-        return None
-
-
 def _date_from_children(el) -> date | None:
-    day = _int_or_none(el.find("day"))
-    month = _int_or_none(el.find("month"))
-    year = _int_or_none(el.find("year"))
-    if day is None or month is None or year is None:
-        return None
+    """The date of ``el``'s year, month and day children; None when one is
+    missing (TypeError), not an integer or no day (ValueError), or beyond
+    a C long (OverflowError)."""
     try:
-        return date(year, month, day)
-    except ValueError:
+        return date(*(int(el.findtext(tag)) for tag in ("year", "month",
+                                                         "day")))
+    except (TypeError, ValueError, OverflowError):
         return None
 
 

@@ -442,8 +442,8 @@ class TestPipeline:
          " line 9: duplicate key 'classes'"),
         (lambda text: text + "classes\n", " line 9: expected key = value"),
         (lambda text: text.replace("clean, rud", "clean, wat"),
-         ": unknown stage 'wat'")], ids=["key", "key-first", "repeated-key",
-                                         "no-equals", "stage"])
+         " line 1: unknown stage 'wat'")],
+        ids=["key", "key-first", "repeated-key", "no-equals", "stage"])
     def test_rejected_config_replaces_the_old_report(self, tmp_path,
                                                      corpus_csv, capsys,
                                                      edit, error):
@@ -748,6 +748,13 @@ class TestStageNames:
         with pytest.raises(ValueError, match="duplicate stage 'clean'"):
             cli.load_run_config(str(cfg))
 
+    def test_bad_stage_names_the_stages_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# stages follow\n\nstages = clean, rud, clean\n")
+        with pytest.raises(ValueError) as info:
+            cli.load_run_config(str(cfg))
+        assert str(info.value) == f"{cfg} line 3: duplicate stage 'clean'"
+
     def test_seed_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("stages = clean\nseed = 1\n")
@@ -912,6 +919,92 @@ def test_bad_key_value_fails_its_stage(tmp_path, corpus_csv, card_archive,
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert [s["status"] for s in report["stages"]] \
         == ["ok"] * len(before) + ["failed"]
+
+
+HUGE = "99999999999999999999"  # beyond int64 and a C long
+
+
+def _jats(year: str = "2006", month: str = "8") -> str:
+    return (f'<article><date date-type="received"><day>7</day><month>'
+            f'{month}</month><year>{year}</year></date>'
+            '<contrib contrib-type="author"/>'
+            "<aff><addr-line>Rome, Italy</addr-line></aff></article>")
+
+
+def _csv(row: str) -> str:
+    return ",".join(cm.CSV_COLUMNS) + "\n" + row + "\n"
+
+
+HARVEST = ["harvest", "--style", "nature-like", "--in", "arch",
+           "--journal", "j", "--out", "h.csv"]
+CLEAN_HARVEST = ["clean", "--in", "h.csv", "--out", "c.csv"]
+REGRESS = ["regress", "--in", "corpus.csv", "--models", "M1",
+           "--scope", "consolidated", "--out", "r.csv"]
+
+#: files to write, the commands run in turn (each but the last exits 0),
+#: the last one's exit code, and where the bad input is named: "err",
+#: "out" or an output file
+OUT_OF_RANGE = [
+    pytest.param({"in.csv": _csv(f"{HUGE},j,2010-01-04,,,2,3,US")},
+                 [["clean", "--in", "in.csv", "--out", "c.csv"]], 2, "err",
+                 f"error: record {HUGE}: id outside the 64-bit range\n",
+                 id="corpus-id"),
+    pytest.param({"in.csv": _csv(f"1,j,2010-01-04,,,{HUGE},3,US")},
+                 [["clean", "--in", "in.csv", "--out", "c.csv"]], 2, "err",
+                 "error: record 1: author_count outside the 64-bit range\n",
+                 id="author-count"),
+    pytest.param({"arch/a.xml": _jats()},
+                 [HARVEST + ["--first-id", HUGE], CLEAN_HARVEST], 2, "err",
+                 f"error: record {HUGE}: id outside the 64-bit range\n",
+                 id="first-id"),
+    pytest.param({"arch/a.xml": _jats(year=HUGE)}, [HARVEST, CLEAN_HARVEST],
+                 0, "out", "no-reception-date=1", id="jats-year"),
+    pytest.param({"arch/a.xml": _jats(month=HUGE)}, [HARVEST, CLEAN_HARVEST],
+                 0, "out", "no-reception-date=1", id="jats-month"),
+    pytest.param({"countries.cfg": "iso=US continent=america hdi=0.9 "
+                  f"from=2000-01-01 days={HUGE}\n"},
+                 [["clean", "--in", "corpus.csv", "--countries",
+                   "countries.cfg", "--out", "c.csv"]], 2, "err",
+                 "error: countries.cfg line 1: weekend day codes must be "
+                 "within 1..7\n", id="countries-days"),
+    pytest.param({}, [["panel", "--in", "corpus.csv", "--from", "2005-01-01",
+                       "--to", "2006-12-31", "--top", HUGE, "--out",
+                       "p.csv"]], 2, "err", "error: panel_top: only 11 "
+                 f"countries have articles in range, need {HUGE}\n",
+                 id="panel-top"),
+    pytest.param({}, [["lq", "--in", "corpus.csv", "--select", "weekday=6",
+                       "--classes", HUGE, "--out", "l.csv", "--geojson",
+                       "l.json"]], 2, "err", "error: classes: 11 distinct "
+                 f"values cannot fill {HUGE} classes\n", id="classes"),
+    pytest.param({}, [REGRESS + ["--windows", f"{HUGE}-{HUGE}"]], 0,
+                 "r.csv", f"consolidated,{HUGE}-{HUGE},M1,,,,empty,0\n",
+                 id="window"),
+    pytest.param({"t.cfg": "scope=consolidated step1=power:1e999 "
+                  "step2=power:1.0 jb=1.0\n"},
+                 [REGRESS + ["--windows", "2005-2006", "--transform",
+                             "t.cfg"]], 0, "r.csv",
+                 "consolidated,2005-2006,M1,,,,failed: step 1 not finite",
+                 id="transform-param"),
+]
+
+
+@pytest.mark.parametrize("files,commands,code,source,named", OUT_OF_RANGE)
+def test_out_of_range_number_is_named(tmp_path, corpus_csv, capsys,
+                                      monkeypatch, files, commands, code,
+                                      source, named):
+    # no traceback: main returns, and the error line, a cleaning count
+    # or a marker row names the input
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    for argv in commands[:-1]:
+        assert run(argv) == 0
+    assert run(commands[-1]) == code
+    streams = dict(zip(("out", "err"), capsys.readouterr()))
+    text = streams[source] if source in streams \
+        else (tmp_path / source).read_text(encoding="utf-8")
+    assert named in text
 
 
 def test_stages_read_only_their_keys(tmp_path, corpus_csv, card_archive,

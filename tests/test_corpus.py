@@ -230,6 +230,24 @@ class TestCleaning:
         with pytest.raises(ValueError, match=message):
             cm.clean_corpus(rows, country_table)
 
+    @pytest.mark.parametrize("bad,message", [
+        (dict(id=2**63), f"record {2**63}: id outside the 64-bit range"),
+        (dict(id=-2**63 - 1),
+         f"record {-2**63 - 1}: id outside the 64-bit range"),
+        (dict(id=7, author_count=2**63),
+         "record 7: author_count outside the 64-bit range")])
+    def test_number_beyond_int64_is_error(self, country_table, bad, message):
+        rows = [self._raw(), self._raw(**bad)]
+        with pytest.raises(ValueError) as info:
+            cm.clean_corpus(rows, country_table)
+        assert str(info.value) == message
+
+    def test_int64_bounds_are_kept(self, country_table):
+        rows = [self._raw(id=-2**63), self._raw(id=2**63 - 1,
+                                                author_count=2**63 - 1)]
+        c = cm.clean_corpus(rows, country_table)
+        assert c.columns.article_id.tolist() == [-2**63, 2**63 - 1]
+
     @pytest.mark.parametrize("drop,reason", [
         (dict(received=None), "no-reception-date"),
         (dict(country="ZZ"), "unclear-country"),

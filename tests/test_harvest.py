@@ -312,6 +312,16 @@ class TestJats:
         # expat places a mismatched end tag's failure at the tag's name
         assert raw[info.value.offset:] == tail
 
+    @pytest.mark.parametrize("field", ["day", "month", "year"])
+    def test_date_beyond_a_c_long_is_absent(self, field):
+        # the received date's field; a C long ends below 2**64
+        doc = re.sub(rf"<{field}>[0-9]+</{field}>",
+                     f"<{field}>99999999999999999999</{field}>", JATS_OK,
+                     count=1)
+        meta = harvest.parse_jats_article(doc.encode("utf-8"))
+        assert meta.received is None
+        assert meta.accepted == date(2006, 9, 1)
+
     def test_received_after_accepted_rejected(self):
         # the document of test_subject_checked_before_any_date, with a
         # research subject
