@@ -16,7 +16,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -169,30 +168,25 @@ def read_transform_cfg(path: str) -> dict[str, diststat.TransformSpec]:
 
 
 def write_panel_csv(fit: panel_mod.PanelFit, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("term", "coefficient", "std_error", "t_stat",
-                    "p_value", "stars"))
-        for j, term in enumerate(fit.columns):
-            w.writerow((term, repr(float(fit.coefficients[j])),
-                        repr(float(fit.standard_errors[j])),
-                        repr(float(fit.t_stats[j])),
-                        repr(float(fit.p_values[j])), fit.stars[j]))
-        summary = (("_adjusted_r2", fit.adjusted_r_squared),
-                   ("_sigma2_country", fit.sigma2_country),
-                   ("_sigma2_idio", fit.sigma2_idio),
-                   ("_rho_share", fit.rho_share),
-                   ("_rho_ratio", fit.rho_ratio),
-                   ("_n_cells", fit.n_cells),
-                   ("_n_countries", fit.n_countries),
-                   ("_clamped", int(fit.clamped)))
-        for key, value in summary:
-            w.writerow((key, repr(float(value)), "", "", "", ""))
-        for iso in sorted(fit.theta):
-            w.writerow((f"_theta_{iso}", repr(float(fit.theta[iso])),
-                        "", "", "", ""))
-        for name in fit.dropped_columns:
-            w.writerow((f"_dropped_{name}", "", "", "", "", ""))
+    summary = [("_adjusted_r2", fit.adjusted_r_squared),
+               ("_sigma2_country", fit.sigma2_country),
+               ("_sigma2_idio", fit.sigma2_idio),
+               ("_rho_share", fit.rho_share),
+               ("_rho_ratio", fit.rho_ratio),
+               ("_n_cells", fit.n_cells),
+               ("_n_countries", fit.n_countries),
+               ("_clamped", fit.clamped)]
+    summary += [(f"_theta_{iso}", fit.theta[iso]) for iso in sorted(fit.theta)]
+    pad = (None,) * 4
+    rows = [*zip(fit.columns, fit.coefficients.tolist(),
+                 fit.standard_errors.tolist(), fit.t_stats.tolist(),
+                 fit.p_values.tolist(), fit.stars),
+            *((key, float(value), *pad)  # a count too, as 123.0
+              for key, value in summary),
+            *((f"_dropped_{name}", None, *pad)
+              for name in fit.dropped_columns)]
+    corpus_mod.write_table(path, ("term", "coefficient", "std_error",
+                                  "t_stat", "p_value", "stars"), rows)
 
 
 # -- run context ------------------------------------------------------------
@@ -462,6 +456,12 @@ def load_run_config(path: str) -> RunConfig:
                      sha256=hashlib.sha256(text.encode()).hexdigest())
 
 
+def _mark_failed(out: Path, stage: str, error: Exception) -> None:
+    """Write ``out``'s FAILED marker, naming the stage and its error."""
+    (out / "FAILED").write_text(f"stage={stage}\nerror={error}\n",
+                                encoding="utf-8")
+
+
 def run_pipeline(config: RunConfig) -> int:
     """Run the configured stages into ``out_dir``; the first that raises
     writes the ``FAILED`` marker and ends the run."""
@@ -485,8 +485,7 @@ def run_pipeline(config: RunConfig) -> int:
             stage.run(ctx)
         except (ValueError, OSError) as exc:
             error = exc
-            (out / "FAILED").write_text(f"stage={name}\nerror={exc}\n",
-                                        encoding="utf-8")
+            _mark_failed(out, name, exc)
             stages.append({"name": name, "status": "failed",
                            "error": str(exc)})
             break
@@ -515,8 +514,7 @@ def cmd_pipeline(args) -> int:
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
             (out / "run_report.json").unlink(missing_ok=True)
-            (out / "FAILED").write_text(f"stage=config\nerror={exc}\n",
-                                        encoding="utf-8")
+            _mark_failed(out, "config", exc)
         raise
     return run_pipeline(config)
 
@@ -559,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     stage_parser("harvest", ("out", None)).add_argument(
-        "--first-id", type=int, default=1)
+        "--first-id", type=corpus_mod.parse_int, default=1)
     stage_parser("clean", ("out", "report")).add_argument("--report")
     stage_parser("rud", ("out",))
     stage_parser("normality", (None,))

@@ -319,15 +319,24 @@ def _parse_optional_date(text: str) -> date | None:
 _parse_count = functools.lru_cache(maxsize=4096)(parse_int)
 
 
-def write_corpus_csv(rows: Iterable[RawRecord], path: str) -> None:
-    """Write rows in the fixed corpus CSV format (ISO dates, blank optionals)."""
+def write_table(path: str, header: Sequence[str],
+                rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as UTF-8 CSV in the csv module's default
+    dialect: CRLF row ends, a field quoted only when it holds a comma,
+    quote or line end.  A float is written as its ``repr``, which reads
+    back to the same float, and None as an empty field."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for r in rows:
-            w.writerow([r.id, r.journal, _fmt_date(r.received),
-                        _fmt_date(r.revised), _fmt_date(r.online),
-                        r.author_count, r.page_count, r.country])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_corpus_csv(rows: Iterable[RawRecord], path: str) -> None:
+    """Write rows in the fixed corpus CSV format (ISO dates, blank optionals)."""
+    write_table(path, CSV_COLUMNS, (
+        (r.id, r.journal, _fmt_date(r.received), _fmt_date(r.revised),
+         _fmt_date(r.online), r.author_count, r.page_count, r.country)
+        for r in rows))
 
 
 def read_corpus_csv(path: str) -> list[RawRecord]:

@@ -19,7 +19,6 @@ boundary vector.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
@@ -30,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, parse_int
+from .corpus import Corpus, parse_int, write_table
 
 
 # -- selection expressions --------------------------------------------------
@@ -302,11 +301,7 @@ def export_choropleth(entries: Sequence[LqEntry], breaks: ClassBreaks,
             (iso, e.lq, breaks.class_of(e.lq))
             for iso, e in zip(isos, map(by_iso.get, isos))]
 
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("country", "lq", "class_index"))
-        w.writerows((iso, "", "") if lq is None else (iso, repr(lq), k)
-                    for iso, lq, k in rows)
+    write_table(csv_path, ("country", "lq", "class_index"), rows)
 
     features = [{"type": "Feature", "geometry": None,
                  "properties": {"iso": iso, "lq": lq, "class_index": k}}

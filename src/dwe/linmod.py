@@ -23,15 +23,15 @@ step.  Robust t statistics use the normal approximation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import CONTINENTS, SEASONS, Corpus, FeatureColumns
+from .corpus import CONTINENTS, SEASONS, Corpus, FeatureColumns, \
+    write_table
 from .diststat import (TestResult, TransformSpec, chi_square_test,
                        fit_transform_spec, jarque_bera, moments)
 from .lsq import (CONST, FitResult, classical_inference,
@@ -325,8 +325,9 @@ def residual_jb(fit: FitResult) -> TestResult:
 
 # -- rolling windows --------------------------------------------------------
 
-@dataclass(frozen=True)
-class RollRow:
+class RollRow(NamedTuple):
+    """A regress.csv row in ``RollReport.CSV_COLUMNS`` order."""
+
     scope: str
     window: str
     model_id: str
@@ -345,13 +346,7 @@ class RollReport:
                    "stars", "marker", "n")
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.CSV_COLUMNS)
-            for r in self.rows:
-                coeff = "" if r.coefficient is None else repr(r.coefficient)
-                w.writerow([r.scope, r.window, r.model_id, r.term, coeff,
-                            r.stars, r.marker, r.n])
+        write_table(path, self.CSV_COLUMNS, self.rows)
 
 
 def validate_windows(windows: Sequence[tuple[int, int]]) -> None:

@@ -20,14 +20,13 @@ gives one ``RudObservation`` named tuple per row, built from the columns.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from datetime import date
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, FeatureColumns
+from .corpus import Corpus, FeatureColumns, write_table
 from .diststat import apply_transform_steps_array
 
 CONSOLIDATED = "consolidated"
@@ -134,16 +133,12 @@ RUD_CSV_COLUMNS = ("article_id", "scope", "year", "week", "weekday",
 
 def write_rud_csv(table: RudTable, path: str) -> None:
     cols = table.columns
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(RUD_CSV_COLUMNS)
-        w.writerows(zip(cols.article_id[table.row].tolist(),
-                        [table.labels[k] for k in table.scope.tolist()],
-                        table.year.tolist(),
-                        cols.week_number[table.row].tolist(),
-                        cols.weekday[table.row].tolist(),
-                        table.day_count.tolist(), table.week_total.tolist(),
-                        map(repr, table.rud.tolist())))
+    write_table(path, RUD_CSV_COLUMNS, zip(
+        cols.article_id[table.row].tolist(),
+        [table.labels[k] for k in table.scope.tolist()],
+        table.year.tolist(), cols.week_number[table.row].tolist(),
+        cols.weekday[table.row].tolist(), table.day_count.tolist(),
+        table.week_total.tolist(), table.rud.tolist()))
 
 
 def attach_transform(table: RudTable, spec

@@ -107,6 +107,20 @@ class TestSubcommands:
         assert [r.id for r in rows] == [1, 2]
         assert rows[0].country == "IT" and rows[1].country == "JP"
 
+    @pytest.mark.parametrize("first_id", ["1_0", " \u0665"])
+    def test_non_canonical_first_id_rejected(self, tmp_path, capsys,
+                                             card_archive, first_id):
+        # int() reads these as 10 and 5; every other integer input
+        # rejects them
+        out = tmp_path / "harvested.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["harvest", "--style", "physica-like", "--in", card_archive,
+                 "--journal", "j", "--out", out, "--first-id", first_id])
+        assert exc.value.code == 2
+        assert f"--first-id: invalid parse_int value: {first_id!r}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bom_corpus_cleans_like_the_plain_one(self, tmp_path,
                                                   corpus_csv):
         bom = tmp_path / "bom.csv"

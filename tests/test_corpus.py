@@ -1,6 +1,7 @@
 """Calendar derivations, country table, cleaning, CSV round-trips."""
 
 import dataclasses
+import math
 import re
 from datetime import date, timedelta
 
@@ -282,6 +283,20 @@ class TestCsvRoundTrip:
         cm.write_corpus_csv(rows, str(path))
         back = cm.read_corpus_csv(str(path))
         assert back == rows
+
+    def test_table_form(self, tmp_path):
+        # the form of every table the package writes
+        path = tmp_path / "t.csv"
+        cm.write_table(str(path), ("x", "y", "z"), [
+            (math.nan, math.inf, -math.inf), (-0.0, 1e-300, 0.1),
+            (None, 7, np.float64(1 / 3)),
+            ("Zürich", 'say "a,b"', "two\nlines")])
+        assert path.read_bytes() == (
+            "x,y,z\r\n"
+            "nan,inf,-inf\r\n"
+            "-0.0,1e-300,0.1\r\n"
+            ",7,0.3333333333333333\r\n"
+            'Zürich,"say ""a,b""","two\nlines"\r\n').encode("utf-8")
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"

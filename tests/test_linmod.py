@@ -1,7 +1,6 @@
 """Linear models: OLS, robust refit, diagnostics, rolling windows."""
 
 import csv
-from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -346,7 +345,7 @@ class TestRollReport:
                 diststat.LOG10_SHIFT, -10.0, 1.0)})
         want = [linmod.RollRow(*row) for row in CELL_KINDS]
         if method == "rls":
-            want[7] = replace(want[7], marker="not-converged")
+            want[7] = want[7]._replace(marker="not-converged")
         assert report.rows == tuple(want)
 
     def test_csv_round_trip(self, tmp_path, report):
