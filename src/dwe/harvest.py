@@ -18,9 +18,10 @@ non-research-article subjects and received-after-accepted dates raise.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple
@@ -120,19 +121,23 @@ _HISTORY = {style: (_history_pattern(style),
 _SPACES = re.compile(r"\s+")
 
 
-def _build_date(year: str, month: str, day: str) -> date:
-    """A history entry's date; its month is written as a number or a name."""
+@functools.lru_cache(maxsize=4096)  # an archive has few distinct dates
+def _written_ordinal(year: str, month: str, day: str) -> int:
+    """The day ordinal of a history date, its month a number or a name; 0
+    for an unknown month or a date that does not exist."""
     number = int(month) if month.isdigit() else _MONTHS.get(month.lower())
     if number is None:
-        raise ValueError(f"unknown month {month!r}")
-    return date(int(year), number, int(day))
+        return 0
+    try:
+        return date(int(year), number, int(day)).toordinal()
+    except ValueError:
+        return 0
 
 
-def _history_ordinals(text: str, style: str,
-                      memo: dict[tuple[str, ...], int]) -> list[int]:
+def _history_ordinals(text: str, style: str) -> list[int]:
     """The (received, revised, online) day ordinals of a history line, 0
-    for an empty slot.  ``memo`` maps each written date already converted
-    to its ordinal, or to 0 when it is malformed."""
+    for an empty slot.  A malformed date leaves its slot empty, so a later
+    one on the line may still fill it."""
     slots = [0, 0, 0]
     rx, slot_of = _HISTORY[style]
     for m in rx.finditer(text):
@@ -141,26 +146,15 @@ def _history_ordinals(text: str, style: str,
         slot = slot_of.get(keyword)
         if slot is None:
             slot = slot_of[_SPACES.sub(" ", keyword)]
-        if slots[slot]:
-            continue
-        groups = m.groups()[1:]
-        try:
-            slots[slot] = memo[groups]
-        except KeyError:
-            try:
-                day = _build_date(m["y"], m["m"], m["d"]).toordinal()
-            except ValueError:
-                day = 0  # a later occurrence may still fill the slot
-            slots[slot] = memo[groups] = day
+        if not slots[slot]:
+            slots[slot] = _written_ordinal(*m.group("y", "m", "d"))
     return slots
 
 
-class _Days(dict):
-    """Day ordinal -> ``date``, each made once; 0 -> None."""
-
-    def __missing__(self, ordinal: int) -> date | None:
-        day = self[ordinal] = date.fromordinal(ordinal) if ordinal else None
-        return day
+@functools.lru_cache(maxsize=4096)  # so rows share one date per day
+def _day(ordinal: int) -> date | None:
+    """The date of a day ordinal; None for 0."""
+    return date.fromordinal(ordinal) if ordinal else None
 
 
 def extract_pages(text: str) -> tuple[int, int]:
@@ -195,19 +189,17 @@ US_STATE_NAMES = (
     "Wyoming", "District of Columbia")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NameLookup:
     """The country names ``normalize_country`` matches, casefolded once.
 
-    ``names`` holds the (casefolded name, ISO) pairs in table order.
-    ``resolved`` remembers the answer for each raw string already seen, so
-    each distinct affiliation string is matched against the names once; it
-    belongs to this lookup alone.
+    ``names`` holds the (casefolded name, ISO) pairs in table order.  A
+    lookup hashes and compares by identity, so ``normalize_country``'s
+    cache keys on it without hashing its names, and two lookups never
+    share answers.
     """
 
     names: tuple[tuple[str, str], ...]
-    resolved: dict[str, str | None] = field(default_factory=dict,
-                                            compare=False, repr=False)
 
 
 def build_name_lookup(profiles: Mapping[str, CountryProfile]) -> NameLookup:
@@ -235,6 +227,7 @@ def build_name_lookup(profiles: Mapping[str, CountryProfile]) -> NameLookup:
     return NameLookup(names=tuple(seen.items()))
 
 
+@functools.lru_cache(maxsize=4096)  # an archive has few distinct places
 def normalize_country(country_raw: str, lookup: NameLookup) -> str | None:
     """Resolve free-text affiliation country to an ISO code.
 
@@ -242,23 +235,15 @@ def normalize_country(country_raw: str, lookup: NameLookup) -> str | None:
     in the input is a match; a matched name that is a substring of another
     matched name is discarded (so "Nigeria" beats "Niger", "Romania" beats
     "Oman").  Exactly one surviving code wins; none or several -> None.
-    A string seen before with the same ``lookup`` is answered from its
-    ``resolved`` memo.
     """
     if not country_raw:
         return None
-    try:
-        return lookup.resolved[country_raw]
-    except KeyError:
-        pass
     hay = country_raw.casefold()
     matched = [(name, iso) for name, iso in lookup.names if name in hay]
     survivors = {iso for name, iso in matched
                  if not any(name != other and name in other
                             for other, _ in matched)}
-    iso = next(iter(survivors)) if len(survivors) == 1 else None
-    lookup.resolved[country_raw] = iso
-    return iso
+    return next(iter(survivors)) if len(survivors) == 1 else None
 
 
 # -- JATS XML ---------------------------------------------------------------
@@ -446,57 +431,26 @@ def parse_article_cards(text: str) -> list[dict[str, str]]:
     return cards
 
 
-def _page_count(pages: str) -> int:
-    first, last = extract_pages(pages)
-    return last - first + 1 if 0 < first <= last else 0
-
-
 #: a corpus row before its id and journal: the received, revised and online
 #: day ordinals (0 when absent), author count, page count and ISO code ("" when
 #: unresolved).  Ints and short strings, so a row is cheap to pickle.
 _Row = tuple[int, int, int, int, int, str]
 
 
-class _FileHarvest:
-    """What harvest does to one file: its rows, or why it is skipped.
+def _check_style(style: str) -> None:
+    if style not in HISTORY_STYLES:
+        raise ValueError(f"unknown history style {style!r}")
 
-    The memos last as long as the object, one harvest call: each distinct
-    written date is converted once and each distinct page range parsed
-    once, and ``lookup`` resolves each distinct country string once.
-    """
 
-    def __init__(self, style: str, lookup: NameLookup):
-        if style not in HISTORY_STYLES:
-            raise ValueError(f"unknown history style {style!r}")
-        self.style = style
-        self.lookup = lookup
-        self.dates: dict[tuple[str, ...], int] = {}
-        self.pages: dict[str, int] = {}
-
-    def card_row(self, fields: Mapping[str, str]) -> _Row:
-        pages = fields.get("pages", "")
-        try:
-            page_count = self.pages[pages]
-        except KeyError:
-            page_count = self.pages[pages] = _page_count(pages)
-        received, revised, online = _history_ordinals(
-            fields.get("history", ""), self.style, self.dates)
-        return (received, revised, online,
-                split_author_list(fields.get("authors", "")), page_count,
-                normalize_country(fields.get("country", ""), self.lookup)
-                or "")
-
-    def __call__(self, path: Path) -> list[_Row] | str:
-        try:
-            if path.suffix.lower() == ".xml":
-                return [_jats_row(parse_jats_article(path.read_bytes()),
-                                  self.lookup)]
-            text = path.read_text(encoding="utf-8")
-            return [self.card_row(card) for card in parse_article_cards(text)]
-        except ValueError as exc:
-            return str(exc)
-        except OSError as exc:
-            return f"unreadable: {exc.strerror or exc}"
+def _card_row(fields: Mapping[str, str], style: str,
+              lookup: NameLookup) -> _Row:
+    received, revised, online = _history_ordinals(
+        fields.get("history", ""), style)
+    first, last = extract_pages(fields.get("pages", ""))
+    return (received, revised, online,
+            split_author_list(fields.get("authors", "")),
+            last - first + 1 if 0 < first <= last else 0,
+            normalize_country(fields.get("country", ""), lookup) or "")
 
 
 def _jats_row(article: JatsArticle, lookup: NameLookup) -> _Row:
@@ -509,11 +463,25 @@ def _jats_row(article: JatsArticle, lookup: NameLookup) -> _Row:
                                for place in article.places)), ""))
 
 
-def _record(row: _Row, article_id: int, journal: str,
-            days: _Days) -> RawRecord:
+def _file_rows(path: Path, style: str, lookup: NameLookup
+               ) -> list[_Row] | str:
+    """What harvest does to one file: its rows, or why it is skipped."""
+    try:
+        if path.suffix.lower() == ".xml":
+            return [_jats_row(parse_jats_article(path.read_bytes()), lookup)]
+        text = path.read_text(encoding="utf-8")
+        return [_card_row(card, style, lookup)
+                for card in parse_article_cards(text)]
+    except ValueError as exc:
+        return str(exc)
+    except OSError as exc:
+        return f"unreadable: {exc.strerror or exc}"
+
+
+def _record(row: _Row, article_id: int, journal: str) -> RawRecord:
     received, revised, online, authors, pages, country = row
-    return RawRecord(article_id, journal, days[received], days[revised],
-                     days[online], authors, pages, country)
+    return RawRecord(article_id, journal, _day(received), _day(revised),
+                     _day(online), authors, pages, country)
 
 
 # perfbench's tracer wraps parse_article_cards, card_to_raw_record and
@@ -523,13 +491,13 @@ def card_to_raw_record(card: Mapping[str, str], article_id: int,
                        ) -> RawRecord:
     """Corpus row from a card's fields; unresolvable fields become
     blanks/zeros.  An unknown ``style`` raises ``ValueError``."""
-    return _record(_FileHarvest(style, lookup).card_row(card),
-                   article_id, journal, _Days())
+    _check_style(style)
+    return _record(_card_row(card, style, lookup), article_id, journal)
 
 
 def jats_to_raw_record(article: JatsArticle, article_id: int,
                        journal: str, lookup: NameLookup) -> RawRecord:
-    return _record(_jats_row(article, lookup), article_id, journal, _Days())
+    return _record(_jats_row(article, lookup), article_id, journal)
 
 
 # -- the harvest ------------------------------------------------------------
@@ -542,12 +510,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: a pool worker's task, set as the worker starts; never set in the calling
-#: process
-_worker_task: _FileHarvest | None = None
+#: a pool worker's ``_file_rows`` task, set as the worker starts; never set
+#: in the calling process
+_worker_task: functools.partial | None = None
 
 
-def _start_worker(task: _FileHarvest) -> None:
+def _start_worker(task: functools.partial) -> None:
     global _worker_task
     _worker_task = task
 
@@ -557,14 +525,15 @@ def _in_worker(path: Path) -> list[_Row] | str:
 
 
 @contextlib.contextmanager
-def _each_file(task: _FileHarvest, paths: list[Path]
+def _each_file(task: functools.partial, paths: list[Path]
                ) -> Iterator[Iterator[list[_Row] | str]]:
     """``task`` of each path, in path order.
 
     The files are spread over a pool of forked processes, one per usable
-    CPU; they inherit ``task`` with its memos as the pool starts.  Forked,
-    not spawned: a spawned worker would import dwe, numpy and scipy again,
-    which takes more than half as long as the whole stage on two CPUs.
+    CPU; they inherit ``task`` and this process's caches as the pool
+    starts.  Forked, not spawned: a spawned worker would import dwe, numpy
+    and scipy again, which takes more than half as long as the whole stage
+    on two CPUs.
     With one CPU, one file, or no ``fork`` on this platform the files are
     done in this process.  The pool's processes have ended when the block
     exits, also when it exits by an exception.
@@ -602,12 +571,12 @@ def harvest_directory(directory: str, style: str, journal: str,
     read.  An unknown ``style``, or a ``directory`` that is not a
     directory, raises before any file is read.
     """
-    task = _FileHarvest(style, lookup)
+    _check_style(style)
     if not Path(directory).is_dir():
         raise ValueError(f"{directory}: not a directory")
+    task = functools.partial(_file_rows, style=style, lookup=lookup)
     rows: list[RawRecord] = []
     skipped: list[tuple[str, str]] = []
-    days = _Days()
     paths = sorted(p for p in Path(directory).rglob("*") if p.is_file())
     with _each_file(task, paths) as results:
         for path, result in zip(paths, results):
@@ -615,6 +584,5 @@ def harvest_directory(directory: str, style: str, journal: str,
                 skipped.append((str(path.relative_to(directory)), result))
                 continue
             for row in result:
-                rows.append(_record(row, first_id + len(rows), journal,
-                                    days))
+                rows.append(_record(row, first_id + len(rows), journal))
     return rows, skipped

@@ -103,7 +103,7 @@ def superset_matrix(cols: FeatureColumns) -> np.ndarray:
         values[term] = cols.season == SEASONS.index(term)
     for term in CONTINENT_TERMS:
         values[term] = cols.continent == CONTINENTS.index(term)
-    return np.column_stack([values[t] for t in DESIGN_TERMS]).astype(float)
+    return np.column_stack([values[t] for t in DESIGN_TERMS])
 
 
 @dataclass(frozen=True)
@@ -407,8 +407,8 @@ def roll_window_run(corpus: Corpus,
     scope whose transform fails leaves a "failed: ..." marker row per cell.
     An unknown method raises before any fit.
 
-    The superset matrix is built once; a window is a row mask over a
-    scope's rows and a model a column slice.
+    The superset matrix is built once; a window gathers its rows from it
+    by a mask over its scope's rows, and a model is a column slice.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; "
@@ -435,10 +435,10 @@ def roll_window_run(corpus: Corpus,
                                     f"failed: {exc}")
                         for label in labels for model_id in model_ids)
             continue
-        x_scope, year = features[table.row], table.year
         for (y0, y1), label in zip(windows, labels):
-            in_window = (year >= y0) & (year <= y1)
-            x_window, y_window = x_scope[in_window], y_scope[in_window]
+            in_window = (table.year >= y0) & (table.year <= y1)
+            x_window = features[table.row[in_window]]
+            y_window = y_scope[in_window]
             for model_id in model_ids:
                 rows.extend(_cell_rows((scope, label, model_id), method,
                                        x_window, y_window))

@@ -616,6 +616,23 @@ class TestPipeline:
         assert f"stage={stage}" in marker and "no observations" in marker
         assert not (tmp_path / "out" / "transform.cfg").exists()
 
+    @pytest.mark.parametrize("stage", ["lq", "regress"])
+    def test_stage_fails_on_empty_corpus(self, tmp_path, stage):
+        # every row lacks a received date, so clean drops them all; with
+        # no windows set, regress reads the year span of no rows
+        rows = [cm.RawRecord(id=i, journal="j", received=None, revised=None,
+                             online=None, author_count=2, page_count=3,
+                             country="US") for i in (1, 2)]
+        src = tmp_path / "corpus.csv"
+        cm.write_corpus_csv(rows, str(src))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"stages = clean, {stage}\n"
+                       f"out_dir = {tmp_path / 'out'}\ncorpus = {src}\n"
+                       "models = M1\nselect = weekday in 6, 7\n")
+        assert run(["pipeline", "--config", cfg]) == 1
+        assert (tmp_path / "out" / "FAILED").read_text() \
+            == f"stage={stage}\nerror=empty corpus\n"
+
     def test_ratio_subcommands_are_their_stages(self, tmp_path, corpus_csv,
                                                 capsys):
         cfg = self.write_config(tmp_path, corpus_csv,

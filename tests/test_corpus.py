@@ -326,6 +326,18 @@ class TestCsvRoundTrip:
                 f"{path} line 3: ") + ".*" + re.escape(message)):
             cm.read_corpus_csv(str(path))
 
+    def test_blank_line_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(",".join(cm.CSV_COLUMNS) + "\n"
+                        "9,j,2010-01-04,,,2,3,US\n\n"
+                        "10,j,2010-13-04,,,2,3,US\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} line 4: month must be in 1..12")):
+            cm.read_corpus_csv(str(path))
+        path.write_text(",".join(cm.CSV_COLUMNS) + "\n\n"
+                        "9,j,2010-01-04,,,2,3,US\n\n")
+        assert [r.id for r in cm.read_corpus_csv(str(path))] == [9]
+
     def test_negative_page_count_reaches_clean(self, tmp_path,
                                                country_table):
         # the reader keeps the sign so that clean can name the record

@@ -198,6 +198,10 @@ class TestJenks:
         with pytest.raises(ValueError):
             geo.jenks_breaks([1.0, 2.0], 3)
 
+    def test_no_values_rejected(self):
+        with pytest.raises(ValueError, match="no values to classify"):
+            geo.jenks_breaks([], 2)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_rejected(self, bad):
         # a NaN sorts anywhere and no cost involving it compares

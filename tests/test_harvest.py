@@ -107,6 +107,9 @@ class TestExtractPages:
     def test_garbled_range_is_zero(self):
         assert harvest.extract_pages("pages i-xii") == (0, 0)
 
+    def test_three_part_range_is_zero(self):
+        assert harvest.extract_pages("pages 1-2-3") == (0, 0)
+
 
 @pytest.fixture(scope="module")
 def lookup(country_table):
@@ -121,6 +124,14 @@ class TestCountryNormalization:
         with pytest.raises(ValueError, match=re.escape(
                 "name 'NOWHERE' maps to both XX and YY")):
             harvest.build_name_lookup(table)
+
+    def test_same_name_in_two_cases_for_one_code(self):
+        table = {"IT": corpus.CountryProfile(iso="IT", continent="europe",
+                                             hdi=0.9,
+                                             names=("Italy", "ITALY"))}
+        lookup = harvest.build_name_lookup(table)
+        assert lookup.names == (("italy", "IT"),)
+        assert harvest.normalize_country("Rome, Italy", lookup) == "IT"
 
     def test_exact_and_case(self, lookup):
         assert harvest.normalize_country("Italy", lookup) == "IT"
@@ -215,6 +226,15 @@ class TestCountryAgainstReference:
         table = ref.build_name_lookup(_SHIPPED)
         for text in texts + texts:
             self._check(text, lookup, table)
+
+    def test_answers_follow_the_lookup_not_the_text(self):
+        # the cache outlives a harvest, so the same string meets two
+        # lookups in one process
+        without_ge = {iso: p for iso, p in _SHIPPED.items() if iso != "GE"}
+        assert harvest.normalize_country(
+            "Tbilisi, Georgia", harvest.build_name_lookup(_SHIPPED)) == "GE"
+        assert harvest.normalize_country(
+            "Tbilisi, Georgia", harvest.build_name_lookup(without_ge)) is None
 
     @settings(max_examples=100, deadline=None)
     @given(queries=st.lists(st.tuples(st.booleans(), st.sampled_from([
@@ -491,6 +511,12 @@ class TestCards:
         assert rec.page_count == 0
         assert rec.country == "DE"
 
+    def test_comments_and_leading_blank_lines_dropped(self):
+        text = ("\n# archive export\nTitle: First\n# a note\nPages: 1-2\n"
+                "\n \n\t\nTitle: Second\n#Pages: 3-4\n")
+        assert harvest.parse_article_cards(text) == [
+            {"title": "First", "pages": "1-2"}, {"title": "Second"}]
+
     def test_title_only_block_is_a_card(self, country_table):
         # a title alone still makes a card, and so a row with no dates,
         # authors or country, which the clean stage then drops
@@ -646,6 +672,20 @@ class TestHarvestPool:
             self._harvest(tmp_path, cpus, monkeypatch, country_table)
         assert multiprocessing.active_children() == []
 
+    def test_second_harvest_in_one_process_is_the_same(
+            self, tmp_path, monkeypatch, country_table):
+        # the second harvest, inline and pooled, starts with warm caches
+        _mixed_tree(tmp_path)
+        _unreadable(monkeypatch, "f.txt",
+                    PermissionError(13, "Permission denied"))
+        first = self._harvest(tmp_path, 1, monkeypatch, country_table)
+        assert self._harvest(tmp_path, 1, monkeypatch, country_table) \
+            == first
+        assert self._harvest(tmp_path, 3, monkeypatch, country_table) \
+            == first
+        rows, skipped = first
+        assert len(rows) == 8 and len(skipped) == 4
+
     def test_malformed_date_is_memoised_as_no_date(
             self, tmp_path, monkeypatch, country_table):
         # 31 February is met first in card 1, then again in cards 2 and 3;
@@ -656,13 +696,13 @@ class TestHarvestPool:
                  "History: Received 31 February 2006, "
                  "Received 4 March 2006; revised 31 February 2006\n")
         (tmp_path / "a.txt").write_text(cards, encoding="utf-8")
+        harvest._written_ordinal.cache_clear()
         rows, _ = self._harvest(tmp_path, 1, monkeypatch, country_table)
+        info = harvest._written_ordinal.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
         assert [(r.received, r.revised) for r in rows] == [
             (date(2006, 3, 3), None), (None, None), (date(2006, 3, 4), None)]
-        task = harvest._FileHarvest("physica-like",
-                                    harvest.build_name_lookup(country_table))
-        task(tmp_path / "a.txt")
-        assert task.dates[("31", "February", "2006")] == 0
+        assert harvest._written_ordinal("2006", "February", "31") == 0
         assert [r.received for r in rows] == [
             ref.parse_history_string(block, "physica-like")[0]
             for block in cards.split("\n\n")]
